@@ -5,15 +5,15 @@ from .rows import (FiniteRow, Scalar, ShortColumnError, ZERO_ROW, ZeroRowError,
                    as_scalar, format_scalar, parse_scalar)
 from .sources import (CoeffExpr, EquationSpec, EvalError, ExprSyntaxError,
                       RowSource, SpecError, build_family, equation_from_obj,
-                      eval_coeff, load_equation, parse_coeff_expr)
+                      load_equation, parse_coeff_expr)
 from .elimination import (EliminationState, EngineError, GAUSS_JORDAN,
-                          GAUSS_ONLY, QhfPrefix, check_invariants, run)
+                          GAUSS_ONLY, check_invariants, run)
 from .solver import (AccessibleIndexError, FundamentalSet, InaccessibleLengths,
                      InconsistentSystemError, consistency_check,
                      deficiency_report, frechet_distance, fundamental_set,
                      general_solution, homogeneous_general,
                      inaccessible_lengths, particular_solution,
-                     regular_order_term, rhs_transform)
+                     rhs_transform)
 from .hessenberg import (HessSpec, LowerHessenberg, general_prefix,
                          general_term, hess_det, hess_spec_from_source,
                          particular_prefix, particular_term,
@@ -25,15 +25,15 @@ __all__ = [
     "FiniteRow", "Scalar", "ZERO_ROW", "ZeroRowError", "ShortColumnError",
     "as_scalar", "format_scalar", "parse_scalar",
     "CoeffExpr", "EquationSpec", "EvalError", "ExprSyntaxError", "RowSource",
-    "SpecError", "build_family", "equation_from_obj", "eval_coeff",
-    "load_equation", "parse_coeff_expr",
+    "SpecError", "build_family", "equation_from_obj", "load_equation",
+    "parse_coeff_expr",
     "EliminationState", "EngineError", "GAUSS_JORDAN", "GAUSS_ONLY",
-    "QhfPrefix", "check_invariants", "run",
+    "check_invariants", "run",
     "AccessibleIndexError", "FundamentalSet", "InaccessibleLengths",
     "InconsistentSystemError", "consistency_check", "deficiency_report",
     "frechet_distance", "fundamental_set", "general_solution",
     "homogeneous_general", "inaccessible_lengths", "particular_solution",
-    "regular_order_term", "rhs_transform",
+    "rhs_transform",
     "HessSpec", "LowerHessenberg", "general_prefix", "general_term",
     "hess_det", "hess_spec_from_source", "particular_prefix",
     "particular_term", "superposed_prefix", "xi_prefix", "xi_term",

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
+from . import checks
 from . import hessenberg as hb
 from . import solver
-from .elimination import EliminationState, EngineError, check_invariants, run
-from .rows import (FiniteRow, ShortColumnError, ZERO_ROW, format_scalar,
-                   parse_scalar)
+from .elimination import run
+from .rows import FiniteRow, ShortColumnError, format_scalar, parse_scalar
 from .sources import (EquationSpec, EvalError, RowSource, SpecError,
                       build_family, load_equation)
 
@@ -102,13 +101,15 @@ def _seq_csv(values: Sequence[Fraction]) -> str:
     return ",".join(format_scalar(v) for v in values)
 
 
-def _emit(payload: dict, args, csv_text: str, pretty_text: str) -> None:
+def _emit(args, payload: Callable[[], dict], csv_text: Callable[[], str],
+          pretty_text: Callable[[], str]) -> None:
+    """Print the output in the requested format; only that one is rendered."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     elif args.format == "csv":
-        print(csv_text)
+        print(csv_text())
     else:
-        print(pretty_text)
+        print(pretty_text())
 
 
 def _pretty_rows(rows: Sequence[FiniteRow]) -> str:
@@ -124,32 +125,27 @@ def _pretty_rows(rows: Sequence[FiniteRow]) -> str:
 def cmd_reduce(args) -> int:
     eq = _load_source(args)
     state = run(eq.source, args.horizon)
-    payload = {
-        "command": "reduce",
-        "horizon": args.horizon,
-        "mode": state.mode,
-        "certified": state.certified,
-        "rows": _rows_json(state.h_rows),
-        "q_rows": _rows_json(state.q_rows),
-        "j_set": state.j_set,
-        "w_set": state.w_set,
-        "mu": state.mu,
-        "stable_since": state.last_change,
-    }
-    pretty = (
-        f"reduced prefix (mode {state.mode}):\n{_pretty_rows(state.h_rows)}\n"
-        f"transform rows:\n{_pretty_rows(state.q_rows)}\n"
-        f"j_set={state.j_set} w_set={state.w_set} mu={state.mu}\n"
-        f"stable_since={state.last_change}"
-    )
-    _emit(payload, args, _rows_csv(state.h_rows), pretty)
+    _emit(args,
+          lambda: {
+              "command": "reduce",
+              "horizon": args.horizon,
+              "mode": state.mode,
+              "certified": state.certified,
+              "rows": _rows_json(state.h_rows),
+              "q_rows": _rows_json(state.q_rows),
+              "j_set": state.j_set,
+              "w_set": state.w_set,
+              "mu": state.mu,
+              "stable_since": state.last_change,
+          },
+          lambda: _rows_csv(state.h_rows),
+          lambda: (
+              f"reduced prefix (mode {state.mode}):\n{_pretty_rows(state.h_rows)}\n"
+              f"transform rows:\n{_pretty_rows(state.q_rows)}\n"
+              f"j_set={state.j_set} w_set={state.w_set} mu={state.mu}\n"
+              f"stable_since={state.last_change}"
+          ))
     return EXIT_OK
-
-
-def _default_g(state: EliminationState, g: Optional[List[Fraction]]) -> List[Fraction]:
-    if g is not None:
-        return g
-    return [Fraction(0)] * state.k
 
 
 def cmd_solve(args) -> int:
@@ -161,14 +157,15 @@ def cmd_solve(args) -> int:
         g = list(eq.g)
     values = solver.general_solution(state, g, free, args.terms)
     first = _first_index(args, eq.source)
-    payload = {
-        "command": "solve",
-        "first_index": first,
-        "terms": _seq_json(values, first),
-    }
-    pretty = "\n".join(f"y_{i + first} = {format_scalar(v)}"
-                       for i, v in enumerate(values))
-    _emit(payload, args, _seq_csv(values), pretty)
+    _emit(args,
+          lambda: {
+              "command": "solve",
+              "first_index": first,
+              "terms": _seq_json(values, first),
+          },
+          lambda: _seq_csv(values),
+          lambda: "\n".join(f"y_{i + first} = {format_scalar(v)}"
+                            for i, v in enumerate(values)))
     return EXIT_OK
 
 
@@ -177,20 +174,20 @@ def cmd_fundamental(args) -> int:
     state = run(eq.source, args.horizon)
     fund = solver.fundamental_set(state, args.horizon, args.terms)
     first = _first_index(args, eq.source)
-    payload = {
-        "command": "fundamental",
-        "basis_kind": fund.basis_kind,
-        "first_index": first,
-        "sequences": [
-            {"s": s + first, "terms": _seq_json(seq, first)}
-            for s, seq in fund.sequences.items()
-        ],
-    }
-    csv_text = "\n".join(_seq_csv(seq) for seq in fund.sequences.values())
-    pretty = f"basis_kind: {fund.basis_kind}\n" + "\n".join(
-        f"xi({s + first}): " + _seq_csv(seq) for s, seq in fund.sequences.items()
-    )
-    _emit(payload, args, csv_text, pretty)
+    _emit(args,
+          lambda: {
+              "command": "fundamental",
+              "basis_kind": fund.basis_kind,
+              "first_index": first,
+              "sequences": [
+                  {"s": s + first, "terms": _seq_json(seq, first)}
+                  for s, seq in fund.sequences.items()
+              ],
+          },
+          lambda: "\n".join(_seq_csv(seq) for seq in fund.sequences.values()),
+          lambda: f"basis_kind: {fund.basis_kind}\n" + "\n".join(
+              f"xi({s + first}): " + _seq_csv(seq) for s, seq in fund.sequences.items()
+          ))
     return EXIT_OK
 
 
@@ -214,116 +211,29 @@ def cmd_hess(args) -> int:
 
     match = None
     if args.verify_against_elimination:
-        state = run(source, args.terms)
-        g_full = _default_g(state, g)
-        solution = solver.general_solution(
-            state, g_full, dict(enumerate(init)), order + args.terms)
-        match = values == solution[order:]
+        match = checks.closed_form_matches(run(source, args.terms), g, init, values)
+    tail = "" if match is None else "\n" + ("MATCH" if match else "MISMATCH")
 
-    payload = {"command": "hess", "index": order,
-               "terms": _seq_json(values, 0)}
-    csv_text = _seq_csv(values)
-    pretty = "\n".join(f"y_{n} = {format_scalar(v)}" for n, v in enumerate(values))
-    if match is not None:
-        payload["elimination_match"] = match
-        line = "MATCH" if match else "MISMATCH"
-        csv_text += "\n" + line
-        pretty += "\n" + line
-    _emit(payload, args, csv_text, pretty)
+    def payload() -> dict:
+        out = {"command": "hess", "index": order, "terms": _seq_json(values, 0)}
+        if match is not None:
+            out["elimination_match"] = match
+        return out
+
+    _emit(args, payload,
+          lambda: _seq_csv(values) + tail,
+          lambda: "\n".join(f"y_{n} = {format_scalar(v)}"
+                            for n, v in enumerate(values)) + tail)
     return EXIT_OK if match in (None, True) else EXIT_VERIFY
-
-
-def _expected_pair_check(eq: EquationSpec) -> Optional[bool]:
-    """With an 'expect' block, check the supplied transform rows reproduce
-    the supplied reduced rows from the source: Q_e . A == H_e."""
-    if eq.expect_h is None and eq.expect_q is None:
-        return None
-    if eq.expect_h is None or eq.expect_q is None:
-        raise SpecError("'expect' needs both 'h' and 'q'")
-    if len(eq.expect_h) != len(eq.expect_q):
-        return False
-    for h_row, q_row in zip(eq.expect_h, eq.expect_q):
-        acc = ZERO_ROW
-        for m, c in q_row.items():
-            acc = acc.axpy(c, eq.source.row_at(m))
-        if acc != h_row:
-            return False
-    return True
 
 
 def cmd_verify(args) -> int:
     eq = _load_source(args)
-    state = run(eq.source, args.horizon)
-    rng = random.Random(args.seed)
-    checks: List[tuple] = []
-
-    expected = _expected_pair_check(eq)
-    left_ok = state.verify_left_association(eq.source)
-    if expected is not None:
-        left_ok = left_ok and expected
-    checks.append(("left-association", left_ok))
-
-    try:
-        check_invariants(state)
-        checks.append(("qhf-postulates", True))
-    except EngineError:
-        checks.append(("qhf-postulates", False))
-
-    checks.append(("residual", _residual_check(state, eq.source, rng)))
-
-    if state.regular_order_index is not None and state.certified:
-        checks.append(("hessenberg-cross-check",
-                       _hess_cross_check(state, eq.source, rng)))
-
+    results = checks.run_checks(eq, run(eq.source, args.horizon), args.seed)
     print(f"seed {args.seed}")
-    ok = True
-    for name, passed in checks:
+    for name, passed in results:
         print(f"{'PASS' if passed else 'FAIL'} {name}")
-        ok = ok and passed
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
-def _random_scalar(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-
-
-def _residual_check(state: EliminationState, source: RowSource,
-                    rng: random.Random) -> bool:
-    # consistent forcing by construction: g = A . y for a random y prefix
-    width = state.greatest_length + 1
-    if width == 0:
-        return True
-    probe = [_random_scalar(rng) for _ in range(width)]
-    g = [source.row_at(n).dot_prefix(probe) for n in range(state.k)]
-    free = {}
-    pivot = set(state.mu)
-    for s in range(width):
-        if s not in pivot:
-            free[s] = _random_scalar(rng)
-    try:
-        sol = solver.general_solution(state, g, free, width)
-    except solver.InconsistentSystemError:
-        return False
-    for n in range(state.k):
-        row = source.row_at(n)
-        if row.length >= width:
-            continue  # row reaches beyond the classified prefix
-        if row.dot_prefix(sol) != g[n]:
-            return False
-    return True
-
-
-def _hess_cross_check(state: EliminationState, source: RowSource,
-                      rng: random.Random) -> bool:
-    order = state.regular_order_index
-    count = state.k
-    g = [_random_scalar(rng) for _ in range(count)]
-    init = [_random_scalar(rng) for _ in range(order)]
-    spec = hb.hess_spec_from_source(source, g, init)
-    closed = hb.general_prefix(spec, count)
-    assembled = solver.general_solution(
-        state, g, dict(enumerate(init)), order + count)
-    return closed == assembled[order:]
+    return EXIT_OK if all(passed for _, passed in results) else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,12 +11,14 @@ rows: the identity subjected to the same elementary operations, so that
 
 Each consumed row passes through three steps:
 
-1. *Gaussian clearing* -- existing rightmost-1 pivots are applied, in
-   increasing pivot-length order and repeating until none applies, after
-   which the survivor is normalized so its own rightmost coefficient is 1.
-   Any pivot order yields the same reduced row; this one is fixed for
-   determinism.  The survivor's length always differs from every existing
-   pivot length.
+1. *Gaussian clearing* -- every stored pivot row has its rightmost 1 at
+   its own pivot column and a zero at every other pivot column, so
+   subtracting one pivot row never changes the coefficient at another
+   pivot column.  One pass over the incoming row's entries in increasing
+   column order therefore clears it: at each pivot column, the pivot row
+   is subtracted times the incoming row's own coefficient there.  The
+   survivor is then normalized so its rightmost coefficient is 1; its
+   length differs from every existing pivot length.
 2. *Cross clearing* (the Jordan half) -- when the survivor's length falls
    strictly below the greatest existing pivot length, it is used as a pivot
    to zero the matching column of every stored row.  Row lengths are
@@ -35,7 +37,6 @@ engine records, per prefix index, the last step that changed it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from .rows import FiniteRow, ZERO_ROW
@@ -47,17 +48,6 @@ GAUSS_ONLY = "gauss_only"
 
 class EngineError(RuntimeError):
     """An internal invariant of the elimination engine was violated."""
-
-
-@dataclass(frozen=True)
-class QhfPrefix:
-    """The first n+1 reduced rows with their transform rows and, per row,
-    the last step at which the prefix up to that row changed."""
-
-    rows: Tuple[FiniteRow, ...]
-    q_rows: Tuple[FiniteRow, ...]
-    stable_since: Tuple[int, ...]
-    certified: bool
 
 
 class EliminationState:
@@ -109,20 +99,12 @@ class EliminationState:
         """
         work = row
         qwork = FiniteRow([(self.k, 1)])
-        changed = True
-        while changed and not work.is_zero:
-            changed = False
-            for rank, pos in enumerate(self.j_set):
-                piv_len = self.mu[rank]
-                if piv_len > work.length:
-                    break
-                c = work.get(piv_len)
-                if c:
-                    work = work.axpy(-c, self.h_rows[pos])
-                    qwork = qwork.axpy(-c, self.q_rows[pos])
-                    changed = True
-                    if work.is_zero:
-                        break
+        for col, c in row.items():
+            rank = bisect_left(self.mu, col)
+            if rank < len(self.mu) and self.mu[rank] == col:
+                pos = self.j_set[rank]
+                work = work.axpy(-c, self.h_rows[pos])
+                qwork = qwork.axpy(-c, self.q_rows[pos])
         if not work.is_zero:
             lead = work.leading
             if lead != 1:
@@ -130,10 +112,6 @@ class EliminationState:
                 work = work.scale(inv)
                 qwork = qwork.scale(inv)
         return work, qwork
-
-    def gaussian_reduce(self, row: FiniteRow) -> FiniteRow:
-        """The survivor the next push would produce from ``row``."""
-        return self.reduce_with_transform(row)[0]
 
     # -- step 2: cross clearing ----------------------------------------------
 
@@ -217,16 +195,6 @@ class EliminationState:
 
     # -- reports ---------------------------------------------------------------
 
-    def qhf_prefix(self, n: int) -> QhfPrefix:
-        if not 0 <= n < self.k:
-            raise IndexError(f"prefix {n} out of range (consumed {self.k} rows)")
-        return QhfPrefix(
-            rows=tuple(self.h_rows[: n + 1]),
-            q_rows=tuple(self.q_rows[: n + 1]),
-            stable_since=tuple(self.last_change[: n + 1]),
-            certified=self.certified,
-        )
-
     def left_null_basis(self) -> List[FiniteRow]:
         """Transform rows sitting at zero-row positions; each annihilates
         every consumed row of the source."""
@@ -235,15 +203,9 @@ class EliminationState:
     def verify_left_association(self, source: RowSource) -> bool:
         """True iff the transform rows exactly reproduce the reduced rows
         from the source: q_rows[n] . A == h_rows[n] for every consumed n."""
-        for n in range(self.k):
-            acc = ZERO_ROW
-            for m, c in self.q_rows[n].items():
-                if m >= self.k:
-                    return False
-                acc = acc.axpy(c, source.row_at(m))
-            if acc != self.h_rows[n]:
-                return False
-        return True
+        from .checks import transforms_reproduce  # checks imports this module
+        return (all(q.length < self.k for q in self.q_rows)
+                and transforms_reproduce(source, self.q_rows, self.h_rows))
 
 
 def run(source: RowSource, horizon: int) -> EliminationState:

@@ -46,7 +46,7 @@ def format_scalar(value: Fraction) -> str:
 def as_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_scalar(value)

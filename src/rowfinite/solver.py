@@ -205,26 +205,6 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
     return [p + h for p, h in zip(particular, homogeneous)]
 
 
-def regular_order_term(state: EliminationState, g: Sequence[ScalarLike],
-                       init: Sequence[ScalarLike], n: int) -> Scalar:
-    """Entry N+n of the unique solution of a certified regular-order system
-    with initial values ``init`` at columns 0..N-1: the transformed forcing
-    value minus the weighted initial entries of reduced row n."""
-    order = state.regular_order_index
-    if order is None or not state.certified:
-        raise ValueError("regular_order_term needs a certified regular-order source")
-    if len(init) != order:
-        raise ValueError(f"expected {order} initial values, got {len(init)}")
-    if not 0 <= n < state.k:
-        raise ValueError(f"term {n} not computed yet (consumed {state.k} rows)")
-    column = [as_scalar(v) for v in g]
-    value = state.q_rows[n].dot_prefix(column)
-    row = state.h_rows[n]
-    for i in range(order):
-        value -= row.get(i) * as_scalar(init[i])
-    return value
-
-
 def frechet_distance(x: Sequence[ScalarLike], y: Sequence[ScalarLike],
                      horizon: int) -> Tuple[Scalar, Scalar]:
     """Partial sum of the coordinatewise sequence metric over indices below

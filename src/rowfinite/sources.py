@@ -250,10 +250,6 @@ def parse_coeff_expr(text: str) -> CoeffExpr:
     return CoeffExpr(text, _Parser(text).parse())
 
 
-def eval_coeff(expr: CoeffExpr, n: int, j: Optional[int] = None) -> Fraction:
-    return expr.evaluate(n, j)
-
-
 # --- coefficient adapters --------------------------------------------------
 
 
@@ -381,7 +377,7 @@ def build_family(spec: Mapping) -> RowSource:
 
     if family in ("n_order", "ascending"):
         order = _require(spec, "N", family)
-        if not isinstance(order, int) or order < 0:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise SpecError(f"'N' must be a nonnegative integer, got {order!r}")
         a = _coeff_nj(_require(spec, "a", family), "a")
         lo_of = (lambda n: n) if family == "n_order" else (lambda n: 0)

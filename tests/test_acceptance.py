@@ -18,7 +18,7 @@ from rowfinite import (EliminationState, FiniteRow, InconsistentSystemError,
                        fundamental_set, general_prefix, general_solution,
                        hess_det, hess_spec_from_source, homogeneous_general,
                        inaccessible_lengths, particular_prefix,
-                       particular_solution, regular_order_term, run, xi_prefix)
+                       particular_solution, run, xi_prefix)
 from conftest import (naive_det, random_explicit_rows, random_regular_source,
                       random_scalar)
 
@@ -260,16 +260,14 @@ def test_criterion_8_closed_form_degenerations():
         state = run(src, 8)
         zeros = [Fraction(0)] * 8
         for c0 in (Fraction(1), Fraction(-3, 2)):
-            for n in range(8):
-                assert regular_order_term(state, zeros, [c0], n) == \
-                    2 ** (n + 1) * c0
+            terms = general_solution(state, zeros, {0: c0}, 9)[1:]
+            assert terms == [2 ** (n + 1) * c0 for n in range(8)]
         spec = hess_spec_from_source(src, None, [Fraction(1)])
         assert general_prefix(spec, 8) == [2 ** (n + 1) for n in range(8)]
 
         ones = [Fraction(1)] * 8
         expected = [1, 3, 7, 15, 31]
-        elimination_path = [regular_order_term(state, ones, [Fraction(0)], n)
-                            for n in range(5)]
+        elimination_path = general_solution(state, ones, {0: 0}, 6)[1:]
         assert elimination_path == expected
         spec = hess_spec_from_source(src, ones, [Fraction(0)])
         assert general_prefix(spec, 5) == expected

@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from rowfinite import cli
 from rowfinite.cli import main
 
 
@@ -52,6 +55,16 @@ class TestReduce:
         code, out, _ = run_cli(capsys, "reduce", "--family", "example3",
                                "--horizon", "4", "--format", "pretty")
         assert code == 0 and "j_set" in out
+
+    def test_json_renders_no_text_matrices(self, capsys, monkeypatch):
+        def unused(rows):
+            raise AssertionError("text rendering for another format")
+        monkeypatch.setattr(cli, "_pretty_rows", unused)
+        monkeypatch.setattr(cli, "_rows_csv", unused)
+        code, out, _ = run_cli(capsys, "reduce", "--family", "example2",
+                               "--horizon", "8", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["w_set"] == [1]
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "reduce", "--family", "example3",
@@ -305,6 +318,18 @@ class TestUsageAndErrors:
                                "--horizon", "4")
         assert code == 3
         assert "division by zero" in err
+
+    @pytest.mark.parametrize("obj", [
+        {"family": "n_order", "N": True, "a": "1"},
+        {"family": "first_order", "a": [True, 2, 3]},
+    ])
+    def test_boolean_for_number_exits_2(self, capsys, tmp_path, obj):
+        spec = tmp_path / "bool.json"
+        spec.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "reduce", "--spec", str(spec),
+                                 "--horizon", "2")
+        assert code == 2 and not out
+        assert "True" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "reduce", "--spec", "/no/such/file.json",

@@ -24,30 +24,30 @@ class TestGaussianReduce:
     def test_single_pivot_clearing(self):
         st = EliminationState()
         st.push_row(row(1, 2, 1))
-        assert st.gaussian_reduce(row(0, 3, 4, 1)) == row(-4, -5, 0, 1)
+        assert st.reduce_with_transform(row(0, 3, 4, 1))[0] == row(-4, -5, 0, 1)
 
     def test_zero_row_passes_through(self):
         st = EliminationState()
         st.push_row(row(1, 2, 1))
-        assert st.gaussian_reduce(ZERO_ROW).is_zero
+        assert st.reduce_with_transform(ZERO_ROW)[0].is_zero
 
     def test_two_pivot_clearing(self):
         st = EliminationState()
         st.push_row(row(1, 1, 1))
         st.push_row(row(0, 2, 1, 1))
         assert st.h_rows == [row(1, 1, 1), row(-1, 1, 0, 1)]
-        assert st.gaussian_reduce(row(0, 0, 3, 1, 1)) == row(-2, -4, 0, 0, 1)
+        assert st.reduce_with_transform(row(0, 0, 3, 1, 1))[0] == row(-2, -4, 0, 0, 1)
 
     def test_result_is_normalized(self):
         st = EliminationState()
-        g = st.gaussian_reduce(row(0, 2, -4))
+        g = st.reduce_with_transform(row(0, 2, -4))[0]
         assert g.leading == 1
         assert g == FiniteRow([(1, Fraction(-1, 2)), (2, 1)])
 
     def test_survivor_length_avoids_existing_pivots(self, rng):
         st = EliminationState()
         for r in random_explicit_rows(rng, max_rows=25):
-            g = st.gaussian_reduce(r)
+            g = st.reduce_with_transform(r)[0]
             assert g.is_zero or g.length not in set(st.mu)
             st.push_row(r)
 
@@ -67,7 +67,7 @@ class TestGaussianReduce:
             for r in rows[:-1]:
                 st.push_row(r)
             probe = rows[-1]
-            expected = st.gaussian_reduce(probe)
+            expected = st.reduce_with_transform(probe)[0]
             for _ in range(4):
                 work = probe
                 while not work.is_zero:
@@ -262,28 +262,20 @@ class TestRunAndPrefixes:
 
     def test_prefix_stabilization_markers(self):
         st = run(ex3(), 12)
-        pre = st.qhf_prefix(2)
-        assert pre.stable_since == (2, 2, 2)
-        assert not pre.certified
-        assert pre.rows == (row(2, 1), row(-1, 0, 1), FiniteRow([(3, 1)]))
+        assert st.last_change[:3] == [2, 2, 2]
+        assert not st.certified
+        assert st.h_rows[:3] == [row(2, 1), row(-1, 0, 1), FiniteRow([(3, 1)])]
 
     def test_prefix_before_stabilization(self):
         st = run(ex3(), 2)
-        pre = st.qhf_prefix(0)
-        assert pre.rows == (FiniteRow([(1, Fraction(1, 2)), (2, 1)]),)
-        assert pre.stable_since == (0,)
+        assert st.h_rows[0] == FiniteRow([(1, Fraction(1, 2)), (2, 1)])
+        assert st.last_change[0] == 0
 
     def test_certified_prefix_for_lower_echelon(self):
         src = build_family({"family": "second_order", "a": "1", "b": "n"})
         st = run(src, 5)
-        pre = st.qhf_prefix(3)
-        assert pre.certified
-        assert pre.stable_since == (0, 1, 2, 3)
-
-    def test_prefix_out_of_range(self):
-        st = run(ex3(), 3)
-        with pytest.raises(IndexError):
-            st.qhf_prefix(3)
+        assert st.certified
+        assert st.last_change[:4] == [0, 1, 2, 3]
 
 
 class TestLeftNullBasis:

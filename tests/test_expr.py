@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rowfinite import EvalError, ExprSyntaxError, eval_coeff, parse_coeff_expr
+from rowfinite import EvalError, ExprSyntaxError, parse_coeff_expr
 
 
 def ev(text, n, j=None):
-    return eval_coeff(parse_coeff_expr(text), n, j)
+    return parse_coeff_expr(text).evaluate(n, j)
 
 
 class TestGrammar:

@@ -38,6 +38,8 @@ class TestScalarText:
         assert as_scalar("2/6") == Fraction(1, 3)
         with pytest.raises(TypeError):
             as_scalar(0.5)
+        with pytest.raises(TypeError):
+            as_scalar(True)
 
 
 class TestLength:

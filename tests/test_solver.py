@@ -8,7 +8,7 @@ from rowfinite import (AccessibleIndexError, InconsistentSystemError,
                        deficiency_report, frechet_distance, fundamental_set,
                        general_solution, homogeneous_general,
                        inaccessible_lengths, particular_solution,
-                       regular_order_term, rhs_transform, run)
+                       rhs_transform, run)
 from conftest import naive_det, random_explicit_rows, random_regular_source, random_scalar
 
 
@@ -287,44 +287,27 @@ class TestGeneralSolution:
 
 
 class TestRegularOrderTerm:
+    # term N+n of the solution with initial values at columns 0..N-1
     def test_reduces_to_fundamental_sequence(self, rng):
         src = random_regular_source(rng, order=2, horizon=8, shape="ascending")
         st = run(src, 8)
         zeros = [Fraction(0)] * 8
         fs = fundamental_set(st, 2, 10)
         for i in (0, 1):
-            init = [Fraction(1 if k == i else 0) for k in range(2)]
-            for n in range(8):
-                assert regular_order_term(st, zeros, init, n) == \
-                    fs.sequences[i][n + 2]
+            init = {k: Fraction(1 if k == i else 0) for k in range(2)}
+            assert general_solution(st, zeros, init, 10) == list(fs.sequences[i])
 
     def test_doubling_plus_one_closed_form(self):
         src = build_family({"family": "first_order", "a": "2"})
         st = run(src, 6)
-        for n in range(6):
-            assert regular_order_term(st, [1] * 6, [0], n) == 2 ** (n + 1) - 1
+        terms = general_solution(st, [1] * 6, {0: 0}, 7)[1:]
+        assert terms == [2 ** (n + 1) - 1 for n in range(6)]
 
     def test_second_order_instance_term(self):
         src = build_family({"family": "second_order", "a": [1, 3], "b": [2, 4]})
         st = run(src, 2)
-        value = regular_order_term(st, [0, 0], [0, 1], 1)
+        value = general_solution(st, [0, 0], {0: 0, 1: 1}, 4)[2 + 1]
         assert value == 2 * 4 - 3  # matches the 2x2 determinant by hand
-
-    def test_requires_certified_regular_source(self):
-        with pytest.raises(ValueError):
-            regular_order_term(ex2_state(), [0] * 8, [0, 0], 1)
-
-    def test_init_length_checked(self):
-        src = build_family({"family": "first_order", "a": "2"})
-        st = run(src, 4)
-        with pytest.raises(ValueError):
-            regular_order_term(st, [0] * 4, [0, 0], 1)
-
-    def test_term_range_checked(self):
-        src = build_family({"family": "first_order", "a": "2"})
-        st = run(src, 4)
-        with pytest.raises(ValueError):
-            regular_order_term(st, [0] * 4, [0], 4)
 
 
 class TestFrechetDistance:
