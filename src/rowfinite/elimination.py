@@ -5,9 +5,13 @@ The engine consumes the rows of an infinite coefficient matrix one at a time
 and maintains a reduced prefix in *quasi-Hermite form*: nonzero rows have
 strictly increasing lengths, every rightmost coefficient is 1, every other
 row has a zero in each pivot column, and zero rows stay pinned at the index
-where they were produced.  Alongside the reduced rows it keeps transform
-rows: the identity subjected to the same elementary operations, so that
-``q_rows[n] . A == h_rows[n]`` entrywise for every consumed ``n``.
+where they were produced.  Alongside the reduced rows it keeps a log:
+per push, the elementary operations that push applied (the clearing
+multipliers, the inverse scale, the cross-clearing multipliers and the
+placement targets).  Replaying the log on the identity rows gives the
+transform rows, ``q_rows[n] . A == h_rows[n]`` entrywise for every consumed
+``n``; ``q_rows`` is built that way on first read only.  Replaying it on a
+forcing column gives the transformed forcing ``Q . g`` without building ``Q``.
 
 Each consumed row passes through three steps:
 
@@ -37,17 +41,41 @@ engine records, per prefix index, the last step that changed it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
-from .rows import FiniteRow, ZERO_ROW
+from .rows import FiniteRow
 from .sources import RowSource
 
 GAUSS_JORDAN = "gauss_jordan"
 GAUSS_ONLY = "gauss_only"
 
+T = TypeVar("T")
+
 
 class EngineError(RuntimeError):
     """An internal invariant of the elimination engine was violated."""
+
+
+@dataclass(slots=True)
+class PushLog:
+    """The elementary operations one push applied, in the order applied.
+
+    ``clear``   (position, multiplier) pairs of Gaussian clearing: the
+                survivor became ``survivor + multiplier * row[position]``;
+    ``inv``     the factor the survivor was then scaled by, or None;
+    ``cross``   (position, multiplier) pairs of cross clearing: row
+                ``position`` became ``row + multiplier * survivor``;
+    ``targets`` placement: the survivor went to ``targets[0]`` and the row
+                at ``targets[i]`` moved to ``targets[i + 1]``; the last
+                target is the new position k.
+    """
+
+    clear: List[Tuple[int, Fraction]]
+    inv: Optional[Fraction]
+    cross: List[Tuple[int, Fraction]] = field(default_factory=list)
+    targets: List[int] = field(default_factory=list)
 
 
 class EliminationState:
@@ -55,7 +83,9 @@ class EliminationState:
 
     Attributes
     ----------
-    h_rows, q_rows : reduced rows and matching transform rows, index-aligned.
+    h_rows         : reduced rows.
+    q_rows         : matching transform rows, index-aligned with h_rows;
+                     replayed from the log when read (see the property).
     j_set, w_set   : positions of nonzero and of zero rows (both increasing).
     mu             : lengths of the nonzero rows in position order; strictly
                      increasing at all times.
@@ -70,11 +100,12 @@ class EliminationState:
         self.mode = mode
         self.regular_order_index = regular_order_index
         self.h_rows: List[FiniteRow] = []
-        self.q_rows: List[FiniteRow] = []
         self.j_set: List[int] = []
         self.w_set: List[int] = []
         self.mu: List[int] = []
         self.last_change: List[int] = []
+        self._log: List[PushLog] = []
+        self._q_rows: List[FiniteRow] = []
 
     @property
     def k(self) -> int:
@@ -91,37 +122,38 @@ class EliminationState:
 
     # -- step 1: Gaussian clearing ------------------------------------------
 
-    def reduce_with_transform(self, row: FiniteRow) -> Tuple[FiniteRow, FiniteRow]:
+    def reduce_with_transform(self, row: FiniteRow) -> Tuple[FiniteRow, PushLog]:
         """Clear ``row`` against the stored pivots without mutating the state.
 
-        Returns the normalized survivor together with its transform row
-        (the same combination applied to the identity row e_k).
+        Returns the normalized survivor together with the log of this push,
+        holding the clearing multipliers and the inverse scale so far.
         """
         work = row
-        qwork = FiniteRow([(self.k, 1)])
+        clear = []
         for col, c in row.items():
             rank = bisect_left(self.mu, col)
             if rank < len(self.mu) and self.mu[rank] == col:
                 pos = self.j_set[rank]
-                work = work.axpy(-c, self.h_rows[pos])
-                qwork = qwork.axpy(-c, self.q_rows[pos])
+                m = -c
+                work = work.axpy(m, self.h_rows[pos])
+                clear.append((pos, m))
+        inv = None
         if not work.is_zero:
             lead = work.leading
             if lead != 1:
                 inv = 1 / lead
                 work = work.scale(inv)
-                qwork = qwork.scale(inv)
-        return work, qwork
+        return work, PushLog(clear, inv)
 
     # -- step 2: cross clearing ----------------------------------------------
 
-    def jordan_clear(self, g: FiniteRow, q_g: FiniteRow) -> List[int]:
+    def jordan_clear(self, g: FiniteRow, log: PushLog) -> List[int]:
         """Zero the column ``length(g)`` of every stored row using ``g``.
 
         ``g`` must be a Gaussian survivor whose length falls strictly below
         the greatest stored pivot length; violations indicate an engine bug.
-        Returns the positions whose content changed.  Lengths of stored rows
-        are never affected.
+        Records the multipliers in ``log.cross`` and returns the positions
+        whose content changed.  Lengths of stored rows are never affected.
         """
         if g.is_zero:
             raise EngineError("cross clearing needs a nonzero pivot")
@@ -135,26 +167,26 @@ class EliminationState:
         for pos in self.j_set:
             c = self.h_rows[pos].get(lg)
             if c:
-                self.h_rows[pos] = self.h_rows[pos].axpy(-c, g)
-                self.q_rows[pos] = self.q_rows[pos].axpy(-c, q_g)
+                m = -c
+                self.h_rows[pos] = self.h_rows[pos].axpy(m, g)
+                log.cross.append((pos, m))
                 changed.append(pos)
         return changed
 
     # -- step 3: placement -----------------------------------------------------
 
-    def insert_with_permutation(self, g: FiniteRow, q_g: FiniteRow,
+    def insert_with_permutation(self, g: FiniteRow, log: PushLog,
                                 extra_changed: Iterable[int] = ()) -> List[int]:
         """Place a survivor, shifting nonzero rows as needed, and update the
-        change markers (zero rows never move).  Returns changed positions."""
+        change markers (zero rows never move).  Records the placement in
+        ``log.targets`` and returns the changed positions."""
         k = self.k
         changed = set(extra_changed)
         if g.is_zero:
-            self.h_rows.append(ZERO_ROW)
-            self.q_rows.append(q_g)
+            targets = [k]
             self.w_set.append(k)
         elif not self.mu or g.length > self.mu[-1]:
-            self.h_rows.append(g)
-            self.q_rows.append(q_g)
+            targets = [k]
             self.j_set.append(k)
             self.mu.append(g.length)
         else:
@@ -162,16 +194,11 @@ class EliminationState:
             if rank < len(self.mu) and self.mu[rank] == g.length:
                 raise EngineError(f"pivot length {g.length} collides with a stored pivot")
             targets = self.j_set[rank:] + [k]
-            shifted_h = [g] + [self.h_rows[p] for p in self.j_set[rank:]]
-            shifted_q = [q_g] + [self.q_rows[p] for p in self.j_set[rank:]]
-            self.h_rows.append(ZERO_ROW)
-            self.q_rows.append(ZERO_ROW)
-            for pos, hrow, qrow in zip(targets, shifted_h, shifted_q):
-                self.h_rows[pos] = hrow
-                self.q_rows[pos] = qrow
             changed.update(targets[:-1])
             self.mu.insert(rank, g.length)
             self.j_set.append(k)
+        _place(self.h_rows, targets, g)
+        log.targets = targets
         if changed:
             for n in range(min(changed), k):
                 self.last_change[n] = k
@@ -181,17 +208,53 @@ class EliminationState:
     # -- the full step ---------------------------------------------------------
 
     def push_row(self, row: FiniteRow) -> None:
-        """Consume one source row, restoring every invariant."""
-        g, q_g = self.reduce_with_transform(row)
+        """Consume one source row, restoring every invariant, and log the
+        operations applied."""
+        g, log = self.reduce_with_transform(row)
         if g.is_zero or not self.mu or g.length > self.mu[-1]:
-            self.insert_with_permutation(g, q_g)
+            self.insert_with_permutation(g, log)
         else:
             if self.mode == GAUSS_ONLY:
                 raise EngineError(
                     "source tagged lower-echelon produced a length-decreasing row"
                 )
-            changed = self.jordan_clear(g, q_g)
-            self.insert_with_permutation(g, q_g, extra_changed=changed)
+            changed = self.jordan_clear(g, log)
+            self.insert_with_permutation(g, log, extra_changed=changed)
+        self._log.append(log)
+
+    # -- replay ----------------------------------------------------------------
+
+    def replay(self, column: List[T], unit: Callable[[int], T],
+               axpy: Callable[[T, Fraction, T], T],
+               scale: Callable[[T, Fraction], T]) -> List[T]:
+        """Bring ``column`` up to date with the log, in place, and return it.
+
+        ``column[n]`` is the value at position n after the first
+        ``len(column)`` pushes; the remaining pushes are applied in order.
+        Push k starts from ``unit(k)`` and repeats the operations it applied
+        to the reduced rows, ``axpy(x, m, y)`` standing for ``x + m * y`` and
+        ``scale(x, c)`` for ``c * x``.
+        """
+        for k in range(len(column), len(self._log)):
+            log = self._log[k]
+            value = unit(k)
+            for pos, m in log.clear:
+                value = axpy(value, m, column[pos])
+            if log.inv is not None:
+                value = scale(value, log.inv)
+            for pos, m in log.cross:
+                column[pos] = axpy(column[pos], m, value)
+            _place(column, log.targets, value)
+        return column
+
+    @property
+    def q_rows(self) -> List[FiniteRow]:
+        """Transform rows: the log replayed on the identity rows, with the
+        same row operations in the same order, so ``q_rows[n] . A ==
+        h_rows[n]``.  Built on first read and brought up to date on later
+        reads; every read returns the same list."""
+        return self.replay(self._q_rows, lambda k: FiniteRow([(k, 1)]),
+                           FiniteRow.axpy, FiniteRow.scale)
 
     # -- reports ---------------------------------------------------------------
 
@@ -206,6 +269,16 @@ class EliminationState:
         from .checks import transforms_reproduce  # checks imports this module
         return (all(q.length < self.k for q in self.q_rows)
                 and transforms_reproduce(source, self.q_rows, self.h_rows))
+
+
+def _place(rows: list, targets: List[int], survivor) -> None:
+    """The placement step: append a slot at position k (the last target),
+    put the survivor at ``targets[0]`` and move the entry at each target to
+    the next one."""
+    displaced = [rows[p] for p in targets[:-1]]
+    rows.append(survivor)
+    for pos, value in zip(targets, [survivor] + displaced):
+        rows[pos] = value
 
 
 def run(source: RowSource, horizon: int) -> EliminationState:

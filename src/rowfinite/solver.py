@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .elimination import EliminationState
-from .rows import Scalar, ScalarLike, as_scalar
+from .rows import Scalar, ScalarLike, ShortColumnError, as_scalar
 from .sources import SpecError
 
 
@@ -164,10 +164,57 @@ def homogeneous_general(state: EliminationState, free: Mapping[int, ScalarLike],
     return out
 
 
+class _Unsupplied:
+    """A transformed forcing value that reads g[m] for some m beyond the
+    supplied prefix.  ``length`` is the greatest such m: the rightmost entry
+    of a transform row never cancels, so it is that row's length."""
+
+    __slots__ = ("length", "supplied")
+
+    def __init__(self, length: int, supplied: int):
+        self.length = length
+        self.supplied = supplied
+
+    def __add__(self, other):
+        if isinstance(other, _Unsupplied) and other.length > self.length:
+            return other
+        return self
+
+    __radd__ = __add__
+
+    def __mul__(self, factor):
+        return self
+
+    __rmul__ = __mul__
+
+
+def _transformed(state: EliminationState, g: Sequence[ScalarLike]) -> list:
+    """Entry n is q_rows[n] . g, from the elimination log replayed on the
+    forcing values (Q itself is not built); an _Unsupplied marker where
+    q_rows[n] reaches beyond the supplied prefix."""
+    column = [as_scalar(v) for v in g]
+    supplied = len(column)
+    return state.replay(
+        [], lambda k: column[k] if k < supplied else _Unsupplied(k, supplied),
+        lambda x, m, y: x + m * y, lambda x, c: x * c)
+
+
+def _known(value) -> Scalar:
+    if isinstance(value, _Unsupplied):
+        raise ShortColumnError(
+            f"row has length {value.length} but only {value.supplied} column "
+            f"entries were supplied"
+        )
+    return value
+
+
+def _violations(state: EliminationState, transformed: list) -> List[int]:
+    return [w for w in state.w_set if _known(transformed[w]) != 0]
+
+
 def rhs_transform(state: EliminationState, g: Sequence[ScalarLike]) -> List[Scalar]:
     """The transformed forcing vector: entry n is q_rows[n] . g."""
-    column = [as_scalar(v) for v in g]
-    return [q.dot_prefix(column) for q in state.q_rows]
+    return [_known(v) for v in _transformed(state, g)]
 
 
 def consistency_check(state: EliminationState, g: Sequence[ScalarLike]) -> List[int]:
@@ -175,23 +222,22 @@ def consistency_check(state: EliminationState, g: Sequence[ScalarLike]) -> List[
 
     Empty means the system is consistent at this horizon.
     """
-    column = [as_scalar(v) for v in g]
-    return [w for w in state.w_set if state.q_rows[w].dot_prefix(column) != 0]
+    return _violations(state, _transformed(state, g))
 
 
 def particular_solution(state: EliminationState, g: Sequence[ScalarLike],
                         terms: int) -> List[Scalar]:
     """Particular solution prefix: the transformed forcing value of each
     nonzero row sits at that row's pivot column, zero elsewhere."""
-    violated = consistency_check(state, g)
+    transformed = _transformed(state, g)
+    violated = _violations(state, transformed)
     if violated:
         raise InconsistentSystemError(violated)
     _check_terms(state, terms)
-    column = [as_scalar(v) for v in g]
     out = [Fraction(0)] * terms
     for pos, length in zip(state.j_set, state.mu):
         if length < terms:
-            out[length] = state.q_rows[pos].dot_prefix(column)
+            out[length] = _known(transformed[pos])
     return out
 
 

@@ -43,7 +43,10 @@ Coefficient expressions use the grammar (whitespace insignificant)::
     atom   := int | 'n' | 'j' | 'cospi2' '(' expr ')' | '(' expr ')' | '-' atom
 
 ``cospi2(m)`` is the exact value of cos(m*pi/2) for integer m, i.e. the cycle
-1, 0, -1, 0 indexed by m mod 4.
+1, 0, -1, 0 indexed by m mod 4.  An expression nests at most ``MAX_DEPTH``
+levels deep (each operator, negation, ``cospi2`` call and parenthesized group
+is a level) and its exponents are at most ``MAX_EXPONENT``; anything beyond is
+an :class:`ExprSyntaxError`.
 """
 
 from __future__ import annotations
@@ -109,11 +112,25 @@ def _tokenize(text: str):
     return toks
 
 
+# Bounds that keep parsing and evaluation finite.  The parser uses up to six
+# stack frames per level and the evaluator one, so MAX_DEPTH levels stay well
+# under Python's default recursion limit of 1000; MAX_EXPONENT bounds the cost
+# of a single power.
+MAX_DEPTH = 50
+MAX_EXPONENT = 1000
+
+
 class _Parser:
+    """Recursive descent over the tokens.  Each rule returns the node and
+    its depth, counting a parenthesized group as one level; a tree deeper
+    than MAX_DEPTH is rejected at the token that deepens it, before the
+    parser recurses further."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.level = 0   # groups, negations and cospi2 calls open at the cursor
 
     def peek(self):
         return self.toks[self.i]
@@ -128,69 +145,89 @@ class _Parser:
         what = "end of input" if kind == "end" else repr(value)
         raise ExprSyntaxError(f"unexpected {what}", pos, expected)
 
+    def checked(self, depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         if self.peek()[0] != "end":
             self.fail(("end of input",))
         return node
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            rhs = self.term()
+            _, op, pos = self.advance()
+            rhs, rhs_depth = self.term()
             node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            depth = self.checked(max(depth, rhs_depth) + 1, pos)
+        return node, depth
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            rhs = self.factor()
+            _, op, pos = self.advance()
+            rhs, rhs_depth = self.factor()
             node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            depth = self.checked(max(depth, rhs_depth) + 1, pos)
+        return node, depth
 
     def factor(self):
-        node = self.atom()
+        node, depth = self.atom()
         if self.peek()[:2] == ("op", "^"):
             self.advance()
             kind, value, pos = self.peek()
             if kind != "int":
                 self.fail(("nonnegative integer exponent",))
+            if int(value) > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent {value} exceeds {MAX_EXPONENT}", pos)
             self.advance()
             node = ("pow", node, int(value))
-        return node
+            depth = self.checked(depth + 1, pos)
+        return node, depth
+
+    def nested(self, pos: int, rule):
+        """Apply ``rule`` one level down; its result is one level deeper."""
+        self.level += 1
+        self.checked(self.level, pos)
+        node, depth = rule()
+        self.level -= 1
+        return node, self.checked(depth + 1, pos)
 
     def atom(self):
         kind, value, pos = self.peek()
         if kind == "int":
             self.advance()
-            return ("num", Fraction(int(value)))
+            return ("num", Fraction(int(value))), 1
         if kind == "name":
             self.advance()
             if value in ("n", "j"):
-                return (value,)
+                return (value,), 1
             if value == "cospi2":
                 if self.peek()[:2] != ("op", "("):
                     self.fail(("'('",))
-                self.advance()
-                arg = self.expr()
-                if self.peek()[:2] != ("op", ")"):
-                    self.fail(("')'",))
-                self.advance()
-                return ("cospi2", arg)
+                node, depth = self.nested(pos, self.group)
+                return ("cospi2", node), depth
             raise ExprSyntaxError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
-            self.advance()
-            node = self.expr()
-            if self.peek()[:2] != ("op", ")"):
-                self.fail(("')'",))
-            self.advance()
-            return node
+            return self.nested(pos, self.group)
         if kind == "op" and value == "-":
             self.advance()
-            return ("neg", self.atom())
+            node, depth = self.nested(pos, self.atom)
+            return ("neg", node), depth
         self.fail(("integer", "'n'", "'j'", "'cospi2'", "'('", "'-'"))
+
+    def group(self):
+        """'(' expr ')' at the cursor."""
+        self.advance()
+        node, depth = self.expr()
+        if self.peek()[:2] != ("op", ")"):
+            self.fail(("')'",))
+        self.advance()
+        return node, depth
 
 
 _COSPI2 = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -95,6 +96,16 @@ class TestSolve:
                                "--g", "0,0,0,0,0,0,1,0,0,0,0,0")
         assert code == 4
         assert "[6]" in err
+
+    def test_short_forcing_covers_the_rows_it_needs(self, capsys):
+        args = ("solve", "--family", "example2", "--horizon", "12",
+                "--terms", "6", "--format", "csv")
+        code, out, _ = run_cli(capsys, *args, "--g=0,0,0,0,0,0,0,0,0,0")
+        assert code == 0
+        assert out.strip() == "0,0,0,0,0,0"
+        code, out, err = run_cli(capsys, *args, "--g=0")
+        assert code == 2 and not out
+        assert "row has length 1 but only 1 column entries were supplied" in err
 
     def test_free_at_accessible_index_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--family", "example2",
@@ -330,6 +341,22 @@ class TestUsageAndErrors:
                                  "--horizon", "2")
         assert code == 2 and not out
         assert "True" in err
+
+    @pytest.mark.parametrize("expr,offset", [
+        ("(" * 3000 + "1" + ")" * 3000, 50),
+        ("-" * 5000 + "1", 50),
+        ("+".join(["1"] * 3000), 99),
+        ("(n+2)^100000000", 6),
+    ])
+    def test_hostile_expression_exits_2(self, capsys, tmp_path, expr, offset):
+        spec = tmp_path / "deep.json"
+        spec.write_text(json.dumps({"family": "first_order", "a": expr}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "solve", "--spec", str(spec),
+                                 "--terms", "4")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert f"at offset {offset}" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "reduce", "--spec", "/no/such/file.json",

@@ -56,9 +56,11 @@ class TestGaussianReduce:
         # that was just inserted with a nonzero coefficient
         st = EliminationState()
         for r in random_explicit_rows(rng, max_rows=20, max_len=10):
-            g, q_g = st.reduce_with_transform(r)
-            assert q_g.get(st.k) != 0
+            k = st.k
+            g = st.reduce_with_transform(r)[0]
             st.push_row(r)
+            pos = k if g.is_zero else st.j_set[st.mu.index(g.length)]
+            assert st.q_rows[pos].get(k) != 0
 
     def test_pivot_order_does_not_matter(self, rng):
         for _ in range(20):
@@ -93,10 +95,11 @@ class TestJordanClear:
 
     def test_clears_the_pivot_column(self):
         st = self.build_two_row_state()
-        g, q_g = st.reduce_with_transform(ex3().row_at(2))
+        g, log = st.reduce_with_transform(ex3().row_at(2))
         assert g == row(2, 1)
-        changed = st.jordan_clear(g, q_g)
+        changed = st.jordan_clear(g, log)
         assert changed == [0, 1]
+        assert [pos for pos, _ in log.cross] == [0, 1]
         assert st.h_rows[0] == row(-1, 0, 1)
         assert st.h_rows[1] == row(0, 0, 0, 1)
         for pos in (0, 1):
@@ -105,16 +108,16 @@ class TestJordanClear:
     def test_lengths_unchanged(self):
         st = self.build_two_row_state()
         before = [r.length for r in st.h_rows]
-        g, q_g = st.reduce_with_transform(ex3().row_at(2))
-        st.jordan_clear(g, q_g)
+        g, log = st.reduce_with_transform(ex3().row_at(2))
+        st.jordan_clear(g, log)
         assert [r.length for r in st.h_rows] == before
 
     def test_no_overlap_leaves_rows_alone(self):
         st = EliminationState()
         st.push_row(row(0, 0, 5, 1))   # no entry at column 0
-        g = row(1)
-        changed = st.jordan_clear(g, FiniteRow([(1, 1)]))
-        assert changed == []
+        g, log = st.reduce_with_transform(row(1))
+        changed = st.jordan_clear(g, log)
+        assert changed == [] and log.cross == []
         assert st.h_rows[0] == FiniteRow([(2, 5), (3, 1)])
 
     def test_rejects_zero_pivot(self):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rowfinite import EvalError, ExprSyntaxError, parse_coeff_expr
+from rowfinite.sources import MAX_DEPTH, MAX_EXPONENT
 
 
 def ev(text, n, j=None):
@@ -90,6 +91,26 @@ class TestSyntaxErrors:
             parse_coeff_expr("2^n")
         with pytest.raises(ExprSyntaxError):
             parse_coeff_expr("2^(3)")
+
+    @pytest.mark.parametrize("text,offset", [
+        ("(" * 3000 + "1" + ")" * 3000, 50),
+        ("-" * 5000 + "1", 50),
+        ("+".join(["1"] * 3000), 99),
+        ("cospi2(" * 60 + "n" + ")" * 60, 350),
+        ("(n+2)^100000000", 6),
+        ("n^1001", 2),
+    ])
+    def test_depth_and_exponent_bounded(self, text, offset):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_coeff_expr(text)
+        assert info.value.position == offset
+
+    def test_deepest_accepted_expressions_evaluate(self):
+        # MAX_DEPTH levels: 49 groups around a leaf, or a chain of 50 terms
+        assert ev("(" * (MAX_DEPTH - 1) + "n" + ")" * (MAX_DEPTH - 1), 3) == 3
+        assert ev("-" * (MAX_DEPTH - 1) + "n", 3) == -3
+        assert ev("+".join(["n"] * MAX_DEPTH), 3) == 3 * MAX_DEPTH
+        assert ev(f"1^{MAX_EXPONENT}", 0) == 1
 
     def test_unexpected_character(self):
         with pytest.raises(ExprSyntaxError) as info:

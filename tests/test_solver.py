@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from rowfinite import (AccessibleIndexError, InconsistentSystemError,
-                       ShortColumnError, build_family, consistency_check,
+from rowfinite import (AccessibleIndexError, EliminationState, GAUSS_JORDAN,
+                       GAUSS_ONLY, InconsistentSystemError, ShortColumnError,
+                       build_family, consistency_check,
                        deficiency_report, frechet_distance, fundamental_set,
                        general_solution, homogeneous_general,
                        inaccessible_lengths, particular_solution,
@@ -366,3 +370,75 @@ class TestRandomExplicitSystems:
             sol = general_solution(st, g, free, width)
             for r, target in zip(rows, g):
                 assert r.dot_prefix(sol) == target
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ShortColumnError, InconsistentSystemError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _particular_from_rows(state, q_rows, g, terms):
+    """The particular solution from eagerly built transform rows: the
+    reference the replay on the forcing column replaces."""
+    violated = [w for w in state.w_set if q_rows[w].dot_prefix(g) != 0]
+    if violated:
+        raise InconsistentSystemError(violated)
+    out = [Fraction(0)] * terms
+    for pos, length in zip(state.j_set, state.mu):
+        if length < terms:
+            out[length] = q_rows[pos].dot_prefix(g)
+    return out
+
+
+class TestTransformReplay:
+    @settings(max_examples=80, deadline=None)
+    @given(hs.integers(0, 2 ** 32), hs.sampled_from(["explicit", "n_order", "ascending"]))
+    def test_replay_matches_the_transform_rows(self, seed, shape):
+        rng = random.Random(seed)
+        mode = GAUSS_JORDAN
+        if shape == "explicit":
+            rows = random_explicit_rows(rng, max_rows=14, max_len=9)
+        else:
+            horizon = rng.randint(1, 10)
+            src = random_regular_source(rng, order=rng.randint(1, 3),
+                                        horizon=horizon, shape=shape)
+            rows = [src.row_at(n) for n in range(horizon)]
+            mode = GAUSS_ONLY
+        source = build_family({"family": "explicit", "rows": rows})
+        st, fresh = EliminationState(mode), EliminationState(mode)
+        for r in rows:
+            st.push_row(r)
+            fresh.push_row(r)
+            if rng.random() < 0.3:
+                assert len(st.q_rows) == st.k   # resumes from this step later
+        q_rows = st.q_rows
+        assert q_rows == fresh.q_rows
+        assert st.verify_left_association(source)
+
+        k = st.k
+        width = max(r.length for r in rows) + 1
+        probe = [random_scalar(rng) for _ in range(width)]
+        g = [r.dot_prefix(probe) for r in rows]      # consistent forcing
+        assert rhs_transform(st, g) == [q.dot_prefix(g) for q in q_rows]
+
+        terms = rng.randint(1, st.greatest_length + 1) if st.mu else None
+        needed_w = list(st.w_set)
+        needed = needed_w + [pos for pos, length in zip(st.j_set, st.mu)
+                             if terms is not None and length < terms]
+        for supplied in range(k + 1):
+            short = g[:supplied]
+            assert _outcome(rhs_transform, st, short) == _outcome(
+                lambda: [q.dot_prefix(short) for q in q_rows])
+            got = _outcome(consistency_check, st, short)
+            assert (isinstance(got, tuple) and got[0] == "ShortColumnError") == any(
+                q_rows[n].length >= supplied for n in needed_w)
+            assert got == _outcome(
+                lambda: [w for w in st.w_set if q_rows[w].dot_prefix(short) != 0])
+            if terms is None:
+                continue
+            got = _outcome(particular_solution, st, short, terms)
+            assert (isinstance(got, tuple) and got[0] == "ShortColumnError") == any(
+                q_rows[n].length >= supplied for n in needed)
+            assert got == _outcome(_particular_from_rows, st, q_rows, short, terms)
