@@ -59,7 +59,7 @@ def _parse_free(text: Optional[str]) -> Dict[int, Fraction]:
 def _parse_g(text: Optional[str]) -> Optional[List[Fraction]]:
     if text is None:
         return None
-    return [parse_scalar(chunk) for chunk in text.split(",") if chunk.strip()]
+    return [parse_scalar(chunk) for chunk in text.split(",")]
 
 
 def _load_source(args) -> EquationSpec:

@@ -3,11 +3,11 @@
 Everything here reads off an :class:`~rowfinite.elimination.EliminationState`.
 The pivot lengths mu are the *accessible* columns; the complement below a
 horizon is the set of *inaccessible* columns, which index the free constants
-of the homogeneous solution space.  Per inaccessible column s there is one
-fundamental sequence: 1 at position s, the negated column-s entry of the
-reduced matrix at each pivot position, 0 elsewhere.  A particular solution
-places the transformed forcing value at each pivot position; the general
-solution is their pointwise sum.
+of the homogeneous solution space.  One routine, :func:`general_solution`,
+reads every solution off the reduced rows and the transformed forcing: a
+particular solution is the case of no free constants, a homogeneous one the
+case of no forcing, and the fundamental sequence of an inaccessible column s
+the case of constant 1 at s (0 at the other free columns) and no forcing.
 
 All reports are relative to an explicit horizon and carry a completeness
 flag: a finite prefix cannot by itself certify that no later row introduces
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .elimination import EliminationState
 from .rows import Scalar, ScalarLike, ShortColumnError, as_scalar
@@ -61,28 +61,24 @@ class FundamentalSet:
     sequences: Dict[int, Tuple[Scalar, ...]]
 
 
-def _max_classified(state: EliminationState) -> int:
-    # columns 0..mu[-1] are classifiable: pivot lengths are known up there
-    return state.greatest_length
-
-
 def _check_horizon(state: EliminationState, horizon: int) -> None:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if horizon > _max_classified(state) + 1:
+    # columns 0..mu[-1] are classifiable: pivot lengths are known up there
+    if horizon > state.greatest_length + 1:
         raise ValueError(
             f"horizon {horizon} exceeds the classified column range "
-            f"0..{_max_classified(state)}; consume more rows"
+            f"0..{state.greatest_length}; consume more rows"
         )
 
 
 def _check_terms(state: EliminationState, terms: int) -> None:
     if terms < 1:
         raise ValueError("terms must be positive")
-    if terms > _max_classified(state) + 1:
+    if terms > state.greatest_length + 1:
         raise ValueError(
             f"cannot produce {terms} terms: columns beyond "
-            f"{_max_classified(state)} are not classified yet; consume more rows"
+            f"{state.greatest_length} are not classified yet; consume more rows"
         )
 
 
@@ -101,20 +97,12 @@ def deficiency_report(state: EliminationState, horizon: int) -> Tuple[int, bool]
 
 
 def fundamental_set(state: EliminationState, horizon: int, terms: int) -> FundamentalSet:
+    """The homogeneous solution with constant 1 at s and 0 at every other
+    inaccessible column, per inaccessible column s below the horizon."""
     found = inaccessible_lengths(state, horizon)
     _check_terms(state, terms)
-    pivot_pos = dict(zip(state.mu, state.j_set))
-    sequences: Dict[int, Tuple[Scalar, ...]] = {}
-    for s in found.values:
-        seq = []
-        for m in range(terms):
-            if m == s:
-                seq.append(Fraction(1))
-            elif m in pivot_pos:
-                seq.append(-state.h_rows[pivot_pos[m]].get(s))
-            else:
-                seq.append(Fraction(0))
-        sequences[s] = tuple(seq)
+    sequences = {s: tuple(general_solution(state, None, {s: 1}, terms))
+                 for s in found.values}
     kind = "finite" if found.complete else "schauder_prefix"
     return FundamentalSet(basis_kind=kind, sequences=sequences)
 
@@ -127,7 +115,7 @@ def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Di
             raise SpecError(f"free-constant index must be a nonnegative integer, got {key!r}")
         if key in pivot:
             raise AccessibleIndexError(key)
-        if key > _max_classified(state):
+        if key > state.greatest_length:
             raise ValueError(
                 f"free constant at column {key} beyond the classified range; consume more rows"
             )
@@ -137,84 +125,45 @@ def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Di
 
 def homogeneous_general(state: EliminationState, free: Mapping[int, ScalarLike],
                         terms: int) -> List[Scalar]:
-    """General homogeneous solution prefix for the given free constants.
+    """General homogeneous solution prefix for the given free constants."""
+    return general_solution(state, None, free, terms)
 
-    Term m is the free constant at an inaccessible column (0 when unset) and
-    minus the weighted sum of the pivot row's earlier entries at a pivot
-    column; entries at other pivot columns are zero there, so only the free
-    constants actually contribute.
+
+def _transformed(state: EliminationState,
+                 g: Sequence[ScalarLike]) -> Tuple[List[Scalar], List[int]]:
+    """Entry n of the first list is q_rows[n] . g, from the elimination log
+    replayed on the forcing values (Q itself is not built); the second list
+    holds the length of each q_rows[n], for :func:`_check_supplied`.
+
+    The rightmost entry of a transform row never cancels, so the length of
+    q_rows[n] is the last push that wrote position n.  Forcing values past
+    the supplied prefix are taken as 0: they reach only the positions whose
+    transform row is longer than the prefix, which are checked before read.
     """
-    _check_terms(state, terms)
-    constants = _checked_free(state, free)
-    pivot_pos = dict(zip(state.mu, state.j_set))
-    out: List[Scalar] = []
-    for m in range(terms):
-        if m in pivot_pos:
-            row = state.h_rows[pivot_pos[m]]
-            total = Fraction(0)
-            for col, coeff in row.items():
-                if col >= m:
-                    break
-                c = constants.get(col)
-                if c:
-                    total -= coeff * c
-            out.append(total)
-        else:
-            out.append(constants.get(m, Fraction(0)))
-    return out
-
-
-class _Unsupplied:
-    """A transformed forcing value that reads g[m] for some m beyond the
-    supplied prefix.  ``length`` is the greatest such m: the rightmost entry
-    of a transform row never cancels, so it is that row's length."""
-
-    __slots__ = ("length", "supplied")
-
-    def __init__(self, length: int, supplied: int):
-        self.length = length
-        self.supplied = supplied
-
-    def __add__(self, other):
-        if isinstance(other, _Unsupplied) and other.length > self.length:
-            return other
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, factor):
-        return self
-
-    __rmul__ = __mul__
-
-
-def _transformed(state: EliminationState, g: Sequence[ScalarLike]) -> list:
-    """Entry n is q_rows[n] . g, from the elimination log replayed on the
-    forcing values (Q itself is not built); an _Unsupplied marker where
-    q_rows[n] reaches beyond the supplied prefix."""
     column = [as_scalar(v) for v in g]
-    supplied = len(column)
-    return state.replay(
-        [], lambda k: column[k] if k < supplied else _Unsupplied(k, supplied),
+    lengths = state.replay([], int, lambda x, m, y: max(x, y), lambda x, c: x)
+    values = state.replay(
+        [], lambda k: column[k] if k < len(column) else Fraction(0),
         lambda x, m, y: x + m * y, lambda x, c: x * c)
+    return values, lengths
 
 
-def _known(value) -> Scalar:
-    if isinstance(value, _Unsupplied):
-        raise ShortColumnError(
-            f"row has length {value.length} but only {value.supplied} column "
-            f"entries were supplied"
-        )
-    return value
-
-
-def _violations(state: EliminationState, transformed: list) -> List[int]:
-    return [w for w in state.w_set if _known(transformed[w]) != 0]
+def _check_supplied(lengths: List[int], supplied: int, positions: Iterable[int]) -> None:
+    """Raise ShortColumnError at the first of ``positions`` whose transform
+    row reaches past the ``supplied`` forcing values."""
+    for n in positions:
+        if lengths[n] >= supplied:
+            raise ShortColumnError(
+                f"row has length {lengths[n]} but only {supplied} column "
+                f"entries were supplied"
+            )
 
 
 def rhs_transform(state: EliminationState, g: Sequence[ScalarLike]) -> List[Scalar]:
     """The transformed forcing vector: entry n is q_rows[n] . g."""
-    return [_known(v) for v in _transformed(state, g)]
+    values, lengths = _transformed(state, g)
+    _check_supplied(lengths, len(g), range(state.k))
+    return values
 
 
 def consistency_check(state: EliminationState, g: Sequence[ScalarLike]) -> List[int]:
@@ -222,33 +171,60 @@ def consistency_check(state: EliminationState, g: Sequence[ScalarLike]) -> List[
 
     Empty means the system is consistent at this horizon.
     """
-    return _violations(state, _transformed(state, g))
+    values, lengths = _transformed(state, g)
+    _check_supplied(lengths, len(g), state.w_set)
+    return [w for w in state.w_set if values[w] != 0]
 
 
 def particular_solution(state: EliminationState, g: Sequence[ScalarLike],
                         terms: int) -> List[Scalar]:
     """Particular solution prefix: the transformed forcing value of each
     nonzero row sits at that row's pivot column, zero elsewhere."""
-    transformed = _transformed(state, g)
-    violated = _violations(state, transformed)
-    if violated:
-        raise InconsistentSystemError(violated)
-    _check_terms(state, terms)
-    out = [Fraction(0)] * terms
-    for pos, length in zip(state.j_set, state.mu):
-        if length < terms:
-            out[length] = _known(transformed[pos])
-    return out
+    return general_solution(state, g, {}, terms)
 
 
 def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
                      free: Mapping[int, ScalarLike], terms: int) -> List[Scalar]:
-    """Particular plus homogeneous; ``g=None`` means homogeneous."""
-    homogeneous = homogeneous_general(state, free, terms)
-    if g is None:
-        return homogeneous
-    particular = particular_solution(state, g, terms)
-    return [p + h for p, h in zip(particular, homogeneous)]
+    """Solution prefix for forcing ``g`` (``None`` means homogeneous) and the
+    given free constants.
+
+    Term m is the free constant at an inaccessible column (0 when unset).  At
+    a pivot column it is the transformed forcing value of that pivot row (0
+    when ``g`` is None) minus the weighted sum of the row's earlier entries;
+    the row is zero at every other pivot column, so only the free constants
+    contribute to that sum.
+
+    Checks, in this order: ``terms``; the free constants; that ``g`` covers
+    the transform rows at the zero rows; consistency; that ``g`` covers the
+    transform rows at the pivot rows the terms reach.
+    """
+    _check_terms(state, terms)
+    constants = _checked_free(state, free)
+    pivot_pos = dict(zip(state.mu, state.j_set))
+    forcing = [Fraction(0)] * state.k
+    if g is not None:
+        forcing, lengths = _transformed(state, g)
+        _check_supplied(lengths, len(g), state.w_set)
+        violated = [w for w in state.w_set if forcing[w] != 0]
+        if violated:
+            raise InconsistentSystemError(violated)
+        _check_supplied(lengths, len(g),
+                        (pivot_pos[m] for m in range(terms) if m in pivot_pos))
+    out: List[Scalar] = []
+    for m in range(terms):
+        pos = pivot_pos.get(m)
+        if pos is None:
+            out.append(constants.get(m, Fraction(0)))
+            continue
+        total = forcing[pos]
+        for col, coeff in state.h_rows[pos].items():
+            if col >= m:
+                break
+            c = constants.get(col)
+            if c:
+                total -= coeff * c
+        out.append(total)
+    return out
 
 
 def frechet_distance(x: Sequence[ScalarLike], y: Sequence[ScalarLike],

@@ -45,8 +45,9 @@ Coefficient expressions use the grammar (whitespace insignificant)::
 ``cospi2(m)`` is the exact value of cos(m*pi/2) for integer m, i.e. the cycle
 1, 0, -1, 0 indexed by m mod 4.  An expression nests at most ``MAX_DEPTH``
 levels deep (each operator, negation, ``cospi2`` call and parenthesized group
-is a level) and its exponents are at most ``MAX_EXPONENT``; anything beyond is
-an :class:`ExprSyntaxError`.
+is a level), and the exponents along any path of nested powers multiply to at
+most ``MAX_EXPONENT``, so ``(n^10)^100`` is accepted and ``(n^10)^101`` is not;
+anything beyond is an :class:`ExprSyntaxError`.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def _tokenize(text: str):
 
 # Bounds that keep parsing and evaluation finite.  The parser uses up to six
 # stack frames per level and the evaluator one, so MAX_DEPTH levels stay well
-# under Python's default recursion limit of 1000; MAX_EXPONENT bounds the cost
-# of a single power.
+# under Python's default recursion limit of 1000; MAX_EXPONENT bounds the
+# degree a power can reach, exponents of nested powers multiplied.
 MAX_DEPTH = 50
 MAX_EXPONENT = 1000
 
@@ -184,6 +185,10 @@ class _Parser:
                 self.fail(("nonnegative integer exponent",))
             if int(value) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent {value} exceeds {MAX_EXPONENT}", pos)
+            power = int(value) * _power(node)
+            if power > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"nested exponents multiply to {power}, over {MAX_EXPONENT}", pos)
             self.advance()
             node = ("pow", node, int(value))
             depth = self.checked(depth + 1, pos)
@@ -228,6 +233,14 @@ class _Parser:
             self.fail(("')'",))
         self.advance()
         return node, depth
+
+
+def _power(node) -> int:
+    """The greatest product of the exponents along a path down from ``node``."""
+    if node[0] == "pow":
+        return node[2] * _power(node[1])
+    return max((_power(child) for child in node[1:] if isinstance(child, tuple)),
+               default=1)
 
 
 _COSPI2 = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))

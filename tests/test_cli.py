@@ -97,6 +97,15 @@ class TestSolve:
         assert code == 4
         assert "[6]" in err
 
+    def test_free_constants_checked_before_consistency(self, capsys):
+        args = ("solve", "--family", "example3", "--horizon", "12",
+                "--terms", "8", "--g", "0,0,0,0,0,0,1,0,0,0,0,0")
+        code, out, err = run_cli(capsys, *args, "--free", "2=1")
+        assert code == 2 and not out
+        assert "free constant at accessible index 2" in err
+        code, _, _ = run_cli(capsys, *args)
+        assert code == 4
+
     def test_short_forcing_covers_the_rows_it_needs(self, capsys):
         args = ("solve", "--family", "example2", "--horizon", "12",
                 "--terms", "6", "--format", "csv")
@@ -347,6 +356,7 @@ class TestUsageAndErrors:
         ("-" * 5000 + "1", 50),
         ("+".join(["1"] * 3000), 99),
         ("(n+2)^100000000", 6),
+        ("(((n+2)^1000)^1000)^1000", 14),
     ])
     def test_hostile_expression_exits_2(self, capsys, tmp_path, expr, offset):
         spec = tmp_path / "deep.json"
@@ -357,6 +367,16 @@ class TestUsageAndErrors:
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
         assert f"at offset {offset}" in err
+
+    @pytest.mark.parametrize("command", ["solve", "hess"])
+    def test_empty_forcing_entry_exits_2(self, capsys, tmp_path, command):
+        # a blank entry would shift every later forcing value if dropped
+        spec = tmp_path / "rec.json"
+        spec.write_text(json.dumps({"family": "first_order", "a": "2"}))
+        code, out, err = run_cli(capsys, command, "--spec", str(spec),
+                                 "--terms", "2", "--g", "1,,3")
+        assert code == 2 and not out
+        assert "not a rational literal: ''" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "reduce", "--spec", "/no/such/file.json",

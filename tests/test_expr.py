@@ -99,6 +99,8 @@ class TestSyntaxErrors:
         ("cospi2(" * 60 + "n" + ")" * 60, 350),
         ("(n+2)^100000000", 6),
         ("n^1001", 2),
+        ("(((n+2)^1000)^1000)^1000", 14),
+        ("(n^10)^101", 7),
     ])
     def test_depth_and_exponent_bounded(self, text, offset):
         with pytest.raises(ExprSyntaxError) as info:
@@ -111,6 +113,7 @@ class TestSyntaxErrors:
         assert ev("-" * (MAX_DEPTH - 1) + "n", 3) == -3
         assert ev("+".join(["n"] * MAX_DEPTH), 3) == 3 * MAX_DEPTH
         assert ev(f"1^{MAX_EXPONENT}", 0) == 1
+        assert ev("(n^10)^100", 2) == 2 ** 1000
 
     def test_unexpected_character(self):
         with pytest.raises(ExprSyntaxError) as info:

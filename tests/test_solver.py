@@ -263,6 +263,11 @@ class TestParticular:
         assert info.value.violated == [6]
 
 
+def _bump(length):
+    """Forcing of the given length for example3, nonzero only at zero row 6."""
+    return [Fraction(1 if n == 6 else 0) for n in range(length)]
+
+
 class TestGeneralSolution:
     def test_none_forcing_is_homogeneous(self):
         st = ex2_state()
@@ -274,6 +279,25 @@ class TestGeneralSolution:
         st = run(src, 6)
         sol = general_solution(st, [1] * 6, {0: 0}, 6)
         assert sol == [0, 1, 3, 7, 15, 31]
+
+    @pytest.mark.parametrize("bad,fixed,first,second", [
+        # terms, then free constants
+        ((None, {1: 1}, 15), (None, {1: 1}, 8), ValueError, AccessibleIndexError),
+        # free constants, then short forcing at the zero rows
+        (([0] * 5, {1: 1}, 8), ([0] * 5, {}, 8), AccessibleIndexError, ShortColumnError),
+        # short forcing at the zero rows (row 10), then consistency (row 6)
+        ((_bump(10), {}, 8), (_bump(11), {}, 8), ShortColumnError, InconsistentSystemError),
+        # consistency, then short forcing at the pivot row of column 13
+        ((_bump(11), {}, 14), ([0] * 11, {}, 14), InconsistentSystemError, ShortColumnError),
+    ])
+    def test_order_of_checks(self, bad, fixed, first, second):
+        # ``bad`` fails two adjacent checks, ``fixed`` only the later one
+        st = ex3_state()
+        with pytest.raises(first) as info:
+            general_solution(st, *bad)
+        assert type(info.value) is first
+        with pytest.raises(second):
+            general_solution(st, *fixed)
 
     def test_residual_on_random_consistent_forcing(self, rng):
         for st, src in [
