@@ -10,14 +10,10 @@ from .elimination import (EliminationState, EngineError, GAUSS_JORDAN,
                           GAUSS_ONLY, check_invariants, run)
 from .solver import (AccessibleIndexError, FundamentalSet, InaccessibleLengths,
                      InconsistentSystemError, consistency_check,
-                     deficiency_report, frechet_distance, fundamental_set,
-                     general_solution, homogeneous_general,
-                     inaccessible_lengths, particular_solution,
-                     rhs_transform)
-from .hessenberg import (HessSpec, LowerHessenberg, general_prefix,
-                         general_term, hess_det, hess_spec_from_source,
-                         particular_prefix, particular_term,
-                         superposed_prefix, xi_prefix, xi_term)
+                     frechet_distance, fundamental_set, general_solution,
+                     inaccessible_lengths, rhs_transform)
+from .hessenberg import (HessSpec, LowerHessenberg, general_prefix, hess_det,
+                         hess_spec_from_source, superposed_prefix)
 
 __version__ = "0.1.0"
 
@@ -30,12 +26,10 @@ __all__ = [
     "EliminationState", "EngineError", "GAUSS_JORDAN", "GAUSS_ONLY",
     "check_invariants", "run",
     "AccessibleIndexError", "FundamentalSet", "InaccessibleLengths",
-    "InconsistentSystemError", "consistency_check", "deficiency_report",
-    "frechet_distance", "fundamental_set", "general_solution",
-    "homogeneous_general", "inaccessible_lengths", "particular_solution",
+    "InconsistentSystemError", "consistency_check", "frechet_distance",
+    "fundamental_set", "general_solution", "inaccessible_lengths",
     "rhs_transform",
-    "HessSpec", "LowerHessenberg", "general_prefix", "general_term",
-    "hess_det", "hess_spec_from_source", "particular_prefix",
-    "particular_term", "superposed_prefix", "xi_prefix", "xi_term",
+    "HessSpec", "LowerHessenberg", "general_prefix", "hess_det",
+    "hess_spec_from_source", "superposed_prefix",
     "__version__",
 ]

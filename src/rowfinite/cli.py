@@ -4,7 +4,9 @@ Subcommands: ``reduce`` (emit the reduced prefix, transform rows, and index
 sets), ``solve`` (assemble a general solution prefix), ``fundamental`` (emit
 the fundamental sequences), ``hess`` (evaluate the determinant closed form,
 optionally cross-checked against the elimination path), and ``verify`` (run
-the internal consistency checks and report pass/fail per check).
+the internal consistency checks and report pass/fail per check).  Each
+subcommand accepts only the flags it reads (``_COMMANDS``); any other flag
+is an argparse usage error.
 
 Exit codes: 0 ok, 1 verification failure, 2 spec or usage error,
 3 evaluation error, 4 inconsistent system.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
@@ -37,21 +40,23 @@ EXIT_EVAL = 3
 EXIT_INCONSISTENT = 4
 
 
+_FREE_INDEX = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_free(text: Optional[str]) -> Dict[int, Fraction]:
-    if not text:
+    if text is None:
         return {}
     out: Dict[int, Fraction] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if not chunk:
-            continue
         if "=" not in chunk:
             raise SpecError(f"--free expects i=p/q pairs, got {chunk!r}")
         key, _, value = chunk.partition("=")
-        try:
-            idx = int(key)
-        except ValueError:
-            raise SpecError(f"--free index must be an integer, got {key!r}") from None
+        if not _FREE_INDEX.fullmatch(key.strip()):
+            raise SpecError(f"--free index must be an integer, got {key!r}")
+        idx = int(key)
+        if idx in out:
+            raise SpecError(f"--free assigns index {idx} twice")
         out[idx] = parse_scalar(value)
     return out
 
@@ -236,6 +241,37 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(passed for _, passed in results) else EXIT_VERIFY
 
 
+_FLAGS = {
+    "--spec": {"help": "equation-spec or explicit-matrix JSON file"},
+    "--family": {"help": "builtin family name (e.g. example2, example3)"},
+    "--horizon": {"type": int, "default": None,
+                  "help": "number of rows to consume (default: max(terms, 1); "
+                          "10 for reduce and verify)"},
+    "--terms": {"type": int, "default": 10, "help": "number of solution terms to emit"},
+    "--free": {"help": "free constants, e.g. 0=1,4=-2/3"},
+    "--g": {"help": "forcing prefix, e.g. 1,0,1/2"},
+    "--format": {"choices": ("json", "csv", "pretty"), "default": "json"},
+    "--first-index": {"type": int, "default": None,
+                      "help": "display offset (default 0, or -N for regular order)"},
+    "--seed": {"type": int, "default": 0, "help": "seed for random checks"},
+    "--verify-against-elimination": {"action": "store_true"},
+}
+
+# (name, handler, help, the flags it reads, defaults that override the flags')
+_COMMANDS = (
+    ("reduce", cmd_reduce, "emit the reduced and transform prefixes",
+     "--spec --family --horizon --format", {"horizon": 10}),
+    ("solve", cmd_solve, "assemble a general solution prefix",
+     "--spec --family --horizon --terms --free --g --format --first-index", {}),
+    ("fundamental", cmd_fundamental, "emit the fundamental sequences",
+     "--spec --family --horizon --terms --format --first-index", {}),
+    ("hess", cmd_hess, "determinant closed form for regular order",
+     "--spec --family --terms --free --g --format --verify-against-elimination", {}),
+    ("verify", cmd_verify, "run the internal consistency checks",
+     "--spec --family --horizon --seed", {"horizon": 10}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rowfinite",
@@ -243,52 +279,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "row-finite linear systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, terms_default=10):
-        p.add_argument("--spec", help="equation-spec or explicit-matrix JSON file")
-        p.add_argument("--family", help="builtin family name (e.g. example2, example3)")
-        p.add_argument("--horizon", type=int, default=None,
-                       help="number of rows to consume (default: max(terms, 1))")
-        p.add_argument("--terms", type=int, default=terms_default,
-                       help="number of solution terms to emit")
-        p.add_argument("--free", help="free constants, e.g. 0=1,4=-2/3")
-        p.add_argument("--g", help="forcing prefix, e.g. 1,0,1/2")
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-        p.add_argument("--first-index", dest="first_index", type=int, default=None,
-                       help="display offset (default 0, or -N for regular order)")
-        p.add_argument("--seed", type=int, default=0, help="seed for random checks")
-
-    p_reduce = sub.add_parser("reduce", help="emit the reduced and transform prefixes")
-    common(p_reduce)
-    p_reduce.set_defaults(handler=cmd_reduce)
-
-    p_solve = sub.add_parser("solve", help="assemble a general solution prefix")
-    common(p_solve)
-    p_solve.set_defaults(handler=cmd_solve)
-
-    p_fund = sub.add_parser("fundamental", help="emit the fundamental sequences")
-    common(p_fund)
-    p_fund.set_defaults(handler=cmd_fundamental)
-
-    p_hess = sub.add_parser("hess", help="determinant closed form for regular order")
-    common(p_hess)
-    p_hess.add_argument("--verify-against-elimination", action="store_true",
-                        dest="verify_against_elimination")
-    p_hess.set_defaults(handler=cmd_hess)
-
-    p_verify = sub.add_parser("verify", help="run the internal consistency checks")
-    common(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
-
+    for name, handler, help_text, flags, defaults in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler, **defaults)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.horizon is None:
+    if getattr(args, "horizon", 1) is None:   # solve, fundamental: from --terms
         args.horizon = max(args.terms, 1)
-    if args.horizon < 1 or args.terms < 1:
+    if getattr(args, "horizon", 1) < 1 or getattr(args, "terms", 1) < 1:
         print("error: --horizon and --terms must be at least 1", file=sys.stderr)
         return EXIT_SPEC
     try:

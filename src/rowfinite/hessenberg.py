@@ -5,26 +5,28 @@ A regular-order equation in *normal form* reads, for n >= 0,
 
     y_n + a(n, N+n-1) y_{n-1} + ... + a(n, 1) y_{1-N} + a(n, 0) y_{-N} = g_n,
 
-with N initial values y_{-N}..y_{-1}.  Each solution term is, up to sign, the
-determinant of a lower Hessenberg matrix whose band holds the equation
-coefficients a(r, N+c-1) and whose first column distinguishes the solution
-kind: column i of the coefficients for the i-th fundamental sequence, the
-forcing terms for a particular solution, and the forcing terms minus the
-weighted initial values for the full general solution.
+with N initial values y_{-N}..y_{-1}.  Term y_n of the solution is (-1)^n
+times one determinant: the leading principal minor of order n+1 of a lower
+Hessenberg matrix whose band holds the equation coefficients a(r, N+c-1) and
+whose first column holds g_r - sum_i a(r, i) y_{i-N}, the forcing terms with
+the initial values folded in.  :func:`general_prefix` evaluates it.  Every
+solution is this one Hessenbergian of some spec: the i-th fundamental
+sequence is the case of zero forcing and the i-th unit vector as initial
+values (``hess_spec_from_source(source, None, e_i)``), the particular
+solution the case of zero initial values.
 
 Because the superdiagonal is identically 1, expanding along the last row
 gives the division-free recurrence
 
     d_k = sum_{j=0..k} (-1)^(k-j) m[k][j] d_{j-1},   d_{-1} = 1,
 
-which evaluates every leading principal determinant in one quadratic pass.
-All prefix functions below share that pass, so asking for a whole prefix
-costs the same as asking for its last term.
+which evaluates every leading principal determinant in one quadratic pass,
+so asking for a whole prefix costs the same as asking for its last term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -153,95 +155,39 @@ def hess_spec_from_source(source: RowSource, g: Optional[Sequence[ScalarLike]] =
     return HessSpec(index=order, coeff=coeff, forcing=forcing, init=init)
 
 
-def _band_entry(spec: HessSpec, k: int, j: int) -> Scalar:
-    # matrix entry (k, j) for j >= 1 is the coefficient at column index+j-1
-    return spec.coeff(k, spec.index + j - 1)
-
-
-def _signed_prefix(spec: HessSpec, first: Callable[[int], Scalar], count: int,
-                   odd_sign: bool) -> List[Scalar]:
-    def entry(k, j):
-        return first(k) if j == 0 else _band_entry(spec, k, j)
-
-    dets = _det_prefix(entry, count)
-    if odd_sign:
-        return [d if k % 2 else -d for k, d in enumerate(dets)]
-    return [-d if k % 2 else d for k, d in enumerate(dets)]
-
-
-def xi_prefix(spec: HessSpec, i: int, count: int) -> List[Scalar]:
-    """Terms 0..count-1 of the i-th fundamental sequence (sign (-1)^(n+1))."""
-    if not 0 <= i < spec.index:
-        raise ValueError(f"fundamental index {i} outside 0..{spec.index - 1}")
-    return _signed_prefix(spec, lambda k: spec.coeff(k, i), count, odd_sign=True)
-
-
-def xi_term(spec: HessSpec, i: int, n: int) -> Scalar:
-    """General term of the i-th fundamental sequence; for n in [-N, -1] the
-    initial pattern is 1 at n = i-N and 0 elsewhere."""
-    if not 0 <= i < spec.index:
-        raise ValueError(f"fundamental index {i} outside 0..{spec.index - 1}")
-    if n < -spec.index:
-        raise ValueError(f"term {n} precedes the initial segment")
-    if n < 0:
-        return Fraction(1) if n == i - spec.index else Fraction(0)
-    return xi_prefix(spec, i, n + 1)[-1]
-
-
-def particular_prefix(spec: HessSpec, count: int) -> List[Scalar]:
-    """Terms 0..count-1 of the particular solution with zero initial values
-    (sign (-1)^n, forcing terms in the first column)."""
-    return _signed_prefix(spec, spec.forcing, count, odd_sign=False)
-
-
-def particular_term(spec: HessSpec, n: int) -> Scalar:
-    if n < -spec.index:
-        raise ValueError(f"term {n} precedes the initial segment")
-    if n < 0:
-        return Fraction(0)
-    return particular_prefix(spec, n + 1)[-1]
-
-
-def _general_first(spec: HessSpec) -> Callable[[int], Scalar]:
+def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
+    """Terms y_0..y_{count-1} of the solution with forcing ``spec.forcing``
+    and initial values ``spec.init``: term k is (-1)^k times the leading
+    principal determinant of order k+1 whose first column holds
+    forcing(r) - sum_i coeff(r, i) init_i and whose band holds the
+    coefficients coeff(r, index+c-1)."""
     if len(spec.init) != spec.index:
         raise ValueError(f"expected {spec.index} initial values, got {len(spec.init)}")
 
-    def first(k: int) -> Scalar:
+    def entry(k: int, j: int) -> Scalar:
+        if j:
+            return spec.coeff(k, spec.index + j - 1)
         value = spec.forcing(k)
         for i, y0 in enumerate(spec.init):
             if y0:
                 value -= spec.coeff(k, i) * y0
         return value
 
-    return first
-
-
-def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
-    """Terms 0..count-1 of the unique solution as single determinants whose
-    first column folds the initial values into the forcing terms."""
-    return _signed_prefix(spec, _general_first(spec), count, odd_sign=False)
-
-
-def general_term(spec: HessSpec, n: int) -> Scalar:
-    """General solution term; n in [-N, -1] returns the initial value."""
-    if n < -spec.index:
-        raise ValueError(f"term {n} precedes the initial segment")
-    if n < 0:
-        if len(spec.init) != spec.index:
-            raise ValueError(f"expected {spec.index} initial values, got {len(spec.init)}")
-        return spec.init[n + spec.index]
-    return general_prefix(spec, n + 1)[-1]
+    return [-d if k % 2 else d for k, d in enumerate(_det_prefix(entry, count))]
 
 
 def superposed_prefix(spec: HessSpec, count: int) -> List[Scalar]:
-    """Terms 0..count-1 assembled as particular plus weighted fundamental
-    sequences; must agree with general_prefix exactly (multilinearity of the
-    determinant in its first column)."""
+    """Terms 0..count-1 assembled as the particular solution (zero initial
+    values) plus the fundamental sequences (zero forcing, unit initial
+    values) weighted by ``spec.init``; must agree with general_prefix
+    exactly (multilinearity of the determinant in its first column)."""
     if len(spec.init) != spec.index:
         raise ValueError(f"expected {spec.index} initial values, got {len(spec.init)}")
-    total = particular_prefix(spec, count)
+    zeros = (Fraction(0),) * spec.index
+    total = general_prefix(replace(spec, init=zeros), count)
     for i, y0 in enumerate(spec.init):
         if y0:
-            xi = xi_prefix(spec, i, count)
+            unit = zeros[:i] + (Fraction(1),) + zeros[i + 1:]
+            xi = general_prefix(replace(spec, forcing=_zero_forcing, init=unit), count)
             total = [t + y0 * x for t, x in zip(total, xi)]
     return total

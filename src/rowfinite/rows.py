@@ -38,9 +38,31 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(s)
 
 
+_CHUNK = 10 ** 600   # fewer digits than any int-to-str limit Python allows
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` without the interpreter's digit limit, 600 digits at a time."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    low = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        low.append(f"{r:0600d}")
+    return sign + str(n) + "".join(reversed(low))
+
+
 def format_scalar(value: Fraction) -> str:
-    """Render as ``"p"`` or ``"p/q"`` in lowest terms; inverse of parse_scalar."""
-    return str(value)
+    """Render as ``"p"`` or ``"p/q"`` in lowest terms; inverse of parse_scalar.
+
+    Output has no digit limit.  The interpreter's limit on int-str
+    conversion (4,300 digits by default) bounds the parsing of untrusted
+    text, so parse_scalar keeps it and rejects longer numbers.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        text = _decimal(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
 
 
 def as_scalar(value: ScalarLike) -> Fraction:

@@ -5,9 +5,12 @@ The pivot lengths mu are the *accessible* columns; the complement below a
 horizon is the set of *inaccessible* columns, which index the free constants
 of the homogeneous solution space.  One routine, :func:`general_solution`,
 reads every solution off the reduced rows and the transformed forcing: a
-particular solution is the case of no free constants, a homogeneous one the
-case of no forcing, and the fundamental sequence of an inaccessible column s
-the case of constant 1 at s (0 at the other free columns) and no forcing.
+particular solution is ``general_solution(state, g, {}, terms)``, a
+homogeneous one ``general_solution(state, None, free, terms)``, and the
+fundamental sequence of an inaccessible column s the case of constant 1 at s
+(0 at the other free columns) and no forcing.  The number of inaccessible
+columns below a horizon, the deficiency, is
+``len(inaccessible_lengths(state, horizon).values)``.
 
 All reports are relative to an explicit horizon and carry a completeness
 flag: a finite prefix cannot by itself certify that no later row introduces
@@ -90,12 +93,6 @@ def inaccessible_lengths(state: EliminationState, horizon: int) -> InaccessibleL
     return InaccessibleLengths(values=values, horizon=horizon, complete=state.certified)
 
 
-def deficiency_report(state: EliminationState, horizon: int) -> Tuple[int, bool]:
-    """Number of inaccessible columns below the horizon, with completeness."""
-    found = inaccessible_lengths(state, horizon)
-    return len(found.values), found.complete
-
-
 def fundamental_set(state: EliminationState, horizon: int, terms: int) -> FundamentalSet:
     """The homogeneous solution with constant 1 at s and 0 at every other
     inaccessible column, per inaccessible column s below the horizon."""
@@ -121,12 +118,6 @@ def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Di
             )
         out[key] = as_scalar(value)
     return out
-
-
-def homogeneous_general(state: EliminationState, free: Mapping[int, ScalarLike],
-                        terms: int) -> List[Scalar]:
-    """General homogeneous solution prefix for the given free constants."""
-    return general_solution(state, None, free, terms)
 
 
 def _transformed(state: EliminationState,
@@ -174,13 +165,6 @@ def consistency_check(state: EliminationState, g: Sequence[ScalarLike]) -> List[
     values, lengths = _transformed(state, g)
     _check_supplied(lengths, len(g), state.w_set)
     return [w for w in state.w_set if values[w] != 0]
-
-
-def particular_solution(state: EliminationState, g: Sequence[ScalarLike],
-                        terms: int) -> List[Scalar]:
-    """Particular solution prefix: the transformed forcing value of each
-    nonzero row sits at that row's pivot column, zero elsewhere."""
-    return general_solution(state, g, {}, terms)
 
 
 def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],

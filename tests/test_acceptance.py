@@ -14,11 +14,9 @@ import pytest
 
 from rowfinite import (EliminationState, FiniteRow, InconsistentSystemError,
                        LowerHessenberg, build_family, check_invariants,
-                       consistency_check, deficiency_report, frechet_distance,
-                       fundamental_set, general_prefix, general_solution,
-                       hess_det, hess_spec_from_source, homogeneous_general,
-                       inaccessible_lengths, particular_prefix,
-                       particular_solution, run, xi_prefix)
+                       consistency_check, frechet_distance, fundamental_set,
+                       general_prefix, general_solution, hess_det,
+                       hess_spec_from_source, inaccessible_lengths, run)
 from conftest import (naive_det, random_explicit_rows, random_regular_source,
                       random_scalar)
 
@@ -157,12 +155,18 @@ def test_criterion_4_closed_form_oracle_equivalence():
             init = [random_scalar(rng) for _ in range(order)]
             spec = hess_spec_from_source(src, g, init)
 
+            # fundamental: zero forcing, unit initial values
             fund = fundamental_set(state, order, order + horizon)
             for i in range(order):
-                assert xi_prefix(spec, i, horizon) == list(fund.sequences[i][order:])
+                unit = [Fraction(int(c == i)) for c in range(order)]
+                xi = general_prefix(hess_spec_from_source(src, None, unit), horizon)
+                assert xi == list(fund.sequences[i][order:])
 
-            part = particular_solution(state, g, order + horizon)
-            assert particular_prefix(spec, horizon) == part[order:]
+            # particular: zero initial values
+            part = general_solution(state, g, {}, order + horizon)
+            zeros = [Fraction(0)] * order
+            assert general_prefix(hess_spec_from_source(src, g, zeros),
+                                  horizon) == part[order:]
 
             sol = general_solution(state, g, dict(enumerate(init)), order + horizon)
             assert general_prefix(spec, horizon) == sol[order:]
@@ -208,7 +212,7 @@ def test_criterion_5_residuals_and_inconsistency():
         bump[6] = Fraction(1)
         assert consistency_check(state, bump) == [6]
         with pytest.raises(InconsistentSystemError) as info:
-            particular_solution(state, bump, 14)
+            general_solution(state, bump, {}, 14)
         assert info.value.violated == [6]
 
 
@@ -222,17 +226,17 @@ def test_criterion_6_deficiency_accounting():
         ]
         for state in fixtures:
             for horizon in range(state.greatest_length + 2):
-                count, _ = deficiency_report(state, horizon)
+                count = len(inaccessible_lengths(state, horizon).values)
                 accessible_below = sum(1 for m in state.mu if m < horizon)
                 assert count + accessible_below == horizon
 
-        count, complete = deficiency_report(fixtures[0], 8)
-        assert (count, complete) == (3, False)
+        found = inaccessible_lengths(fixtures[0], 8)
+        assert (len(found.values), found.complete) == (3, False)
 
         for order in (1, 2, 3, 4):
             src = build_family({"family": "n_order", "N": order, "a": "j - n + 1"})
-            state = run(src, 8)
-            assert deficiency_report(state, order) == (order, True)
+            found = inaccessible_lengths(run(src, 8), order)
+            assert (len(found.values), found.complete) == (order, True)
 
 
 def test_criterion_7_schauder_convergence_bound():
@@ -243,7 +247,7 @@ def test_criterion_7_schauder_convergence_bound():
         gaps = inaccessible_lengths(state, width).values
         assert gaps[:5] == (0, 4, 8, 12, 16)
         free = {s: random_scalar(rng) + 1 for s in gaps}  # keep them nonzero
-        assembled = homogeneous_general(state, free, width)
+        assembled = general_solution(state, None, free, width)
         fund = fundamental_set(state, width, width)
         for n in range(5):
             partial = [Fraction(0)] * width

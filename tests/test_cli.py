@@ -76,6 +76,22 @@ class TestReduce:
 
 
 class TestSolve:
+    def test_prints_values_past_the_int_string_limit(self, capsys, tmp_path):
+        # y_k = ((k+1)!)^1000: y_7 has 4,606 digits, more than int() will
+        # convert to text by default
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"family": "first_order", "a": "(n+2)^1000"}))
+        code, out, err = run_cli(capsys, "solve", "--spec", str(spec), "--terms", "8",
+                                 "--free", "0=1", "--format", "csv")
+        assert code == 0 and not err
+        last = out.strip().split(",")[-1]
+        assert len(last) == 4606
+        value = 0
+        for start in range(0, len(last), 1000):
+            chunk = last[start:start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == 40320 ** 1000
+
     def test_basis_sequence_via_free_constants(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--family", "example2",
                                "--horizon", "8", "--terms", "7",
@@ -377,6 +393,45 @@ class TestUsageAndErrors:
                                  "--terms", "2", "--g", "1,,3")
         assert code == 2 and not out
         assert "not a rational literal: ''" in err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("reduce", "--terms", "5"), ("reduce", "--free", "0=1"),
+        ("reduce", "--g", "1"), ("reduce", "--seed", "1"),
+        ("reduce", "--first-index", "5"),
+        ("solve", "--seed", "1"),
+        ("fundamental", "--free", "0=1"), ("fundamental", "--g", "1"),
+        ("fundamental", "--seed", "1"),
+        ("hess", "--horizon", "5"), ("hess", "--first-index", "5"),
+        ("hess", "--seed", "1"),
+        ("verify", "--terms", "5"), ("verify", "--free", "0=1"),
+        ("verify", "--g", "1"), ("verify", "--format", "csv"),
+        ("verify", "--first-index", "5"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, tmp_path,
+                                                     command, flag, value):
+        spec = tmp_path / "rec.json"
+        spec.write_text(json.dumps({"family": "first_order", "a": "2"}))
+        with pytest.raises(SystemExit) as info:
+            main([command, "--spec", str(spec), flag, value])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and not out
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    @pytest.mark.parametrize("command", ["solve", "hess"])
+    @pytest.mark.parametrize("free,message", [
+        ("0=1,0=5", "index 0 twice"),
+        ("0=1,,1=3", "pairs, got ''"),
+        ("0=1,", "pairs, got ''"),
+        ("", "pairs, got ''"),
+        ("0_1=1", "integer, got '0_1'"),
+    ])
+    def test_malformed_free_exits_2(self, capsys, tmp_path, command, free, message):
+        spec = tmp_path / "rec.json"
+        spec.write_text(json.dumps({"family": "second_order", "a": "1", "b": "2"}))
+        code, out, err = run_cli(capsys, command, "--spec", str(spec),
+                                 "--terms", "3", f"--free={free}")
+        assert code == 2 and not out
+        assert message in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "reduce", "--spec", "/no/such/file.json",

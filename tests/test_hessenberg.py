@@ -4,10 +4,8 @@ import pytest
 
 from rowfinite import (HessSpec, LowerHessenberg, SpecError,
                        build_family, fundamental_set, general_prefix,
-                       general_solution, general_term, hess_det,
-                       hess_spec_from_source, particular_prefix,
-                       particular_solution, particular_term, run,
-                       superposed_prefix, xi_prefix, xi_term)
+                       general_solution, hess_det, hess_spec_from_source, run,
+                       superposed_prefix)
 from conftest import naive_det, random_regular_source, random_scalar
 
 
@@ -24,6 +22,11 @@ def banded_spec(coeffs, order, g=None, init=()):
     else:
         forcing = lambda n: Fraction(g[n])
     return HessSpec(index=order, coeff=coeff, forcing=forcing, init=init)
+
+
+def unit(order, i):
+    """Initial values of the i-th fundamental sequence."""
+    return tuple(Fraction(int(c == i)) for c in range(order))
 
 
 class TestHessDet:
@@ -63,61 +66,60 @@ class TestHessDet:
 
 
 class TestXiTerm:
-    def instance(self):
+    # the i-th fundamental sequence: zero forcing, unit initial values e_i
+    def instance(self, i):
         # band y_n + b_n y_{n-1} + a_n y_{n-2} = 0 with a = (1, 3), b = (2, 4)
         src = build_family({"family": "second_order", "a": [1, 3], "b": [2, 4]})
-        return hess_spec_from_source(src)
+        return src, hess_spec_from_source(src, None, unit(2, i))
 
     def test_initial_pattern(self):
-        spec = self.instance()
-        assert xi_term(spec, 0, -2) == 1
-        assert xi_term(spec, 0, -1) == 0
-        assert xi_term(spec, 1, -2) == 0
-        assert xi_term(spec, 1, -1) == 1
+        # the unit pattern continued by the closed form solves the equation
+        for i in (0, 1):
+            src, spec = self.instance(i)
+            seq = list(spec.init) + general_prefix(spec, 2)
+            for n in range(2):
+                assert src.row_at(n).dot_prefix(seq) == 0
 
     def test_first_terms(self):
-        spec = self.instance()
-        assert xi_term(spec, 0, 0) == -1          # minus a_0
-        assert xi_term(spec, 1, 0) == -2          # minus b_0
-        assert xi_term(spec, 1, 1) == 2 * 4 - 3   # 2x2 determinant by hand
+        assert general_prefix(self.instance(0)[1], 1) == [-1]   # minus a_0
+        # minus b_0, then the 2x2 determinant by hand
+        assert general_prefix(self.instance(1)[1], 2) == [-2, 2 * 4 - 3]
 
     def test_prefix_matches_terms(self):
-        spec = banded_spec({0: 2, 1: -3}, 2)
-        assert xi_prefix(spec, 0, 5) == [xi_term(spec, 0, n) for n in range(5)]
-
-    def test_index_range_checked(self):
-        spec = self.instance()
-        with pytest.raises(ValueError):
-            xi_term(spec, 2, 0)
-        with pytest.raises(ValueError):
-            xi_term(spec, 0, -3)
+        spec = banded_spec({0: 2, 1: -3}, 2, init=unit(2, 0))
+        assert general_prefix(spec, 5) == \
+            [general_prefix(spec, n + 1)[-1] for n in range(5)]
 
     def test_first_order_product_form(self, rng):
         a = [random_scalar(rng) for _ in range(8)]
         src = build_family({"family": "first_order", "a": a})
-        spec = hess_spec_from_source(src)
+        spec = hess_spec_from_source(src, None, unit(1, 0))
         product = Fraction(1)
-        for n in range(8):
+        for n, term in enumerate(general_prefix(spec, 8)):
             product *= a[n]
-            assert xi_term(spec, 0, n) == product
+            assert term == product
 
 
 class TestParticularTerm:
+    # the particular solution: zero initial values
     def test_zero_forcing(self):
-        spec = banded_spec({0: 1, 1: 1}, 2, g=[0] * 6)
-        assert particular_prefix(spec, 6) == [0] * 6
+        spec = banded_spec({0: 1, 1: 1}, 2, g=[0] * 6, init=(0, 0))
+        assert general_prefix(spec, 6) == [0] * 6
 
     def test_first_term_is_the_forcing_value(self):
-        spec = banded_spec({0: 7, 1: -2}, 2, g=[9, 0, 0])
-        assert particular_term(spec, 0) == 9
+        spec = banded_spec({0: 7, 1: -2}, 2, g=[9, 0, 0], init=(0, 0))
+        assert general_prefix(spec, 1) == [9]
 
     def test_initial_segment_is_zero(self):
-        spec = banded_spec({0: 1}, 1, g=[1, 1])
-        assert particular_term(spec, -1) == 0
+        # y_n - y_{n-1} = 1: elimination with no free constants puts 0 at y_{-1}
+        src = build_family({"family": "first_order", "a": "1"})
+        assert general_solution(run(src, 2), [1, 1], {}, 3) == [0, 1, 2]
+        spec = hess_spec_from_source(src, [1, 1], (0,))
+        assert general_prefix(spec, 2) == [1, 2]
 
     def test_doubling_plus_one(self):
-        spec = banded_spec({0: -2}, 1, g=[1] * 6)
-        assert particular_prefix(spec, 4) == [1, 3, 7, 15]
+        spec = banded_spec({0: -2}, 1, g=[1] * 6, init=(0,))
+        assert general_prefix(spec, 4) == [1, 3, 7, 15]
 
 
 class TestGeneralTerm:
@@ -135,13 +137,17 @@ class TestGeneralTerm:
         assert general_prefix(spec, 5) == [2 ** (n + 1) for n in range(5)]
 
     def test_negative_terms_return_initial_values(self):
-        spec = banded_spec({0: 5}, 1, init=(Fraction(7, 2),))
-        assert general_term(spec, -1) == Fraction(7, 2)
+        # the elimination path carries y_{-1} as its free constant at column 0
+        src = build_family({"family": "first_order", "a": "5"})
+        sol = general_solution(run(src, 3), None, {0: Fraction(7, 2)}, 4)
+        assert sol[0] == Fraction(7, 2)
+        spec = hess_spec_from_source(src, None, (Fraction(7, 2),))
+        assert general_prefix(spec, 3) == sol[1:]
 
     def test_init_length_checked(self):
         spec = banded_spec({0: 5}, 2, init=(1,))
         with pytest.raises(ValueError):
-            general_term(spec, 0)
+            general_prefix(spec, 1)
 
 
 class TestTwoPathIdentity:
@@ -160,10 +166,11 @@ class TestTwoPathIdentity:
         g = [random_scalar(rng) for _ in range(8)]
         init = tuple(random_scalar(rng) for _ in range(order))
         spec = banded_spec(coeffs, order, g=g, init=init)
-        for n in range(8):
-            expected = particular_term(spec, n) + sum(
-                xi_term(spec, i, n) * init[i] for i in range(order))
-            assert general_term(spec, n) == expected
+        expected = general_prefix(banded_spec(coeffs, order, g=g, init=(0,) * order), 8)
+        for i in range(order):
+            xi = general_prefix(banded_spec(coeffs, order, init=unit(order, i)), 8)
+            expected = [e + init[i] * x for e, x in zip(expected, xi)]
+        assert general_prefix(spec, 8) == expected
 
 
 class TestEliminationEquivalence:
@@ -180,11 +187,13 @@ class TestEliminationEquivalence:
 
                 fs = fundamental_set(st, order, order + horizon)
                 for i in range(order):
-                    assert xi_prefix(spec, i, horizon) == \
+                    xi_spec = hess_spec_from_source(src, None, unit(order, i))
+                    assert general_prefix(xi_spec, horizon) == \
                         list(fs.sequences[i][order:])
 
-                part = particular_solution(st, g, order + horizon)
-                assert particular_prefix(spec, horizon) == part[order:]
+                part = general_solution(st, g, {}, order + horizon)
+                part_spec = hess_spec_from_source(src, g, (0,) * order)
+                assert general_prefix(part_spec, horizon) == part[order:]
 
                 sol = general_solution(st, g, dict(enumerate(init)),
                                        order + horizon)

@@ -8,11 +8,9 @@ from hypothesis import strategies as hs
 
 from rowfinite import (AccessibleIndexError, EliminationState, GAUSS_JORDAN,
                        GAUSS_ONLY, InconsistentSystemError, ShortColumnError,
-                       build_family, consistency_check,
-                       deficiency_report, frechet_distance, fundamental_set,
-                       general_solution, homogeneous_general,
-                       inaccessible_lengths, particular_solution,
-                       rhs_transform, run)
+                       build_family, consistency_check, frechet_distance,
+                       fundamental_set, general_solution,
+                       inaccessible_lengths, rhs_transform, run)
 from conftest import naive_det, random_explicit_rows, random_regular_source, random_scalar
 
 
@@ -55,20 +53,23 @@ class TestInaccessibleLengths:
 
 
 class TestDeficiency:
+    # the deficiency below a horizon is the number of inaccessible columns
     def test_fixture_counts(self):
-        assert deficiency_report(ex2_state(), 8) == (3, False)
-        assert deficiency_report(ex3_state(), 13) == (4, False)
+        found = inaccessible_lengths(ex2_state(), 8)
+        assert (len(found.values), found.complete) == (3, False)
+        found = inaccessible_lengths(ex3_state(), 13)
+        assert (len(found.values), found.complete) == (4, False)
 
     def test_regular_order_certified(self):
         for order in (1, 2, 3):
             src = build_family({"family": "n_order", "N": order, "a": "j - n + 1"})
-            st = run(src, 8)
-            assert deficiency_report(st, order) == (order, True)
+            found = inaccessible_lengths(run(src, 8), order)
+            assert (len(found.values), found.complete) == (order, True)
 
     def test_accounting_identity(self):
         for st in (ex2_state(), ex3_state()):
             for horizon in range(st.greatest_length + 2):
-                count, _ = deficiency_report(st, horizon)
+                count = len(inaccessible_lengths(st, horizon).values)
                 below = sum(1 for m in st.mu if m < horizon)
                 assert count + below == horizon
 
@@ -127,24 +128,24 @@ class TestFundamentalSet:
 class TestHomogeneousGeneral:
     def test_unit_free_constant_reproduces_basis_sequence(self):
         st = ex2_state()
-        assert homogeneous_general(st, {1: 1}, 7) == \
+        assert general_solution(st, None, {1: 1}, 7) == \
             [0, 1, 2, 0, -24, -192, -1344]
 
     def test_all_zero(self):
-        assert homogeneous_general(ex3_state(), {}, 10) == [0] * 10
+        assert general_solution(ex3_state(), None, {}, 10) == [0] * 10
 
     def test_power_minus_factorial_solution(self):
         # 2^n - n! solves the showcase equation; its free values sit at 0, 1, 3
         st = ex2_state()
         zeta = [Fraction(2 ** n - factorial(n)) for n in range(10)]
-        out = homogeneous_general(st, {0: zeta[0], 1: zeta[1], 3: zeta[3]}, 10)
+        out = general_solution(st, None, {0: zeta[0], 1: zeta[1], 3: zeta[3]}, 10)
         assert out == zeta
 
     def test_dependent_terms_spelled_out(self, rng):
         # y_2 = 2 y_1, y_4 = -(24 y_1 - 8 y_3), y_5 = -(192 y_1 - 52 y_3), ...
         st = ex2_state()
         y0, y1, y3 = (random_scalar(rng) for _ in range(3))
-        out = homogeneous_general(st, {0: y0, 1: y1, 3: y3}, 8)
+        out = general_solution(st, None, {0: y0, 1: y1, 3: y3}, 8)
         assert out[0] == y0 and out[1] == y1 and out[3] == y3
         assert out[2] == 2 * y1
         assert out[4] == -(24 * y1 - 8 * y3)
@@ -160,9 +161,9 @@ class TestHomogeneousGeneral:
             f2 = {s: random_scalar(rng) for s in gaps}
             alpha, beta = random_scalar(rng), random_scalar(rng)
             combo = {s: alpha * f1[s] + beta * f2[s] for s in gaps}
-            lhs = homogeneous_general(st, combo, 14)
-            h1 = homogeneous_general(st, f1, 14)
-            h2 = homogeneous_general(st, f2, 14)
+            lhs = general_solution(st, None, combo, 14)
+            h1 = general_solution(st, None, f1, 14)
+            h2 = general_solution(st, None, f2, 14)
             assert lhs == [alpha * a + beta * b for a, b in zip(h1, h2)]
 
     def test_matches_basis_expansion(self, rng):
@@ -172,22 +173,22 @@ class TestHomogeneousGeneral:
         fs = fundamental_set(st, 13, 14)
         expected = [sum(free[s] * fs.sequences[s][m] for s in gaps)
                     for m in range(14)]
-        assert homogeneous_general(st, free, 14) == expected
+        assert general_solution(st, None, free, 14) == expected
 
     def test_accessible_index_rejected(self):
         with pytest.raises(AccessibleIndexError) as info:
-            homogeneous_general(ex2_state(), {2: 1}, 5)
+            general_solution(ex2_state(), None, {2: 1}, 5)
         assert info.value.index == 2
 
     def test_unclassified_index_rejected(self):
         st = ex2_state()
         with pytest.raises(ValueError, match="classified"):
-            homogeneous_general(st, {st.greatest_length + 5: 1}, 5)
+            general_solution(st, None, {st.greatest_length + 5: 1}, 5)
 
     def test_terms_guard(self):
         st = ex2_state()
         with pytest.raises(ValueError):
-            homogeneous_general(st, {}, st.greatest_length + 2)
+            general_solution(st, None, {}, st.greatest_length + 2)
 
 
 class TestRhsTransform:
@@ -235,13 +236,13 @@ class TestConsistency:
 class TestParticular:
     def test_zero_forcing_gives_zero_sequence(self):
         st = ex3_state()
-        assert particular_solution(st, [0] * 12, 14) == [0] * 14
+        assert general_solution(st, [0] * 12, {}, 14) == [0] * 14
 
     def test_regular_order_layout(self, rng):
         src = random_regular_source(rng, order=2, horizon=8, shape="n_order")
         st = run(src, 8)
         g = [random_scalar(rng) for _ in range(8)]
-        part = particular_solution(st, g, 10)
+        part = general_solution(st, g, {}, 10)
         k = rhs_transform(st, g)
         assert part[:2] == [0, 0]
         assert part[2:] == k
@@ -251,7 +252,7 @@ class TestParticular:
     def test_constant_forcing_first_order(self):
         src = build_family({"family": "first_order", "a": "2"})
         st = run(src, 5)
-        part = particular_solution(st, [1] * 5, 6)
+        part = general_solution(st, [1] * 5, {}, 6)
         for n in range(5):
             assert src.row_at(n).dot_prefix(part) == 1
 
@@ -259,7 +260,7 @@ class TestParticular:
         g = [Fraction(0)] * 12
         g[6] = Fraction(1)
         with pytest.raises(InconsistentSystemError) as info:
-            particular_solution(ex3_state(), g, 14)
+            general_solution(ex3_state(), g, {}, 14)
         assert info.value.violated == [6]
 
 
@@ -272,7 +273,7 @@ class TestGeneralSolution:
     def test_none_forcing_is_homogeneous(self):
         st = ex2_state()
         assert general_solution(st, None, {1: 1}, 7) == \
-            homogeneous_general(st, {1: 1}, 7)
+            general_solution(st, [0] * st.k, {1: 1}, 7)
 
     def test_doubling_plus_one(self):
         src = build_family({"family": "first_order", "a": "2"})
@@ -364,7 +365,7 @@ class TestFrechetDistance:
         width = st.greatest_length + 1
         gaps = inaccessible_lengths(st, width).values
         free = {s: random_scalar(rng) for s in gaps}
-        full = homogeneous_general(st, free, width)
+        full = general_solution(st, None, free, width)
         fs = fundamental_set(st, width, width)
         for n in range(3):
             partial = [Fraction(0)] * width
@@ -462,7 +463,7 @@ class TestTransformReplay:
                 lambda: [w for w in st.w_set if q_rows[w].dot_prefix(short) != 0])
             if terms is None:
                 continue
-            got = _outcome(particular_solution, st, short, terms)
+            got = _outcome(general_solution, st, short, {}, terms)
             assert (isinstance(got, tuple) and got[0] == "ShortColumnError") == any(
                 q_rows[n].length >= supplied for n in needed)
             assert got == _outcome(_particular_from_rows, st, q_rows, short, terms)
