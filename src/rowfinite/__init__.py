@@ -12,8 +12,7 @@ from .solver import (AccessibleIndexError, FundamentalSet, InaccessibleLengths,
                      InconsistentSystemError, consistency_check,
                      frechet_distance, fundamental_set, general_solution,
                      inaccessible_lengths, rhs_transform)
-from .hessenberg import (HessSpec, LowerHessenberg, general_prefix, hess_det,
-                         hess_spec_from_source, superposed_prefix)
+from .hessenberg import HessSpec, general_prefix, hess_spec_from_source
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,6 @@ __all__ = [
     "InconsistentSystemError", "consistency_check", "frechet_distance",
     "fundamental_set", "general_solution", "inaccessible_lengths",
     "rhs_transform",
-    "HessSpec", "LowerHessenberg", "general_prefix", "hess_det",
-    "hess_spec_from_source", "superposed_prefix",
+    "HessSpec", "general_prefix", "hess_spec_from_source",
     "__version__",
 ]

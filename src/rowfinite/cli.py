@@ -13,7 +13,9 @@ Exit codes: 0 ok, 1 verification failure, 2 spec or usage error,
 
 All rationals are printed as ``p`` or ``p/q``.  The JSON output of ``reduce``
 uses the explicit-matrix key ``rows`` for the reduced prefix, so it can be
-fed back in as an equation spec.
+fed back in as an equation spec when every entry is within the interpreter's
+4,300-digit limit on parsing an integer; a longer entry prints in full but
+is rejected on reading (exit 2).
 """
 
 from __future__ import annotations
@@ -155,11 +157,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_solve(args) -> int:
     eq = _load_source(args)
-    state = run(eq.source, args.horizon)
     free = _parse_free(args.free)
     g = _parse_g(args.g)
     if g is None and eq.g is not None:
         g = list(eq.g)
+    state = run(eq.source, args.horizon)
     values = solver.general_solution(state, g, free, args.terms)
     first = _first_index(args, eq.source)
     _emit(args,

@@ -20,13 +20,18 @@ gives the division-free recurrence
 
     d_k = sum_{j=0..k} (-1)^(k-j) m[k][j] d_{j-1},   d_{-1} = 1,
 
-which evaluates every leading principal determinant in one quadratic pass,
-so asking for a whole prefix costs the same as asking for its last term.
+which evaluates every leading principal determinant in one pass, so asking
+for a whole prefix costs the same as asking for its last term.  Below the
+superdiagonal, row k can be nonzero only in the first column and in the columns
+j >= k - band + 1 (``HessSpec.band``, copied from the source's ``band`` tag:
+1, 2 and N for the first-order, second-order and n_order families), so the
+pass reads O(count * band) coefficients; without a band (``ascending`` and
+hand-built specs) it reads all of them, O(count^2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -36,87 +41,26 @@ from .sources import RowSource, SpecError
 
 
 @dataclass(frozen=True)
-class LowerHessenberg:
-    """A square lower Hessenberg matrix with implicit unit superdiagonal.
-
-    ``first_column[r]`` is entry (r, 0); ``band[r]`` holds entries
-    (r, 1)..(r, r).  Entries (r, r+1) are 1 and everything above them is 0.
-    """
-
-    first_column: Tuple[Scalar, ...]
-    band: Tuple[Tuple[Scalar, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "first_column",
-                           tuple(as_scalar(v) for v in self.first_column))
-        object.__setattr__(self, "band",
-                           tuple(tuple(as_scalar(v) for v in row) for row in self.band))
-        if len(self.band) != len(self.first_column):
-            raise ValueError("band must have one tuple per row")
-        for r, row in enumerate(self.band):
-            if len(row) != r:
-                raise ValueError(f"band row {r} must have {r} entries, got {len(row)}")
-
-    @property
-    def order(self) -> int:
-        return len(self.first_column)
-
-    def entry(self, r: int, c: int) -> Scalar:
-        if c == 0:
-            return self.first_column[r]
-        if c <= r:
-            return self.band[r][c - 1]
-        if c == r + 1:
-            return Fraction(1)
-        return Fraction(0)
-
-    def to_dense(self) -> List[List[Scalar]]:
-        n = self.order
-        return [[self.entry(r, c) for c in range(n)] for r in range(n)]
-
-
-def _det_prefix(entry: Callable[[int, int], Scalar], count: int) -> List[Scalar]:
-    """Determinants of the leading principal minors of orders 1..count, for a
-    lower Hessenberg matrix with unit superdiagonal given entrywise."""
-    dets: List[Scalar] = []
-    for k in range(count):
-        acc = Fraction(0)
-        sign = 1
-        for j in range(k, -1, -1):
-            prev = dets[j - 1] if j >= 1 else Fraction(1)
-            if prev:
-                m = entry(k, j)
-                if m:
-                    acc += sign * m * prev
-            sign = -sign
-        dets.append(acc)
-    return dets
-
-
-def hess_det(matrix: LowerHessenberg) -> Scalar:
-    """Exact determinant by last-row expansion; quadratic, division-free."""
-    if matrix.order == 0:
-        return Fraction(1)
-    return _det_prefix(matrix.entry, matrix.order)[-1]
-
-
-@dataclass(frozen=True)
 class HessSpec:
     """A regular-order equation in normal form.
 
     ``coeff(n, j)`` is defined for 0 <= j <= n+index-1; the coefficient of
     y_n itself is implicitly 1.  ``forcing(n)`` is the right-hand side and
-    ``init`` holds y_{-N}..y_{-1}.
+    ``init`` holds y_{-N}..y_{-1}.  ``band``, when set, promises
+    ``coeff(n, j) == 0`` for j < n+index-band; None promises nothing.
     """
 
     index: int
     coeff: Callable[[int, int], Scalar]
     forcing: Callable[[int], Scalar]
     init: Tuple[Scalar, ...] = field(default=())
+    band: Optional[int] = None
 
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("index must be nonnegative")
+        if self.band is not None and self.band < 0:
+            raise ValueError("band must be nonnegative")
         object.__setattr__(self, "init", tuple(as_scalar(v) for v in self.init))
 
 
@@ -152,7 +96,8 @@ def hess_spec_from_source(source: RowSource, g: Optional[Sequence[ScalarLike]] =
                 )
             return g_vals[n] / fetch(n)[1]
 
-    return HessSpec(index=order, coeff=coeff, forcing=forcing, init=init)
+    return HessSpec(index=order, coeff=coeff, forcing=forcing, init=init,
+                    band=source.band)
 
 
 def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
@@ -160,34 +105,43 @@ def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
     and initial values ``spec.init``: term k is (-1)^k times the leading
     principal determinant of order k+1 whose first column holds
     forcing(r) - sum_i coeff(r, i) init_i and whose band holds the
-    coefficients coeff(r, index+c-1)."""
+    coefficients coeff(r, index+c-1).
+
+    Row k is expanded from column k down to column 0, over the columns
+    inside ``spec.band`` only, and an entry is read only where the minor it
+    multiplies is nonzero.  The band skips entries, not rows: where the
+    full expansion would read row k but every product inside the band
+    vanishes, row k is still read once, so that its errors fire as they
+    would without the band."""
     if len(spec.init) != spec.index:
         raise ValueError(f"expected {spec.index} initial values, got {len(spec.init)}")
-
-    def entry(k: int, j: int) -> Scalar:
-        if j:
-            return spec.coeff(k, spec.index + j - 1)
+    coeff, index, band = spec.coeff, spec.index, spec.band
+    init = [(i, y0) for i, y0 in enumerate(spec.init) if y0]
+    dets = [Fraction(1)]   # dets[j] is d_{j-1}
+    live = False           # some d_j so far is nonzero
+    for k in range(count):
+        low = 1 if band is None else max(1, k - band + 1)
+        acc = Fraction(0)
+        read = False
+        for j in range(k, low - 1, -1):
+            prev = dets[j]
+            if prev:
+                read = True
+                m = coeff(k, index + j - 1)
+                if m:
+                    acc += m * prev if (k - j) % 2 == 0 else -m * prev
+        if live and not read:
+            coeff(k, index + k - 1)
+            read = True
         value = spec.forcing(k)
-        for i, y0 in enumerate(spec.init):
-            if y0:
-                value -= spec.coeff(k, i) * y0
-        return value
-
-    return [-d if k % 2 else d for k, d in enumerate(_det_prefix(entry, count))]
-
-
-def superposed_prefix(spec: HessSpec, count: int) -> List[Scalar]:
-    """Terms 0..count-1 assembled as the particular solution (zero initial
-    values) plus the fundamental sequences (zero forcing, unit initial
-    values) weighted by ``spec.init``; must agree with general_prefix
-    exactly (multilinearity of the determinant in its first column)."""
-    if len(spec.init) != spec.index:
-        raise ValueError(f"expected {spec.index} initial values, got {len(spec.init)}")
-    zeros = (Fraction(0),) * spec.index
-    total = general_prefix(replace(spec, init=zeros), count)
-    for i, y0 in enumerate(spec.init):
-        if y0:
-            unit = zeros[:i] + (Fraction(1),) + zeros[i + 1:]
-            xi = general_prefix(replace(spec, forcing=_zero_forcing, init=unit), count)
-            total = [t + y0 * x for t, x in zip(total, xi)]
-    return total
+        for i, y0 in init:
+            if band is None or i >= k + index - band:
+                read = True
+                value -= coeff(k, i) * y0
+        if init and not read:
+            coeff(k, index + k - 1)
+        if value:
+            acc += -value if k % 2 else value
+        dets.append(acc)
+        live = live or bool(acc)
+    return [-d if k % 2 else d for k, d in enumerate(dets[1:])]

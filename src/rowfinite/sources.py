@@ -33,7 +33,11 @@ Sources whose rows come in strictly increasing length order carry the
 constant- or ascending-order family is nonzero they carry
 ``regular_order_index = N``.  The regularity claim is checked lazily, row by
 row, because nonvanishing of an arbitrary coefficient expression for all n is
-not decidable up front.
+not decidable up front.  The banded families (``first_order``,
+``second_order``, ``n_order``) also carry ``band``, the number of columns left
+of the trailing one that a row can occupy (1, 2 and N), so that the closed
+form in :mod:`rowfinite.hessenberg` skips the entries known to be zero.
+The order N of ``n_order`` and ``ascending`` is at most ``MAX_ORDER``.
 
 Coefficient expressions use the grammar (whitespace insignificant)::
 
@@ -48,6 +52,13 @@ levels deep (each operator, negation, ``cospi2`` call and parenthesized group
 is a level), and the exponents along any path of nested powers multiply to at
 most ``MAX_EXPONENT``, so ``(n^10)^100`` is accepted and ``(n^10)^101`` is not;
 anything beyond is an :class:`ExprSyntaxError`.
+
+Each expression is compiled once, when it is parsed, into nested closures
+that compute over ``int`` and turn into a ``Fraction`` only where a division
+occurs; :meth:`CoeffExpr.evaluate` returns a ``Fraction``.  Evaluation raises
+:class:`EvalError` on a zero denominator (tested before the numerator is
+evaluated), on a non-integer ``cospi2`` argument, and on ``j`` where no column
+index applies.
 """
 
 from __future__ import annotations
@@ -114,11 +125,14 @@ def _tokenize(text: str):
 
 
 # Bounds that keep parsing and evaluation finite.  The parser uses up to six
-# stack frames per level and the evaluator one, so MAX_DEPTH levels stay well
-# under Python's default recursion limit of 1000; MAX_EXPONENT bounds the
-# degree a power can reach, exponents of nested powers multiplied.
+# stack frames per level and a compiled expression one, so MAX_DEPTH levels
+# stay well under Python's default recursion limit of 1000; MAX_EXPONENT
+# bounds the degree a power can reach, exponents of nested powers multiplied;
+# MAX_ORDER bounds the order N of the n_order and ascending families, whose
+# rows hold N+1 entries or more.
 MAX_DEPTH = 50
 MAX_EXPONENT = 1000
+MAX_ORDER = 10_000
 
 
 class _Parser:
@@ -206,7 +220,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "int":
             self.advance()
-            return ("num", Fraction(int(value))), 1
+            return ("num", int(value)), 1
         if kind == "name":
             self.advance()
             if value in ("n", "j"):
@@ -243,53 +257,73 @@ def _power(node) -> int:
                default=1)
 
 
-_COSPI2 = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))
+_COSPI2 = (1, 0, -1, 0)
 
 
-def _eval(node, n: int, j: Optional[int]) -> Fraction:
+def _compile(node) -> Callable[[int, Optional[int]], int | Fraction]:
+    """Turn a parse tree into nested closures of ``(n, j)``.  Values stay
+    ``int`` until a division makes them a ``Fraction``; a division evaluates
+    its denominator first, so its zero test fires before any error of its
+    numerator."""
     op = node[0]
     if op == "num":
-        return node[1]
+        value = node[1]
+        return lambda n, j: value
     if op == "n":
-        return Fraction(n)
+        return lambda n, j: n
     if op == "j":
-        if j is None:
-            raise EvalError("expression uses 'j' but no column index applies here")
-        return Fraction(j)
+        def column(n, j):
+            if j is None:
+                raise EvalError("expression uses 'j' but no column index applies here")
+            return j
+        return column
     if op == "neg":
-        return -_eval(node[1], n, j)
-    if op == "add":
-        return _eval(node[1], n, j) + _eval(node[2], n, j)
-    if op == "sub":
-        return _eval(node[1], n, j) - _eval(node[2], n, j)
-    if op == "mul":
-        return _eval(node[1], n, j) * _eval(node[2], n, j)
-    if op == "div":
-        denom = _eval(node[2], n, j)
-        if denom == 0:
-            raise EvalError("division by zero")
-        return _eval(node[1], n, j) / denom
+        arg = _compile(node[1])
+        return lambda n, j: -arg(n, j)
     if op == "pow":
-        return _eval(node[1], n, j) ** node[2]
+        base, exponent = _compile(node[1]), node[2]
+        return lambda n, j: base(n, j) ** exponent
     if op == "cospi2":
-        arg = _eval(node[1], n, j)
-        if arg.denominator != 1:
-            raise EvalError(f"cospi2 needs an integer argument, got {arg}")
-        return _COSPI2[int(arg) % 4]
+        arg = _compile(node[1])
+
+        def cospi2(n, j):
+            m = arg(n, j)
+            if type(m) is not int:
+                if m.denominator != 1:
+                    raise EvalError(f"cospi2 needs an integer argument, got {m}")
+                m = m.numerator
+            return _COSPI2[m % 4]
+        return cospi2
+    lhs, rhs = _compile(node[1]), _compile(node[2])
+    if op == "add":
+        return lambda n, j: lhs(n, j) + rhs(n, j)
+    if op == "sub":
+        return lambda n, j: lhs(n, j) - rhs(n, j)
+    if op == "mul":
+        return lambda n, j: lhs(n, j) * rhs(n, j)
+    if op == "div":
+        def div(n, j):
+            denom = rhs(n, j)
+            if denom == 0:
+                raise EvalError("division by zero")
+            return Fraction(lhs(n, j), denom)
+        return div
     raise AssertionError(f"unknown node {node!r}")
 
 
 class CoeffExpr:
-    """A parsed coefficient expression over the variables n and j."""
+    """A parsed coefficient expression over the variables n and j, compiled
+    once into closures (see :func:`_compile`)."""
 
-    __slots__ = ("text", "_root")
+    __slots__ = ("text", "_fn")
 
     def __init__(self, text: str, root):
         self.text = text
-        self._root = root
+        self._fn = _compile(root)
 
     def evaluate(self, n: int, j: Optional[int] = None) -> Fraction:
-        return _eval(self._root, n, j)
+        value = self._fn(n, j)
+        return value if type(value) is Fraction else Fraction(value)
 
     def __repr__(self) -> str:
         return f"CoeffExpr({self.text!r})"
@@ -345,13 +379,18 @@ def _coeff_nj(value, name: str) -> Callable[[int, int], Fraction]:
 
 @dataclass(frozen=True, eq=False)
 class RowSource:
-    """On-demand producer of the rows of a row-finite matrix."""
+    """On-demand producer of the rows of a row-finite matrix.
+
+    ``band``, when set, says that row n has no entry left of column
+    ``n + regular_order_index - band``.
+    """
 
     kind: str
     row_fn: Callable[[int], FiniteRow]
     lower_echelon: bool = False
     regular_order_index: Optional[int] = None
     row_count: Optional[int] = None
+    band: Optional[int] = None
 
     def row_at(self, n: int) -> FiniteRow:
         if not isinstance(n, int) or n < 0:
@@ -413,7 +452,7 @@ def build_family(spec: Mapping) -> RowSource:
             return FiniteRow([(n, -a(n)), (n + 1, 1)])
 
         return RowSource("first_order", first_order_row,
-                         lower_echelon=True, regular_order_index=1)
+                         lower_echelon=True, regular_order_index=1, band=1)
 
     if family == "second_order":
         a = _coeff_n(_require(spec, "a", family), "a")
@@ -423,12 +462,14 @@ def build_family(spec: Mapping) -> RowSource:
             return FiniteRow([(n, a(n)), (n + 1, b(n)), (n + 2, 1)])
 
         return RowSource("second_order", second_order_row,
-                         lower_echelon=True, regular_order_index=2)
+                         lower_echelon=True, regular_order_index=2, band=2)
 
     if family in ("n_order", "ascending"):
         order = _require(spec, "N", family)
         if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise SpecError(f"'N' must be a nonnegative integer, got {order!r}")
+        if order > MAX_ORDER:
+            raise SpecError(f"'N' must be at most {MAX_ORDER}, got {order}")
         a = _coeff_nj(_require(spec, "a", family), "a")
         lo_of = (lambda n: n) if family == "n_order" else (lambda n: 0)
 
@@ -443,8 +484,9 @@ def build_family(spec: Mapping) -> RowSource:
             entries.append((n + order, lead))
             return FiniteRow(entries)
 
-        return RowSource(family, regular_row,
-                         lower_echelon=True, regular_order_index=order)
+        return RowSource(family, regular_row, lower_echelon=True,
+                         regular_order_index=order,
+                         band=order if family == "n_order" else None)
 
     if family == "example2":
         def example2_row(n: int) -> FiniteRow:

@@ -1,9 +1,12 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 import pytest
 
-from rowfinite import FiniteRow, build_family, check_invariants
+from rowfinite import (FiniteRow, HessSpec, as_scalar, build_family,
+                       check_invariants, general_prefix)
 
 
 def naive_det(dense):
@@ -20,6 +23,59 @@ def naive_det(dense):
         minor = [row[:c] + row[c + 1:] for row in dense[1:]]
         total += (-1) ** c * dense[0][c] * naive_det(minor)
     return total
+
+
+@dataclass(frozen=True)
+class LowerHessenberg:
+    """A square lower Hessenberg matrix with implicit unit superdiagonal.
+
+    ``first_column[r]`` is entry (r, 0); ``band[r]`` holds entries
+    (r, 1)..(r, r).  Entries (r, r+1) are 1 and everything above them is 0.
+    """
+
+    first_column: Tuple[Fraction, ...]
+    band: Tuple[Tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "first_column",
+                           tuple(as_scalar(v) for v in self.first_column))
+        object.__setattr__(self, "band",
+                           tuple(tuple(as_scalar(v) for v in row) for row in self.band))
+        if len(self.band) != len(self.first_column):
+            raise ValueError("band must have one tuple per row")
+        for r, row in enumerate(self.band):
+            if len(row) != r:
+                raise ValueError(f"band row {r} must have {r} entries, got {len(row)}")
+
+    @property
+    def order(self) -> int:
+        return len(self.first_column)
+
+    def entry(self, r: int, c: int) -> Fraction:
+        if c == 0:
+            return self.first_column[r]
+        if c <= r:
+            return self.band[r][c - 1]
+        if c == r + 1:
+            return Fraction(1)
+        return Fraction(0)
+
+    def to_dense(self):
+        n = self.order
+        return [[self.entry(r, c) for c in range(n)] for r in range(n)]
+
+
+def hess_det(matrix):
+    """Determinant of ``matrix`` by the production recurrence: with index 0
+    and the band entries as coefficients, term n-1 of ``general_prefix`` is
+    (-1)^(n-1) times the leading principal minor of order n."""
+    n = matrix.order
+    if n == 0:
+        return Fraction(1)
+    spec = HessSpec(index=0, coeff=lambda r, c: matrix.entry(r, c + 1),
+                    forcing=lambda r: matrix.first_column[r])
+    last = general_prefix(spec, n)[-1]
+    return -last if n % 2 == 0 else last
 
 
 def random_explicit_rows(rng, max_rows=30, max_len=13):

@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 from rowfinite import (EliminationState, FiniteRow, InconsistentSystemError,
-                       LowerHessenberg, build_family, check_invariants,
-                       consistency_check, frechet_distance, fundamental_set,
-                       general_prefix, general_solution, hess_det,
-                       hess_spec_from_source, inaccessible_lengths, run)
-from conftest import (naive_det, random_explicit_rows, random_regular_source,
+                       build_family, check_invariants, consistency_check,
+                       frechet_distance, fundamental_set, general_prefix,
+                       general_solution, hess_spec_from_source,
+                       inaccessible_lengths, run)
+from conftest import (LowerHessenberg, hess_det, naive_det,
+                      random_explicit_rows, random_regular_source,
                       random_scalar)
 
 

@@ -433,6 +433,32 @@ class TestUsageAndErrors:
         assert code == 2 and not out
         assert message in err
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--free=0=1,0=5", "index 0 twice"),
+        ("--g=1,,3", "not a rational literal: ''"),
+    ])
+    def test_solve_parses_flags_before_the_elimination(self, capsys, tmp_path,
+                                                       flag, message):
+        # row 2 fails to evaluate (exit 3), but the flag error is reported first
+        spec = tmp_path / "div.json"
+        spec.write_text(json.dumps({"family": "ascending", "N": 1,
+                                    "a": "1/(n - 2)"}))
+        code, out, err = run_cli(capsys, "solve", "--spec", str(spec), flag)
+        assert code == 2 and not out
+        assert message in err
+
+    @pytest.mark.parametrize("family", ["n_order", "ascending"])
+    @pytest.mark.parametrize("command", ["solve", "hess"])
+    def test_huge_order_exits_2(self, capsys, tmp_path, family, command):
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps({"family": family, "N": 1000000000, "a": "1"}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--spec", str(spec),
+                                 "--terms", "4")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert "'N' must be at most 10000, got 1000000000" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "reduce", "--spec", "/no/such/file.json",
                              "--horizon", "4")

@@ -1,15 +1,79 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rowfinite import EvalError, ExprSyntaxError, parse_coeff_expr
-from rowfinite.sources import MAX_DEPTH, MAX_EXPONENT
+from rowfinite import EvalError, ExprSyntaxError, build_family, parse_coeff_expr
+from rowfinite.sources import MAX_DEPTH, MAX_EXPONENT, _Parser
 
 
 def ev(text, n, j=None):
     return parse_coeff_expr(text).evaluate(n, j)
+
+
+_COSPI2 = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))
+
+
+def reference_eval(node, n, j):
+    """Tree walk over Fractions: the reference the compiled closures of
+    ``CoeffExpr.evaluate`` must reproduce, values and errors alike."""
+    op = node[0]
+    if op == "num":
+        return Fraction(node[1])
+    if op == "n":
+        return Fraction(n)
+    if op == "j":
+        if j is None:
+            raise EvalError("expression uses 'j' but no column index applies here")
+        return Fraction(j)
+    if op == "neg":
+        return -reference_eval(node[1], n, j)
+    if op == "add":
+        return reference_eval(node[1], n, j) + reference_eval(node[2], n, j)
+    if op == "sub":
+        return reference_eval(node[1], n, j) - reference_eval(node[2], n, j)
+    if op == "mul":
+        return reference_eval(node[1], n, j) * reference_eval(node[2], n, j)
+    if op == "div":
+        denom = reference_eval(node[2], n, j)
+        if denom == 0:
+            raise EvalError("division by zero")
+        return reference_eval(node[1], n, j) / denom
+    if op == "pow":
+        return reference_eval(node[1], n, j) ** node[2]
+    if op == "cospi2":
+        arg = reference_eval(node[1], n, j)
+        if arg.denominator != 1:
+            raise EvalError(f"cospi2 needs an integer argument, got {arg}")
+        return _COSPI2[int(arg) % 4]
+    raise AssertionError(f"unknown node {node!r}")
+
+
+def outcome(fn):
+    """The value of ``fn()``, or the message of the EvalError it raises."""
+    try:
+        return fn()
+    except EvalError as exc:
+        return ("EvalError", str(exc))
+
+
+# random expression texts over n, j, + - * / ^, unary minus and cospi2;
+# every operand is parenthesized, so the text parses to the drawn tree
+_leaves = st.one_of(st.sampled_from(["n", "j"]),
+                    st.integers(min_value=0, max_value=5).map(str))
+_texts = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(sub, st.integers(min_value=0, max_value=3)).map(
+            lambda t: f"({t[0]})^{t[1]}"),
+        sub.map(lambda t: f"-({t})"),
+        sub.map(lambda t: f"cospi2({t})"),
+    ),
+    max_leaves=8,
+)
 
 
 class TestGrammar:
@@ -137,6 +201,42 @@ class TestEvalErrors:
         assert expr.evaluate(1, 2) == 3
         with pytest.raises(EvalError, match="'j'"):
             expr.evaluate(1)
+
+    @pytest.mark.parametrize("text,n,j,message", [
+        ("1/(n - 3)", 3, None, "division by zero"),
+        ("n + j", 1, None, "expression uses 'j' but no column index applies here"),
+        ("cospi2(n/2)", 3, None, "cospi2 needs an integer argument, got 3/2"),
+        # a division tests its denominator before it evaluates its numerator
+        ("j/0", 0, None, "division by zero"),
+        ("cospi2(n/2)/(n-n)", 3, None, "division by zero"),
+        # left operands fail before right ones
+        ("j + 1/0", 0, None, "expression uses 'j' but no column index applies here"),
+        ("cospi2(1/2) * j", 0, None, "cospi2 needs an integer argument, got 1/2"),
+    ])
+    def test_messages_pinned(self, text, n, j, message):
+        with pytest.raises(EvalError) as info:
+            ev(text, n, j)
+        assert str(info.value) == message
+
+    def test_row_prefix_added_by_the_source(self):
+        src = build_family({"family": "first_order", "a": "1/(n - 2)"})
+        with pytest.raises(EvalError) as info:
+            src.row_at(2)
+        assert str(info.value) == "row 2: division by zero"
+
+
+@given(_texts, st.integers(min_value=-4, max_value=4),
+       st.one_of(st.none(), st.integers(min_value=-4, max_value=4)))
+def test_compiled_evaluation_matches_the_tree_walk(text, n, j):
+    try:
+        expr = parse_coeff_expr(text)
+    except ExprSyntaxError:   # a draw past MAX_DEPTH or MAX_EXPONENT
+        assume(False)
+    tree = _Parser(text).parse()
+    got = outcome(lambda: expr.evaluate(n, j))
+    assert got == outcome(lambda: reference_eval(tree, n, j))
+    if not isinstance(got, tuple):
+        assert type(got) is Fraction
 
 
 @given(st.integers(min_value=-50, max_value=50),

@@ -1,27 +1,59 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from rowfinite import (HessSpec, LowerHessenberg, SpecError,
-                       build_family, fundamental_set, general_prefix,
-                       general_solution, hess_det, hess_spec_from_source, run,
-                       superposed_prefix)
-from conftest import naive_det, random_regular_source, random_scalar
+from rowfinite import (EvalError, HessSpec, SpecError, build_family,
+                       fundamental_set, general_prefix, general_solution,
+                       hess_spec_from_source, run)
+from conftest import (LowerHessenberg, hess_det, naive_det,
+                      random_regular_source, random_scalar)
 
 
-def banded_spec(coeffs, order, g=None, init=()):
+def zero_forcing(n):
+    return Fraction(0)
+
+
+def banded_spec(coeffs, order, g=None, init=(), band=None):
     """Normal-form spec with constant band offsets: coeffs[d] multiplies the
-    entry at column n+d, for 0 <= d <= order-1 relative to the band start."""
+    entry at column n+d, for 0 <= d <= order-1 relative to the band start,
+    so ``band=order`` is a true promise."""
     table = {d: Fraction(v) for d, v in coeffs.items()}
 
     def coeff(n, j):
         return table.get(j - n, Fraction(0))
 
     if g is None:
-        forcing = lambda n: Fraction(0)
+        forcing = zero_forcing
     else:
         forcing = lambda n: Fraction(g[n])
-    return HessSpec(index=order, coeff=coeff, forcing=forcing, init=init)
+    return HessSpec(index=order, coeff=coeff, forcing=forcing, init=init,
+                    band=band)
+
+
+def superposed_prefix(spec, count):
+    """Terms 0..count-1 assembled as the particular solution (zero initial
+    values) plus the fundamental sequences (zero forcing, unit initial
+    values) weighted by ``spec.init``; must agree with general_prefix
+    exactly (multilinearity of the determinant in its first column)."""
+    zeros = (Fraction(0),) * spec.index
+    total = general_prefix(replace(spec, init=zeros), count)
+    for i, y0 in enumerate(spec.init):
+        if y0:
+            xi = general_prefix(
+                replace(spec, forcing=zero_forcing, init=unit(spec.index, i)), count)
+            total = [t + y0 * x for t, x in zip(total, xi)]
+    return total
+
+
+def counting(spec):
+    """``spec`` with a coeff that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def coeff(n, j):
+        calls[0] += 1
+        return spec.coeff(n, j)
+    return replace(spec, coeff=coeff), calls
 
 
 def unit(order, i):
@@ -160,6 +192,19 @@ class TestTwoPathIdentity:
             spec = banded_spec(coeffs, order, g=g, init=init)
             assert general_prefix(spec, 10) == superposed_prefix(spec, 10)
 
+    def test_banded_determinant_equals_superposition(self, rng):
+        # the same identity with the band promised: every term, the
+        # fundamental sequences included, expands over the band only
+        for _ in range(15):
+            order = rng.randint(1, 4)
+            coeffs = {d: random_scalar(rng) for d in range(order)}
+            g = [random_scalar(rng) for _ in range(10)]
+            init = tuple(random_scalar(rng) for _ in range(order))
+            spec = banded_spec(coeffs, order, g=g, init=init)
+            banded = replace(spec, band=order)
+            assert general_prefix(banded, 10) == superposed_prefix(banded, 10) \
+                == general_prefix(spec, 10)
+
     def test_superposition_spelled_out(self, rng):
         order = 3
         coeffs = {d: random_scalar(rng) for d in range(order)}
@@ -231,3 +276,52 @@ class TestSpecFromSource:
         src = build_family({"family": "first_order", "a": "2"})
         spec = hess_spec_from_source(src, init=(1,))
         assert spec.forcing(99) == 0
+
+
+class TestBand:
+    def test_sources_tag_their_band(self):
+        spec = {"a": "n + 1", "b": "2", "N": 3}
+        bands = {family: build_family(dict(spec, family=family)).band
+                 for family in ("first_order", "second_order", "n_order",
+                                "ascending", "example2")}
+        assert bands == {"first_order": 1, "second_order": 2, "n_order": 3,
+                         "ascending": None, "example2": None}
+        src = build_family({"family": "n_order", "N": 3, "a": "1"})
+        assert hess_spec_from_source(src).band == 3
+
+    def test_n_order_reads_only_the_band(self):
+        src = build_family({"family": "n_order", "N": 3,
+                            "a": "n*j - j^2/(n+1) + 1"})
+        g = [Fraction(k % 5 - 2, k % 3 + 1) for k in range(100)]
+        spec, calls = counting(hess_spec_from_source(src, g, (1, -2, 3)))
+        terms = general_prefix(spec, 100)
+        assert calls[0] <= 4 * 100
+        full, full_calls = counting(replace(spec, band=None))
+        assert general_prefix(full, 100) == terms
+        assert full_calls[0] > 4000
+        state = run(src, 100)
+        assert general_solution(state, g, {0: 1, 1: -2, 2: 3}, 103)[3:] == terms
+
+    def test_ascending_keeps_the_full_scan(self, rng):
+        src = random_regular_source(rng, 2, 20, "ascending")
+        g = [random_scalar(rng) for _ in range(20)]
+        init = [random_scalar(rng), random_scalar(rng)]
+        spec = hess_spec_from_source(src, g, init)
+        assert spec.band is None
+        sol = general_solution(run(src, 20), g, dict(enumerate(init)), 22)
+        assert general_prefix(spec, 20) == sol[2:]
+
+    @pytest.mark.parametrize("a", ["(n - 1)/(n - 2)",   # y_1 = 0, row 2 fails
+                                   "n/(n - 1)"])        # y_0 = 0, row 1 fails
+    def test_rows_past_a_vanishing_band_are_still_read(self, a):
+        # every in-band product of the failing row vanishes, yet the row
+        # is read and its error fires, as in the full expansion
+        src = build_family({"family": "first_order", "a": a})
+        with pytest.raises(EvalError, match="division by zero"):
+            general_prefix(hess_spec_from_source(src, None, (1,)), 4)
+        with pytest.raises(EvalError, match="division by zero"):
+            run(src, 4)
+
+    def test_negative_band_rejected(self):
+        with pytest.raises(ValueError, match="band"):
+            banded_spec({0: 1}, 1, init=(1,), band=-1)
