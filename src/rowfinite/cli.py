@@ -30,8 +30,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 from . import checks
 from . import hessenberg as hb
 from . import solver
-from .elimination import run
-from .rows import FiniteRow, ShortColumnError, format_scalar, parse_scalar
+from .elimination import EliminationState, run
+from .rows import (FiniteRow, ShortColumnError, format_ratio, format_scalar,
+                   parse_scalar)
 from .sources import (EquationSpec, EvalError, RowSource, SpecError,
                       build_family, load_equation)
 
@@ -87,8 +88,45 @@ def _first_index(args, source: RowSource) -> int:
     return 0
 
 
-def _rows_json(rows: Sequence[FiniteRow]) -> list:
-    return [[[c, format_scalar(v)] for c, v in row.items()] for row in rows]
+# The writers below produce the value of a top-level key byte for byte as
+# json.dumps(..., indent=2) does.
+
+def _ints_json(values: Sequence[int]) -> str:
+    if not values:
+        return "[]"
+    return "[\n" + ",\n".join(f"    {v}" for v in values) + "\n  ]"
+
+
+def _rows_json(rows: Sequence[FiniteRow]) -> str:
+    """Rows (one at least) as lists of ``[column, "p/q"]`` pairs, written
+    straight from the integer pairs."""
+    out = []
+    for row in rows:
+        entries = ",\n".join(
+            f'      [\n        {c},\n        "{format_ratio(n, d)}"\n      ]'
+            for c, n, d in row.int_items())
+        out.append(f"    [\n{entries}\n    ]" if entries else "    []")
+    return "[\n" + ",\n".join(out) + "\n  ]"
+
+
+def _reduce_json(state: EliminationState, horizon: int) -> str:
+    """The ``reduce`` JSON document, equal to ``json.dumps`` of the payload
+    with ``indent=2`` but built without a per-entry ``Fraction`` or the
+    generic encoder: ``Q`` can hold tens of thousands of entries."""
+    return "\n".join((
+        "{",
+        '  "command": "reduce",',
+        f'  "horizon": {horizon},',
+        f'  "mode": {json.dumps(state.mode)},',
+        f'  "certified": {json.dumps(state.certified)},',
+        f'  "rows": {_rows_json(state.h_rows)},',
+        f'  "q_rows": {_rows_json(state.q_rows)},',
+        f'  "j_set": {_ints_json(state.j_set)},',
+        f'  "w_set": {_ints_json(state.w_set)},',
+        f'  "mu": {_ints_json(state.mu)},',
+        f'  "stable_since": {_ints_json(state.last_change)}',
+        "}",
+    ))
 
 
 def _rows_csv(rows: Sequence[FiniteRow]) -> str:
@@ -108,11 +146,11 @@ def _seq_csv(values: Sequence[Fraction]) -> str:
     return ",".join(format_scalar(v) for v in values)
 
 
-def _emit(args, payload: Callable[[], dict], csv_text: Callable[[], str],
+def _emit(args, json_text: Callable[[], str], csv_text: Callable[[], str],
           pretty_text: Callable[[], str]) -> None:
     """Print the output in the requested format; only that one is rendered."""
     if args.format == "json":
-        print(json.dumps(payload(), indent=2))
+        print(json_text())
     elif args.format == "csv":
         print(csv_text())
     else:
@@ -133,18 +171,7 @@ def cmd_reduce(args) -> int:
     eq = _load_source(args)
     state = run(eq.source, args.horizon)
     _emit(args,
-          lambda: {
-              "command": "reduce",
-              "horizon": args.horizon,
-              "mode": state.mode,
-              "certified": state.certified,
-              "rows": _rows_json(state.h_rows),
-              "q_rows": _rows_json(state.q_rows),
-              "j_set": state.j_set,
-              "w_set": state.w_set,
-              "mu": state.mu,
-              "stable_since": state.last_change,
-          },
+          lambda: _reduce_json(state, args.horizon),
           lambda: _rows_csv(state.h_rows),
           lambda: (
               f"reduced prefix (mode {state.mode}):\n{_pretty_rows(state.h_rows)}\n"
@@ -165,11 +192,11 @@ def cmd_solve(args) -> int:
     values = solver.general_solution(state, g, free, args.terms)
     first = _first_index(args, eq.source)
     _emit(args,
-          lambda: {
+          lambda: json.dumps({
               "command": "solve",
               "first_index": first,
               "terms": _seq_json(values, first),
-          },
+          }, indent=2),
           lambda: _seq_csv(values),
           lambda: "\n".join(f"y_{i + first} = {format_scalar(v)}"
                             for i, v in enumerate(values)))
@@ -182,7 +209,7 @@ def cmd_fundamental(args) -> int:
     fund = solver.fundamental_set(state, args.horizon, args.terms)
     first = _first_index(args, eq.source)
     _emit(args,
-          lambda: {
+          lambda: json.dumps({
               "command": "fundamental",
               "basis_kind": fund.basis_kind,
               "first_index": first,
@@ -190,7 +217,7 @@ def cmd_fundamental(args) -> int:
                   {"s": s + first, "terms": _seq_json(seq, first)}
                   for s, seq in fund.sequences.items()
               ],
-          },
+          }, indent=2),
           lambda: "\n".join(_seq_csv(seq) for seq in fund.sequences.values()),
           lambda: f"basis_kind: {fund.basis_kind}\n" + "\n".join(
               f"xi({s + first}): " + _seq_csv(seq) for s, seq in fund.sequences.items()
@@ -221,11 +248,11 @@ def cmd_hess(args) -> int:
         match = checks.closed_form_matches(run(source, args.terms), g, init, values)
     tail = "" if match is None else "\n" + ("MATCH" if match else "MISMATCH")
 
-    def payload() -> dict:
+    def payload() -> str:
         out = {"command": "hess", "index": order, "terms": _seq_json(values, 0)}
         if match is not None:
             out["elimination_match"] = match
-        return out
+        return json.dumps(out, indent=2)
 
     _emit(args, payload,
           lambda: _seq_csv(values) + tail,

@@ -109,16 +109,16 @@ def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
 
     Row k is expanded from column k down to column 0, over the columns
     inside ``spec.band`` only, and an entry is read only where the minor it
-    multiplies is nonzero.  The band skips entries, not rows: where the
-    full expansion would read row k but every product inside the band
-    vanishes, row k is still read once, so that its errors fire as they
-    would without the band."""
+    multiplies is nonzero.  Values and the band skip entries, not rows:
+    where no product reads row k (every minor it would multiply vanishes,
+    or lies outside the band), row k is still read once, before its forcing
+    term, so that its errors fire as they do on the elimination path, which
+    reads every row before it reads the forcing."""
     if len(spec.init) != spec.index:
         raise ValueError(f"expected {spec.index} initial values, got {len(spec.init)}")
     coeff, index, band = spec.coeff, spec.index, spec.band
     init = [(i, y0) for i, y0 in enumerate(spec.init) if y0]
     dets = [Fraction(1)]   # dets[j] is d_{j-1}
-    live = False           # some d_j so far is nonzero
     for k in range(count):
         low = 1 if band is None else max(1, k - band + 1)
         acc = Fraction(0)
@@ -130,18 +130,13 @@ def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
                 m = coeff(k, index + j - 1)
                 if m:
                     acc += m * prev if (k - j) % 2 == 0 else -m * prev
-        if live and not read:
+        if not read:
             coeff(k, index + k - 1)
-            read = True
         value = spec.forcing(k)
         for i, y0 in init:
             if band is None or i >= k + index - band:
-                read = True
                 value -= coeff(k, i) * y0
-        if init and not read:
-            coeff(k, index + k - 1)
         if value:
             acc += -value if k % 2 else value
         dets.append(acc)
-        live = live or bool(acc)
     return [-d if k % 2 else d for k, d in enumerate(dets[1:])]

@@ -1,12 +1,20 @@
 """Exact rational scalars and finitely supported row vectors.
 
-Every coefficient in this package is an arbitrary-precision rational
-(``fractions.Fraction``), so arithmetic is exact and zero tests are
-decidable; pivot selection and row-length bookkeeping depend on that.
+Every coefficient in this package is an arbitrary-precision rational, so
+arithmetic is exact and zero tests are decidable; pivot selection and
+row-length bookkeeping depend on that.  Scalars cross the API as
+``fractions.Fraction``.
 
 A :class:`FiniteRow` is an immutable sparse row: strictly increasing
 ``(column, coefficient)`` pairs with no stored zeros.  Its *length* is the
 column index of the rightmost nonzero entry, ``-1`` for the zero row.
+Inside, each entry is a ``(column, numerator, denominator)`` triple of plain
+``int``s in lowest terms with a positive denominator.  ``axpy`` and
+``scale`` compute on those ints with the cross-gcd reductions of
+``fractions``, so results stay canonical (equality and hashing compare the
+triples) and no ``Fraction`` is built per entry; ``items``, ``get`` and
+``leading`` build one on the way out, and ``int_items`` hands out the
+triples themselves.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 Scalar = Fraction
@@ -51,18 +60,24 @@ def _decimal(n: int) -> str:
     return sign + str(n) + "".join(reversed(low))
 
 
-def format_scalar(value: Fraction) -> str:
-    """Render as ``"p"`` or ``"p/q"`` in lowest terms; inverse of parse_scalar.
+def format_ratio(num: int, den: int) -> str:
+    """Render ``num/den`` (in lowest terms, ``den > 0``) as ``"p"`` or
+    ``"p/q"``; inverse of parse_scalar.
 
     Output has no digit limit.  The interpreter's limit on int-str
     conversion (4,300 digits by default) bounds the parsing of untrusted
     text, so parse_scalar keeps it and rejects longer numbers.
     """
     try:
-        return str(value)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        text = _decimal(value.numerator)
-        return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
+        text = _decimal(num)
+        return text if den == 1 else f"{text}/{_decimal(den)}"
+
+
+def format_scalar(value: Fraction) -> str:
+    """Render as ``"p"`` or ``"p/q"`` in lowest terms (see format_ratio)."""
+    return format_ratio(value.numerator, value.denominator)
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
@@ -73,6 +88,39 @@ def as_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def _mul(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
+    """``an/ad * bn/bd`` for factors in lowest terms, in lowest terms: only
+    the cross pairs can share a factor (as in ``Fraction.__mul__``)."""
+    g = gcd(an, bd)
+    if g > 1:
+        an //= g
+        bd //= g
+    g = gcd(bn, ad)
+    if g > 1:
+        bn //= g
+        ad //= g
+    return an * bn, ad * bd
+
+
+def _add(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
+    """``an/ad + bn/bd`` for terms in lowest terms, in lowest terms: only a
+    factor of gcd(ad, bd) can divide the new numerator (as in
+    ``Fraction.__add__``)."""
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * bd
+    return t // g2, s * (bd // g2)
 
 
 class FiniteRow:
@@ -87,23 +135,28 @@ class FiniteRow:
                 raise ValueError(f"column must be a nonnegative integer, got {col!r}")
             v = as_scalar(value)
             if v:
-                cleaned.append((col, v))
+                cleaned.append((col, v.numerator, v.denominator))
         cleaned.sort(key=lambda e: e[0])
-        for (a, _), (b, _) in zip(cleaned, cleaned[1:]):
-            if a == b:
-                raise ValueError(f"duplicate column {a}")
+        for a, b in zip(cleaned, cleaned[1:]):
+            if a[0] == b[0]:
+                raise ValueError(f"duplicate column {a[0]}")
         self._entries = tuple(cleaned)
 
     @classmethod
     def _raw(cls, entries: list) -> "FiniteRow":
-        # entries already sorted, deduplicated, zero-free
+        # (column, numerator, denominator) triples, already sorted,
+        # deduplicated, zero-free and in lowest terms
         row = cls.__new__(cls)
         row._entries = tuple(entries)
         return row
 
     @classmethod
-    def from_dense(cls, values: Sequence[ScalarLike]) -> "FiniteRow":
-        return cls(enumerate(values))
+    def _from_sorted(cls, entries: Iterable[Tuple[int, Fraction | int]]) -> "FiniteRow":
+        """Row from ``(column, value)`` pairs in strictly increasing column
+        order, zeros dropped and nothing else checked: for sources whose
+        entries come out in order."""
+        return cls._raw([(col, v.numerator, v.denominator)
+                         for col, v in entries if v])
 
     @property
     def is_zero(self) -> bool:
@@ -118,59 +171,62 @@ class FiniteRow:
     def leading(self) -> Fraction:
         if not self._entries:
             raise ZeroRowError("the zero row has no rightmost coefficient")
-        return self._entries[-1][1]
+        _, num, den = self._entries[-1]
+        return _fraction(num, den)
 
     @property
     def support(self) -> Tuple[int, ...]:
-        return tuple(c for c, _ in self._entries)
+        return tuple(e[0] for e in self._entries)
 
     def items(self) -> Iterator[Tuple[int, Fraction]]:
+        return ((col, _fraction(num, den)) for col, num, den in self._entries)
+
+    def int_items(self) -> Iterator[Tuple[int, int, int]]:
+        """``(column, numerator, denominator)`` per entry, in lowest terms
+        with a positive denominator."""
         return iter(self._entries)
 
     def get(self, col: int) -> Fraction:
         i = bisect_left(self._entries, (col,))
         if i < len(self._entries) and self._entries[i][0] == col:
-            return self._entries[i][1]
+            _, num, den = self._entries[i]
+            return _fraction(num, den)
         return Fraction(0)
 
     def axpy(self, c: ScalarLike, other: "FiniteRow") -> "FiniteRow":
         """Return ``self + c * other`` with exact cancellation."""
         c = as_scalar(c)
-        if not c or other.is_zero:
+        b = other._entries
+        if not c or not b:
             return self
+        cn, cd = c.numerator, c.denominator
+        a = self._entries
         out = []
-        a, b = self._entries, other._entries
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ca, va = a[i]
-            cb, vb = b[j]
-            if ca < cb:
-                out.append(a[i])
+        append = out.append
+        i, end = 0, len(a)
+        for col, bn, bd in b:
+            while i < end and a[i][0] < col:
+                append(a[i])
                 i += 1
-            elif cb < ca:
-                out.append((cb, c * vb))
-                j += 1
+            pn, pd = _mul(cn, cd, bn, bd)
+            if i < end and a[i][0] == col:
+                _, an, ad = a[i]
+                i += 1
+                num, den = _add(an, ad, pn, pd)
+                if num:
+                    append((col, num, den))
             else:
-                v = va + c * vb
-                if v:
-                    out.append((ca, v))
-                i += 1
-                j += 1
+                append((col, pn, pd))
         out.extend(a[i:])
-        for cb, vb in b[j:]:
-            out.append((cb, c * vb))
         return FiniteRow._raw(out)
 
     def scale(self, c: ScalarLike) -> "FiniteRow":
         c = as_scalar(c)
         if not c:
             return ZERO_ROW
-        return FiniteRow._raw([(col, c * v) for col, v in self._entries])
-
-    def normalize_rightmost(self) -> "FiniteRow":
-        """Scale so the rightmost coefficient is exactly 1."""
-        lead = self.leading
-        return self if lead == 1 else self.scale(1 / lead)
+        cn, cd = c.numerator, c.denominator
+        return FiniteRow._raw([(col, *_mul(cn, cd, num, den))
+                               for col, num, den in self._entries])
 
     def dot_prefix(self, column: Sequence[ScalarLike]) -> Fraction:
         """Exact inner product against a column prefix covering the support."""
@@ -180,7 +236,7 @@ class FiniteRow:
                 f"entries were supplied"
             )
         total = Fraction(0)
-        for col, v in self._entries:
+        for col, v in self.items():
             total += v * as_scalar(column[col])
         return total
 
@@ -190,23 +246,9 @@ class FiniteRow:
         if width < self.length + 1:
             raise ValueError(f"width {width} does not cover length {self.length}")
         dense = [Fraction(0)] * width
-        for col, v in self._entries:
+        for col, v in self.items():
             dense[col] = v
         return dense
-
-    def __add__(self, other: "FiniteRow") -> "FiniteRow":
-        return self.axpy(1, other)
-
-    def __sub__(self, other: "FiniteRow") -> "FiniteRow":
-        return self.axpy(-1, other)
-
-    def __mul__(self, c: ScalarLike) -> "FiniteRow":
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FiniteRow":
-        return self.scale(-1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteRow):
@@ -222,7 +264,7 @@ class FiniteRow:
     def __repr__(self) -> str:
         if self.is_zero:
             return "FiniteRow()"
-        pairs = ", ".join(f"({c}, {str(v)!r})" for c, v in self._entries)
+        pairs = ", ".join(f"({c}, {format_ratio(n, d)!r})" for c, n, d in self._entries)
         return f"FiniteRow([{pairs}])"
 
 

@@ -449,7 +449,7 @@ def build_family(spec: Mapping) -> RowSource:
         a = _coeff_n(_require(spec, "a", family), "a")
 
         def first_order_row(n: int) -> FiniteRow:
-            return FiniteRow([(n, -a(n)), (n + 1, 1)])
+            return FiniteRow._from_sorted([(n, -a(n)), (n + 1, 1)])
 
         return RowSource("first_order", first_order_row,
                          lower_echelon=True, regular_order_index=1, band=1)
@@ -459,7 +459,7 @@ def build_family(spec: Mapping) -> RowSource:
         b = _coeff_n(_require(spec, "b", family), "b")
 
         def second_order_row(n: int) -> FiniteRow:
-            return FiniteRow([(n, a(n)), (n + 1, b(n)), (n + 2, 1)])
+            return FiniteRow._from_sorted([(n, a(n)), (n + 1, b(n)), (n + 2, 1)])
 
         return RowSource("second_order", second_order_row,
                          lower_echelon=True, regular_order_index=2, band=2)
@@ -482,7 +482,7 @@ def build_family(spec: Mapping) -> RowSource:
                 )
             entries = [(j, a(n, j)) for j in range(lo_of(n), n + order)]
             entries.append((n + order, lead))
-            return FiniteRow(entries)
+            return FiniteRow._from_sorted(entries)
 
         return RowSource(family, regular_row, lower_echelon=True,
                          regular_order_index=order,
@@ -490,7 +490,7 @@ def build_family(spec: Mapping) -> RowSource:
 
     if family == "example2":
         def example2_row(n: int) -> FiniteRow:
-            return FiniteRow([
+            return FiniteRow._from_sorted([
                 (n, _EX2_LOW.evaluate(n)),
                 (n + 1, _EX2_MID.evaluate(n)),
                 (n + 2, _EX2_HIGH.evaluate(n)),
@@ -500,7 +500,8 @@ def build_family(spec: Mapping) -> RowSource:
 
     if family == "example3":
         def example3_row(n: int) -> FiniteRow:
-            return FiniteRow([(j, _EX3.evaluate(n, j)) for j in range(n + 3)])
+            return FiniteRow._from_sorted([(j, _EX3.evaluate(n, j))
+                                           for j in range(n + 3)])
 
         return RowSource("example3", example3_row)
 

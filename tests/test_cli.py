@@ -2,10 +2,11 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from rowfinite import cli
+from rowfinite import build_family, cli, format_scalar, run
 from rowfinite.cli import main
 
 
@@ -13,6 +14,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def reduce_payload(state, horizon):
+    """The ``reduce`` JSON document as a dict of Python values, for the
+    generic encoder to serialize."""
+    def rows(rs):
+        return [[[c, format_scalar(v)] for c, v in r.items()] for r in rs]
+    return {"command": "reduce", "horizon": horizon, "mode": state.mode,
+            "certified": state.certified, "rows": rows(state.h_rows),
+            "q_rows": rows(state.q_rows), "j_set": state.j_set,
+            "w_set": state.w_set, "mu": state.mu,
+            "stable_since": state.last_change}
 
 
 class TestReduce:
@@ -66,6 +79,49 @@ class TestReduce:
                                "--horizon", "8", "--format", "json")
         assert code == 0
         assert json.loads(out)["w_set"] == [1]
+
+    @pytest.mark.parametrize("family", ["example2", "example3"])
+    @pytest.mark.parametrize("horizon", [1, 12])
+    def test_json_bytes_match_the_generic_encoder(self, capsys, family, horizon):
+        code, out, _ = run_cli(capsys, "reduce", "--family", family,
+                               "--horizon", str(horizon))
+        assert code == 0
+        state = run(build_family({"family": family}), horizon)
+        assert out == json.dumps(reduce_payload(state, horizon), indent=2) + "\n"
+
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_json_bytes_with_empty_rows_and_sets(self, capsys, tmp_path, horizon):
+        # row 0 is zero: at horizon 1, j_set and mu are empty; row 2 is
+        # row 1 doubled, so at horizon 3 two rows print as []
+        rows = [[], [[0, "1/2"], [2, "-3"]], [[0, "1"], [2, "-6"]]]
+        spec = tmp_path / "zero.json"
+        spec.write_text(json.dumps({"rows": rows}))
+        code, out, _ = run_cli(capsys, "reduce", "--spec", str(spec),
+                               "--horizon", str(horizon))
+        assert code == 0
+        state = run(build_family({"family": "explicit", "rows": rows}), horizon)
+        assert out == json.dumps(reduce_payload(state, horizon), indent=2) + "\n"
+        assert json.loads(out)["rows"][0] == []
+
+    def test_json_entries_past_the_int_string_limit(self, capsys, tmp_path):
+        spec = tmp_path / "big.json"
+        obj = {"family": "first_order", "a": "(n+2)^1000"}
+        spec.write_text(json.dumps(obj))
+        code, out, _ = run_cli(capsys, "reduce", "--spec", str(spec),
+                               "--horizon", "20")
+        assert code == 0
+        q_rows = json.loads(out)["q_rows"]
+        n, col, text = max(((n, col, text) for n, row in enumerate(q_rows)
+                            for col, text in row), key=lambda e: len(e[2]))
+        assert len(text) > 4300
+        state = run(build_family(obj), 20)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        setter = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+        setter(0)
+        try:
+            assert Fraction(text) == state.q_rows[n].get(col)
+        finally:
+            setter(limit)
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "reduce", "--family", "example3",
@@ -245,6 +301,18 @@ class TestHess:
                                "--verify-against-elimination")
         assert code == 0
         assert out.strip().endswith("MATCH")
+
+    @pytest.mark.parametrize("forcing", [(), ("--g=0,0",), ("--g=1,0",)])
+    def test_every_row_is_read_before_its_forcing_term(self, capsys, tmp_path,
+                                                       forcing):
+        # row 2 fails to evaluate; as in solve, that error wins whether the
+        # terms so far are 0 or not, and before --g=0,0 runs short at term 2
+        spec = tmp_path / "div.json"
+        spec.write_text(json.dumps({"family": "first_order", "a": "1/(n - 2)"}))
+        args = ("--spec", str(spec), "--terms", "5", "--format", "csv", *forcing)
+        hess = run_cli(capsys, "hess", *args)
+        solve = run_cli(capsys, "solve", *args)
+        assert hess == solve == (3, "", "error: row 2: division by zero\n")
 
     def test_irregular_spec_rejected(self, capsys):
         code, _, err = run_cli(capsys, "hess", "--family", "example2",

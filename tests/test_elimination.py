@@ -13,7 +13,7 @@ from conftest import (dense_rank, push_checked, random_explicit_rows,
 
 
 def row(*dense):
-    return FiniteRow.from_dense(dense)
+    return FiniteRow(enumerate(dense))
 
 
 def ex3():
@@ -81,7 +81,7 @@ class TestGaussianReduce:
                     length, pos = rng.choice(usable)
                     work = work.axpy(-work.get(length), st.h_rows[pos])
                 if not work.is_zero:
-                    work = work.normalize_rightmost()
+                    work = work.scale(1 / work.leading)
                 assert work == expected
 
 
@@ -304,7 +304,7 @@ class TestLeftAssociation:
         st = run(src, 12)
         assert st.verify_left_association(src)
         # spot check: q_rows[0] combines rows 0,1,2 into the reduced row 0
-        acc = src.row_at(0) + src.row_at(1) - src.row_at(2)
+        acc = src.row_at(0).axpy(1, src.row_at(1)).axpy(-1, src.row_at(2))
         assert acc == st.h_rows[0] == row(2, 1)
 
     def test_empty_state_vacuously_true(self):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,11 @@ from rowfinite import (FiniteRow, ShortColumnError, ZERO_ROW, ZeroRowError,
 
 
 def row(*dense):
-    return FiniteRow.from_dense(dense)
+    return FiniteRow(enumerate(dense))
+
+
+def normalized(r):
+    return r.scale(1 / r.leading)
 
 
 class TestScalarText:
@@ -73,7 +78,7 @@ class TestConstruction:
 
     def test_dense_round_trip(self):
         dense = [Fraction(0), Fraction(3), Fraction(-1, 2)]
-        assert FiniteRow.from_dense(dense).to_dense() == dense
+        assert FiniteRow(enumerate(dense)).to_dense() == dense
 
     def test_to_dense_width_guard(self):
         with pytest.raises(ValueError):
@@ -96,12 +101,12 @@ class TestAxpy:
         out = r.axpy(-1, row(1, 1))
         assert out.is_zero and out.length == -1
 
-    def test_operators_match_axpy(self):
+    def test_unit_and_sign_multipliers(self):
         a, b = row(1, 2), row(0, 5, 3)
-        assert a + b == a.axpy(1, b)
-        assert a - b == a.axpy(-1, b)
-        assert 2 * a == a.scale(2)
-        assert -a == a.scale(-1)
+        assert a.axpy(1, b) == row(1, 7, 3)
+        assert a.axpy(-1, b) == row(1, -3, -3)
+        assert a.scale(2) == row(2, 4)
+        assert a.scale(-1) == row(-1, -2)
 
 
 finite_rows = st.builds(
@@ -114,6 +119,7 @@ finite_rows = st.builds(
     ),
 )
 small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+multipliers = st.one_of(small_scalars, st.integers(-20, 20).map(Fraction))
 
 
 class TestProperties:
@@ -130,30 +136,50 @@ class TestProperties:
         out = r.axpy(Fraction(-1, 2), other)
         assert out.length < r.length
 
+    @given(finite_rows, multipliers, finite_rows)
+    def test_axpy_matches_fraction_arithmetic(self, r, c, s):
+        # equality compares the stored integer pairs, so this also checks
+        # that they come out in lowest terms
+        width = max(r.length, s.length) + 1
+        expected = [x + c * y for x, y in zip(r.to_dense(width), s.to_dense(width))]
+        assert r.axpy(c, s) == FiniteRow(enumerate(expected))
+
+    @given(finite_rows, multipliers)
+    def test_scale_matches_fraction_arithmetic(self, r, c):
+        assert r.scale(c) == FiniteRow((col, c * v) for col, v in r.items())
+
+    @given(finite_rows)
+    def test_int_items_are_the_entries_in_lowest_terms(self, r):
+        assert [(col, Fraction(n, d)) for col, n, d in r.int_items()] == list(r.items())
+        for _, n, d in r.int_items():
+            assert d > 0 and gcd(n, d) == 1 and type(n) is int is type(d)
+
     @given(finite_rows)
     def test_normalize_idempotent(self, r):
         if r.is_zero:
             return
-        once = r.normalize_rightmost()
+        once = normalized(r)
         assert once.leading == 1
-        assert once.normalize_rightmost() == once
+        assert normalized(once) == once
         assert once.length == r.length
 
 
 class TestNormalize:
+    """Scaling by the inverse rightmost coefficient, as the engine does."""
+
     def test_divides_by_rightmost(self):
-        assert row(0, 2, -1).normalize_rightmost() == row(0, -2, 1)
+        assert normalized(row(0, 2, -1)) == row(0, -2, 1)
 
     def test_already_normalized(self):
         r = FiniteRow([(1, Fraction(1, 2)), (2, 1)])
-        assert r.normalize_rightmost() == r
+        assert normalized(r) == r
 
     def test_single_entry(self):
-        assert row(5).normalize_rightmost() == row(1)
+        assert normalized(row(5)) == row(1)
 
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroRowError):
-            ZERO_ROW.normalize_rightmost()
+            normalized(ZERO_ROW)
 
 
 class TestDotPrefix:

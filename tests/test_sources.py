@@ -8,7 +8,7 @@ from rowfinite import (EvalError, FiniteRow, SpecError, build_family,
 
 
 def row(*dense):
-    return FiniteRow.from_dense(dense)
+    return FiniteRow(enumerate(dense))
 
 
 class TestExample2:
