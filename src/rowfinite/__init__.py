@@ -9,9 +9,8 @@ from .sources import (CoeffExpr, EquationSpec, EvalError, ExprSyntaxError,
 from .elimination import (EliminationState, EngineError, GAUSS_JORDAN,
                           GAUSS_ONLY, check_invariants, run)
 from .solver import (AccessibleIndexError, FundamentalSet, InaccessibleLengths,
-                     InconsistentSystemError, consistency_check,
-                     frechet_distance, fundamental_set, general_solution,
-                     inaccessible_lengths, rhs_transform)
+                     InconsistentSystemError, frechet_distance,
+                     fundamental_set, general_solution, inaccessible_lengths)
 from .hessenberg import HessSpec, general_prefix, hess_spec_from_source
 
 __version__ = "0.1.0"
@@ -25,9 +24,8 @@ __all__ = [
     "EliminationState", "EngineError", "GAUSS_JORDAN", "GAUSS_ONLY",
     "check_invariants", "run",
     "AccessibleIndexError", "FundamentalSet", "InaccessibleLengths",
-    "InconsistentSystemError", "consistency_check", "frechet_distance",
-    "fundamental_set", "general_solution", "inaccessible_lengths",
-    "rhs_transform",
+    "InconsistentSystemError", "frechet_distance", "fundamental_set",
+    "general_solution", "inaccessible_lengths",
     "HessSpec", "general_prefix", "hess_spec_from_source",
     "__version__",
 ]

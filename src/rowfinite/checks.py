@@ -1,11 +1,12 @@
 """Verification checks of an elimination run against its source.
 
-Each check recomputes a result exactly along an independent path and
-compares: transform rows against reduced rows (``Q . A == H``), assembled
-solutions against the equations they solve, and the Hessenberg closed form
-against the elimination path.  The ``verify`` command runs them all through
-:func:`run_checks`; ``EliminationState.verify_left_association`` and
-``hess --verify-against-elimination`` use the single checks they need.
+The one module that verifies results.  Each check recomputes a result
+exactly along an independent path and compares: transform rows against
+reduced rows (``Q . A == H``), assembled solutions against the equations
+they solve, and the Hessenberg closed form against the elimination path.
+The ``verify`` command runs them all through :func:`run_checks`, which
+fetches each consumed source row once for all of them; ``hess
+--verify-against-elimination`` uses :func:`closed_form_matches` alone.
 """
 
 from __future__ import annotations
@@ -21,30 +22,45 @@ from .rows import FiniteRow, ScalarLike, ZERO_ROW
 from .sources import EquationSpec, RowSource, SpecError
 
 
-def transforms_reproduce(source: RowSource, q_rows: Sequence[FiniteRow],
+def transforms_reproduce(rows: Sequence[FiniteRow], q_rows: Sequence[FiniteRow],
                          h_rows: Sequence[FiniteRow]) -> bool:
-    """True iff ``q_rows[n] . A == h_rows[n]`` for every n, with the rows of
-    A taken from the source."""
+    """True iff ``q_rows[n] . A == h_rows[n]`` for every n, where row m of A
+    is ``rows[m]``; a transform row that reaches past ``rows`` fails."""
     if len(q_rows) != len(h_rows):
         return False
     for q_row, h_row in zip(q_rows, h_rows):
+        if q_row.length >= len(rows):
+            return False
         acc = ZERO_ROW
         for m, c in q_row.items():
-            acc = acc.axpy(c, source.row_at(m))
+            acc = acc.axpy(c, rows[m])
         if acc != h_row:
             return False
     return True
 
 
-def expected_pair_check(eq: EquationSpec) -> Optional[bool]:
+def left_association(state: elimination.EliminationState,
+                     rows: Sequence[FiniteRow]) -> bool:
+    """True iff q_rows[n] . A == h_rows[n] exactly for every consumed n,
+    where ``rows`` are the consumed source rows."""
+    return transforms_reproduce(rows, state.q_rows, state.h_rows)
+
+
+def expected_pair_check(eq: EquationSpec,
+                        rows: Sequence[FiniteRow]) -> Optional[bool]:
     """With an 'expect' block, check the supplied transform rows reproduce
-    the supplied reduced rows from the source: Q_e . A == H_e.  None when
-    the spec has no 'expect' block."""
+    the supplied reduced rows from the consumed source rows ``rows``:
+    Q_e . A == H_e.  None when the spec has no 'expect' block; a SpecError
+    when a row of Q_e reads a source row past ``rows``."""
     if eq.expect_h is None and eq.expect_q is None:
         return None
     if eq.expect_h is None or eq.expect_q is None:
         raise SpecError("'expect' needs both 'h' and 'q'")
-    return transforms_reproduce(eq.source, eq.expect_q, eq.expect_h)
+    for q_row in eq.expect_q:
+        if q_row.length >= len(rows):
+            raise SpecError(f"'expect' q reads source row {q_row.length}, "
+                            f"past the {len(rows)} rows consumed")
+    return transforms_reproduce(rows, eq.expect_q, eq.expect_h)
 
 
 def closed_form_matches(state: elimination.EliminationState,
@@ -53,8 +69,8 @@ def closed_form_matches(state: elimination.EliminationState,
                         closed: List[Fraction]) -> bool:
     """True iff the closed-form terms y_0.. equal those the elimination path
     assembles for the same forcing ``g`` (None: homogeneous) and initial
-    values ``init`` of a regular-order source."""
-    order = state.regular_order_index
+    values ``init`` (one per order) of a regular-order source."""
+    order = len(init)
     assembled = solver.general_solution(
         state, g, dict(enumerate(init)), order + len(closed))
     return closed == assembled[order:]
@@ -64,16 +80,17 @@ def _random_scalar(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
 
-def residual_check(state: elimination.EliminationState, source: RowSource,
-                   rng: random.Random) -> bool:
+def residual_check(state: elimination.EliminationState,
+                   rows: Sequence[FiniteRow], rng: random.Random) -> bool:
     """Solve A . y = g for a forcing consistent by construction (g = A . y
     for a random y prefix) and random free constants, then check the
-    residual of every consumed row the solution covers is exactly zero."""
+    residual of every consumed row in ``rows`` is exactly zero (each is
+    shorter than ``width``: its rightmost column is a pivot length)."""
     width = state.greatest_length + 1
     if width == 0:
         return True
     probe = [_random_scalar(rng) for _ in range(width)]
-    g = [source.row_at(n).dot_prefix(probe) for n in range(state.k)]
+    g = [row.dot_prefix(probe) for row in rows]
     free = {}
     pivot = set(state.mu)
     for s in range(width):
@@ -83,20 +100,14 @@ def residual_check(state: elimination.EliminationState, source: RowSource,
         sol = solver.general_solution(state, g, free, width)
     except solver.InconsistentSystemError:
         return False
-    for n in range(state.k):
-        row = source.row_at(n)
-        if row.length >= width:
-            continue  # row reaches beyond the classified prefix
-        if row.dot_prefix(sol) != g[n]:
-            return False
-    return True
+    return all(row.dot_prefix(sol) == target for row, target in zip(rows, g))
 
 
 def hessenberg_cross_check(state: elimination.EliminationState,
                            source: RowSource, rng: random.Random) -> bool:
     """Compare the closed form with the elimination path on random forcing
     terms and initial values (certified regular-order sources only)."""
-    order = state.regular_order_index
+    order = source.regular_order_index
     g = [_random_scalar(rng) for _ in range(state.k)]
     init = [_random_scalar(rng) for _ in range(order)]
     spec = hb.hess_spec_from_source(source, g, init)
@@ -108,8 +119,9 @@ def run_checks(eq: EquationSpec, state: elimination.EliminationState,
     """Every check that applies to this run, as (name, passed) in report
     order; ``seed`` drives the randomized ones."""
     rng = random.Random(seed)
-    expected = expected_pair_check(eq)
-    left_ok = state.verify_left_association(eq.source)
+    rows = [eq.source.row_at(n) for n in range(state.k)]
+    expected = expected_pair_check(eq, rows)
+    left_ok = left_association(state, rows)
     if expected is not None:
         left_ok = left_ok and expected
     results = [("left-association", left_ok)]
@@ -118,8 +130,8 @@ def run_checks(eq: EquationSpec, state: elimination.EliminationState,
         results.append(("qhf-postulates", True))
     except elimination.EngineError:
         results.append(("qhf-postulates", False))
-    results.append(("residual", residual_check(state, eq.source, rng)))
-    if state.regular_order_index is not None and state.certified:
+    results.append(("residual", residual_check(state, rows, rng)))
+    if eq.source.regular_order_index is not None and state.certified:
         results.append(("hessenberg-cross-check",
                         hessenberg_cross_check(state, eq.source, rng)))
     return results

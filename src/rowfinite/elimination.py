@@ -12,6 +12,8 @@ placement targets).  Replaying the log on the identity rows gives the
 transform rows, ``q_rows[n] . A == h_rows[n]`` entrywise for every consumed
 ``n``; ``q_rows`` is built that way on first read only.  Replaying it on a
 forcing column gives the transformed forcing ``Q . g`` without building ``Q``.
+:func:`check_invariants` judges the engine state; ``Q . A == H`` against
+the source rows is checked in :mod:`rowfinite.checks`.
 
 Each consumed row passes through three steps:
 
@@ -93,12 +95,10 @@ class EliminationState:
                      differed from the previous step (creation counts).
     """
 
-    def __init__(self, mode: str = GAUSS_JORDAN,
-                 regular_order_index: Optional[int] = None):
+    def __init__(self, mode: str = GAUSS_JORDAN):
         if mode not in (GAUSS_JORDAN, GAUSS_ONLY):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.regular_order_index = regular_order_index
         self.h_rows: List[FiniteRow] = []
         self.j_set: List[int] = []
         self.w_set: List[int] = []
@@ -176,10 +176,10 @@ class EliminationState:
     # -- step 3: placement -----------------------------------------------------
 
     def insert_with_permutation(self, g: FiniteRow, log: PushLog,
-                                extra_changed: Iterable[int] = ()) -> List[int]:
+                                extra_changed: Iterable[int] = ()) -> None:
         """Place a survivor, shifting nonzero rows as needed, and update the
-        change markers (zero rows never move).  Records the placement in
-        ``log.targets`` and returns the changed positions."""
+        change markers of the shifted rows and of ``extra_changed`` (zero
+        rows never move).  Records the placement in ``log.targets``."""
         k = self.k
         changed = set(extra_changed)
         if g.is_zero:
@@ -203,7 +203,6 @@ class EliminationState:
             for n in range(min(changed), k):
                 self.last_change[n] = k
         self.last_change.append(k)
-        return sorted(changed)
 
     # -- the full step ---------------------------------------------------------
 
@@ -211,15 +210,14 @@ class EliminationState:
         """Consume one source row, restoring every invariant, and log the
         operations applied."""
         g, log = self.reduce_with_transform(row)
-        if g.is_zero or not self.mu or g.length > self.mu[-1]:
-            self.insert_with_permutation(g, log)
-        else:
+        changed = []
+        if not g.is_zero and self.mu and g.length < self.mu[-1]:
             if self.mode == GAUSS_ONLY:
                 raise EngineError(
                     "source tagged lower-echelon produced a length-decreasing row"
                 )
             changed = self.jordan_clear(g, log)
-            self.insert_with_permutation(g, log, extra_changed=changed)
+        self.insert_with_permutation(g, log, changed)
         self._log.append(log)
 
     # -- replay ----------------------------------------------------------------
@@ -256,20 +254,6 @@ class EliminationState:
         return self.replay(self._q_rows, lambda k: FiniteRow([(k, 1)]),
                            FiniteRow.axpy, FiniteRow.scale)
 
-    # -- reports ---------------------------------------------------------------
-
-    def left_null_basis(self) -> List[FiniteRow]:
-        """Transform rows sitting at zero-row positions; each annihilates
-        every consumed row of the source."""
-        return [self.q_rows[w] for w in self.w_set]
-
-    def verify_left_association(self, source: RowSource) -> bool:
-        """True iff the transform rows exactly reproduce the reduced rows
-        from the source: q_rows[n] . A == h_rows[n] for every consumed n."""
-        from .checks import transforms_reproduce  # checks imports this module
-        return (all(q.length < self.k for q in self.q_rows)
-                and transforms_reproduce(source, self.q_rows, self.h_rows))
-
 
 def _place(rows: list, targets: List[int], survivor) -> None:
     """The placement step: append a slot at position k (the last target),
@@ -287,8 +271,7 @@ def run(source: RowSource, horizon: int) -> EliminationState:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     mode = GAUSS_ONLY if source.lower_echelon else GAUSS_JORDAN
-    state = EliminationState(mode=mode,
-                             regular_order_index=source.regular_order_index)
+    state = EliminationState(mode=mode)
     for n in range(horizon):
         state.push_row(source.row_at(n))
     return state

@@ -4,11 +4,14 @@ Everything here reads off an :class:`~rowfinite.elimination.EliminationState`.
 The pivot lengths mu are the *accessible* columns; the complement below a
 horizon is the set of *inaccessible* columns, which index the free constants
 of the homogeneous solution space.  One routine, :func:`general_solution`,
-reads every solution off the reduced rows and the transformed forcing: a
-particular solution is ``general_solution(state, g, {}, terms)``, a
-homogeneous one ``general_solution(state, None, free, terms)``, and the
-fundamental sequence of an inaccessible column s the case of constant 1 at s
-(0 at the other free columns) and no forcing.  The number of inaccessible
+reads every solution off the reduced rows and is the one reader of the
+transformed forcing ``Q . g``: it replays ``g`` through the elimination log,
+and a nonzero value at a zero row raises :class:`InconsistentSystemError`
+with those rows in ``violated``.  A particular solution is
+``general_solution(state, g, {}, terms)``, a homogeneous one
+``general_solution(state, None, free, terms)``, and the fundamental sequence
+of an inaccessible column s the case of constant 1 at s (0 at the other free
+columns) and no forcing.  The number of inaccessible
 columns below a horizon, the deficiency, is
 ``len(inaccessible_lengths(state, horizon).values)``.
 
@@ -48,7 +51,6 @@ class AccessibleIndexError(SpecError):
 @dataclass(frozen=True)
 class InaccessibleLengths:
     values: Tuple[int, ...]
-    horizon: int
     complete: bool
 
 
@@ -90,7 +92,7 @@ def inaccessible_lengths(state: EliminationState, horizon: int) -> InaccessibleL
     _check_horizon(state, horizon)
     pivot = set(state.mu)
     values = tuple(s for s in range(horizon) if s not in pivot)
-    return InaccessibleLengths(values=values, horizon=horizon, complete=state.certified)
+    return InaccessibleLengths(values=values, complete=state.certified)
 
 
 def fundamental_set(state: EliminationState, horizon: int, terms: int) -> FundamentalSet:
@@ -148,23 +150,6 @@ def _check_supplied(lengths: List[int], supplied: int, positions: Iterable[int])
                 f"row has length {lengths[n]} but only {supplied} column "
                 f"entries were supplied"
             )
-
-
-def rhs_transform(state: EliminationState, g: Sequence[ScalarLike]) -> List[Scalar]:
-    """The transformed forcing vector: entry n is q_rows[n] . g."""
-    values, lengths = _transformed(state, g)
-    _check_supplied(lengths, len(g), range(state.k))
-    return values
-
-
-def consistency_check(state: EliminationState, g: Sequence[ScalarLike]) -> List[int]:
-    """Zero-row positions whose transformed forcing value is nonzero.
-
-    Empty means the system is consistent at this horizon.
-    """
-    values, lengths = _transformed(state, g)
-    _check_supplied(lengths, len(g), state.w_set)
-    return [w for w in state.w_set if values[w] != 0]
 
 
 def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],

@@ -385,7 +385,6 @@ class RowSource:
     ``n + regular_order_index - band``.
     """
 
-    kind: str
     row_fn: Callable[[int], FiniteRow]
     lower_echelon: bool = False
     regular_order_index: Optional[int] = None
@@ -443,7 +442,7 @@ def build_family(spec: Mapping) -> RowSource:
 
     if family == "explicit":
         rows = [_parse_row_entries(r) for r in _require(spec, "rows", family)]
-        return RowSource("explicit", rows.__getitem__, row_count=len(rows))
+        return RowSource(rows.__getitem__, row_count=len(rows))
 
     if family == "first_order":
         a = _coeff_n(_require(spec, "a", family), "a")
@@ -451,8 +450,8 @@ def build_family(spec: Mapping) -> RowSource:
         def first_order_row(n: int) -> FiniteRow:
             return FiniteRow._from_sorted([(n, -a(n)), (n + 1, 1)])
 
-        return RowSource("first_order", first_order_row,
-                         lower_echelon=True, regular_order_index=1, band=1)
+        return RowSource(first_order_row, lower_echelon=True,
+                         regular_order_index=1, band=1)
 
     if family == "second_order":
         a = _coeff_n(_require(spec, "a", family), "a")
@@ -461,8 +460,8 @@ def build_family(spec: Mapping) -> RowSource:
         def second_order_row(n: int) -> FiniteRow:
             return FiniteRow._from_sorted([(n, a(n)), (n + 1, b(n)), (n + 2, 1)])
 
-        return RowSource("second_order", second_order_row,
-                         lower_echelon=True, regular_order_index=2, band=2)
+        return RowSource(second_order_row, lower_echelon=True,
+                         regular_order_index=2, band=2)
 
     if family in ("n_order", "ascending"):
         order = _require(spec, "N", family)
@@ -484,7 +483,7 @@ def build_family(spec: Mapping) -> RowSource:
             entries.append((n + order, lead))
             return FiniteRow._from_sorted(entries)
 
-        return RowSource(family, regular_row, lower_echelon=True,
+        return RowSource(regular_row, lower_echelon=True,
                          regular_order_index=order,
                          band=order if family == "n_order" else None)
 
@@ -496,14 +495,14 @@ def build_family(spec: Mapping) -> RowSource:
                 (n + 2, _EX2_HIGH.evaluate(n)),
             ])
 
-        return RowSource("example2", example2_row)
+        return RowSource(example2_row)
 
     if family == "example3":
         def example3_row(n: int) -> FiniteRow:
             return FiniteRow._from_sorted([(j, _EX3.evaluate(n, j))
                                            for j in range(n + 3)])
 
-        return RowSource("example3", example3_row)
+        return RowSource(example3_row)
 
     raise SpecError(f"unsupported family {family!r}")
 
@@ -548,7 +547,8 @@ def load_equation(path) -> EquationSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not JSON or not UTF-8; RecursionError: nested too deep
         raise SpecError(f"cannot read equation file {path}: {exc}") from exc
     try:
         return equation_from_obj(obj)

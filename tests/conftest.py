@@ -146,6 +146,11 @@ def push_checked(state, row):
     check_invariants(state)
 
 
+def source_rows(source, k):
+    """Rows 0..k-1 of a source: the consumed rows the checks read."""
+    return [source.row_at(n) for n in range(k)]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

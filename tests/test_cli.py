@@ -385,6 +385,18 @@ class TestVerify:
         assert code == 2
         assert "'expect'" in err
 
+    def test_expectation_past_the_consumed_rows_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps({"family": "example3", "expect": {
+            "h": [[]], "q": [[[1000000000, "1"]]]}}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--spec", str(spec),
+                                 "--horizon", "4")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == ("error: 'expect' q reads source row 1000000000, "
+                       "past the 4 rows consumed\n")
+
     def test_seed_recorded(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "example3",
                                "--horizon", "8", "--seed", "42")
@@ -526,6 +538,18 @@ class TestUsageAndErrors:
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
         assert "'N' must be at most 10000, got 1000000000" in err
+
+    @pytest.mark.parametrize("content", [b"[" * 100000, b'{"family": "\xff"}'],
+                             ids=["nested-too-deep", "not-utf-8"])
+    def test_unreadable_file_exits_2(self, capsys, tmp_path, content):
+        spec = tmp_path / "bad.json"
+        spec.write_bytes(content)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "reduce", "--spec", str(spec))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot read equation file {spec}: ")
+        assert "Traceback" not in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "reduce", "--spec", "/no/such/file.json",

@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 from rowfinite import (EliminationState, EngineError, FiniteRow, GAUSS_JORDAN,
                        GAUSS_ONLY, ZERO_ROW, build_family, check_invariants,
                        run)
+from rowfinite.checks import left_association
 from conftest import (dense_rank, push_checked, random_explicit_rows,
-                      random_regular_source)
+                      random_regular_source, source_rows)
+
+
+def null_basis(st):
+    """Transform rows at the zero-row positions: each annihilates every
+    consumed row."""
+    return [st.q_rows[w] for w in st.w_set]
 
 
 def row(*dense):
@@ -181,7 +188,6 @@ class TestInsertWithPermutation:
     def test_nonzero_rows_shift_across_pinned_zeros(self):
         rows = [row(0, 0, 1), row(0, 0, 2), row(0, 1, 1),
                 row(1, 0, 0, 1), row(3)]
-        src = build_family({"family": "explicit", "rows": rows})
         st = EliminationState()
         for r in rows[:3]:
             push_checked(st, r)
@@ -193,7 +199,7 @@ class TestInsertWithPermutation:
         assert st.h_rows == [row(1), ZERO_ROW, row(0, 1), row(0, 0, 1),
                              row(0, 0, 0, 1)]
         assert st.w_set == [1]
-        assert st.verify_left_association(src)
+        assert left_association(st, rows)
 
 
 class TestPushRow:
@@ -284,44 +290,44 @@ class TestRunAndPrefixes:
 class TestLeftNullBasis:
     def test_cosine_equation_basis(self):
         st = run(ex3(), 12)
-        assert st.left_null_basis() == [
+        assert null_basis(st) == [
             FiniteRow([(3, 1), (4, -1), (5, -1), (6, 1)]),
             FiniteRow([(7, 1), (8, -1), (9, -1), (10, 1)]),
         ]
 
     def test_dependent_pair_basis(self):
         st = run(build_family({"family": "example2"}), 8)
-        assert st.left_null_basis() == [row(-2, 1)]
+        assert null_basis(st) == [row(-2, 1)]
 
     def test_regular_source_has_empty_basis(self):
         st = run(build_family({"family": "first_order", "a": "3"}), 6)
-        assert st.left_null_basis() == []
+        assert null_basis(st) == []
 
 
 class TestLeftAssociation:
     def test_cosine_equation(self):
         src = ex3()
         st = run(src, 12)
-        assert st.verify_left_association(src)
+        assert left_association(st, source_rows(src, 12))
+        assert not left_association(st, source_rows(src, 11))  # Q reads row 11
         # spot check: q_rows[0] combines rows 0,1,2 into the reduced row 0
         acc = src.row_at(0).axpy(1, src.row_at(1)).axpy(-1, src.row_at(2))
         assert acc == st.h_rows[0] == row(2, 1)
 
     def test_empty_state_vacuously_true(self):
-        st = EliminationState()
-        assert st.verify_left_association(ex3())
+        assert left_association(EliminationState(), [])
 
     def test_detects_corrupted_reduced_row(self):
         src = ex3()
         st = run(src, 12)
         st.h_rows[3] = st.h_rows[3].axpy(1, row(1))
-        assert not st.verify_left_association(src)
+        assert not left_association(st, source_rows(src, 12))
 
     def test_detects_corrupted_transform_row(self):
         src = ex3()
         st = run(src, 12)
         st.q_rows[5] = st.q_rows[5].scale(2)
-        assert not st.verify_left_association(src)
+        assert not left_association(st, source_rows(src, 12))
 
 
 class TestRegularOrderTransform:
@@ -369,7 +375,7 @@ class TestAgainstDenseOracle:
         rows = random_explicit_rows(rng, max_rows=20, max_len=10)
         src = build_family({"family": "explicit", "rows": rows})
         st = run(src, len(rows))
-        for basis_row in st.left_null_basis():
+        for basis_row in null_basis(st):
             acc = ZERO_ROW
             for m, c in basis_row.items():
                 acc = acc.axpy(c, rows[m])
@@ -390,12 +396,11 @@ class TestHypothesisMatrices:
     @given(small_matrices)
     def test_invariants_and_association_hold(self, entries):
         rows = [FiniteRow(e) for e in entries]
-        src = build_family({"family": "explicit", "rows": rows})
         st = EliminationState()
         for r in rows:
             st.push_row(r)
             check_invariants(st)
-        assert st.verify_left_association(src)
+        assert left_association(st, rows)
         width = max((r.length + 1 for r in rows), default=1)
         assert len(st.j_set) == dense_rank(rows, width)
 

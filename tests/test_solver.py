@@ -8,9 +8,9 @@ from hypothesis import strategies as hs
 
 from rowfinite import (AccessibleIndexError, EliminationState, GAUSS_JORDAN,
                        GAUSS_ONLY, InconsistentSystemError, ShortColumnError,
-                       build_family, consistency_check, frechet_distance,
-                       fundamental_set, general_solution,
-                       inaccessible_lengths, rhs_transform, run)
+                       build_family, frechet_distance, fundamental_set,
+                       general_solution, inaccessible_lengths, run)
+from rowfinite.checks import left_association
 from conftest import naive_det, random_explicit_rows, random_regular_source, random_scalar
 
 
@@ -20,6 +20,14 @@ def ex2_state(horizon=8):
 
 def ex3_state(horizon=12):
     return run(build_family({"family": "example3"}), horizon)
+
+
+def transformed_at_pivots(st, g):
+    """q_rows[pos] . g at each pivot position pos, in j_set order, as
+    general_solution reads it: with no free constants, the term at a pivot
+    column is the transformed forcing value of its row."""
+    terms = general_solution(st, g, {}, st.greatest_length + 1)
+    return [terms[length] for length in st.mu]
 
 
 class TestInaccessibleLengths:
@@ -193,8 +201,7 @@ class TestHomogeneousGeneral:
 
 class TestRhsTransform:
     def test_zero_forcing(self):
-        st = ex3_state()
-        assert rhs_transform(st, [0] * 12) == [0] * 12
+        assert transformed_at_pivots(ex3_state(), [0] * 12) == [0] * 10
 
     def test_lower_triangular_action_on_regular_sources(self, rng):
         src = random_regular_source(rng, order=2, horizon=8, shape="n_order")
@@ -202,35 +209,41 @@ class TestRhsTransform:
         g1 = [random_scalar(rng) for _ in range(8)]
         g2 = list(g1)
         g2[-1] += 1  # only the last transformed entry may move
-        k1, k2 = rhs_transform(st, g1), rhs_transform(st, g2)
+        k1, k2 = transformed_at_pivots(st, g1), transformed_at_pivots(st, g2)
         assert k1[:-1] == k2[:-1] and k1[-1] != k2[-1]
 
     def test_unit_bump_forcing(self):
+        # only q_rows[11], the pivot row of column 13, reads g[11]
         st = ex3_state()
         g = [Fraction(0)] * 12
-        g[6] = Fraction(1)
-        assert rhs_transform(st, g)[6] == 1
+        g[11] = Fraction(1)
+        assert general_solution(st, g, {}, 14) == [0] * 13 + [1]
 
     def test_short_forcing_rejected(self):
         st = ex3_state()
         with pytest.raises(ShortColumnError):
-            rhs_transform(st, [0] * 5)
+            general_solution(st, [0] * 5, {}, 14)
 
 
 class TestConsistency:
     def test_homogeneous_always_consistent(self):
-        assert consistency_check(ex3_state(), [0] * 12) == []
+        st = ex3_state()
+        assert (general_solution(st, [0] * 12, {0: 1, 4: 2}, 14)
+                == general_solution(st, None, {0: 1, 4: 2}, 14))
 
     def test_unit_bump_at_zero_row(self):
         g = [Fraction(0)] * 12
         g[6] = Fraction(1)
-        assert consistency_check(ex3_state(), g) == [6]
+        with pytest.raises(InconsistentSystemError) as info:
+            general_solution(ex3_state(), g, {}, 14)
+        assert info.value.violated == [6]
 
     def test_regular_sources_accept_any_forcing(self, rng):
         src = random_regular_source(rng, order=3, horizon=9, shape="ascending")
         st = run(src, 9)
         g = [random_scalar(rng) for _ in range(9)]
-        assert consistency_check(st, g) == []
+        assert (transformed_at_pivots(st, g)
+                == [q.dot_prefix(g) for q in st.q_rows])
 
 
 class TestParticular:
@@ -243,9 +256,8 @@ class TestParticular:
         st = run(src, 8)
         g = [random_scalar(rng) for _ in range(8)]
         part = general_solution(st, g, {}, 10)
-        k = rhs_transform(st, g)
         assert part[:2] == [0, 0]
-        assert part[2:] == k
+        assert part[2:] == [q.dot_prefix(g) for q in st.q_rows]
         for n in range(8):
             assert src.row_at(n).dot_prefix(part) == g[n]
 
@@ -431,7 +443,6 @@ class TestTransformReplay:
                                         horizon=horizon, shape=shape)
             rows = [src.row_at(n) for n in range(horizon)]
             mode = GAUSS_ONLY
-        source = build_family({"family": "explicit", "rows": rows})
         st, fresh = EliminationState(mode), EliminationState(mode)
         for r in rows:
             st.push_row(r)
@@ -440,29 +451,19 @@ class TestTransformReplay:
                 assert len(st.q_rows) == st.k   # resumes from this step later
         q_rows = st.q_rows
         assert q_rows == fresh.q_rows
-        assert st.verify_left_association(source)
+        assert left_association(st, rows)
 
         k = st.k
         width = max(r.length for r in rows) + 1
         probe = [random_scalar(rng) for _ in range(width)]
         g = [r.dot_prefix(probe) for r in rows]      # consistent forcing
-        assert rhs_transform(st, g) == [q.dot_prefix(g) for q in q_rows]
-
-        terms = rng.randint(1, st.greatest_length + 1) if st.mu else None
-        needed_w = list(st.w_set)
-        needed = needed_w + [pos for pos, length in zip(st.j_set, st.mu)
-                             if terms is not None and length < terms]
+        if not st.mu:
+            return   # no column is classified, so no term can be asked for
+        terms = rng.randint(1, st.greatest_length + 1)
+        needed = st.w_set + [pos for pos, length in zip(st.j_set, st.mu)
+                             if length < terms]
         for supplied in range(k + 1):
             short = g[:supplied]
-            assert _outcome(rhs_transform, st, short) == _outcome(
-                lambda: [q.dot_prefix(short) for q in q_rows])
-            got = _outcome(consistency_check, st, short)
-            assert (isinstance(got, tuple) and got[0] == "ShortColumnError") == any(
-                q_rows[n].length >= supplied for n in needed_w)
-            assert got == _outcome(
-                lambda: [w for w in st.w_set if q_rows[w].dot_prefix(short) != 0])
-            if terms is None:
-                continue
             got = _outcome(general_solution, st, short, {}, terms)
             assert (isinstance(got, tuple) and got[0] == "ShortColumnError") == any(
                 q_rows[n].length >= supplied for n in needed)

@@ -133,7 +133,8 @@ class TestDescriptorsAndFiles:
 
     def test_rows_only_object_is_explicit(self):
         eq = equation_from_obj({"rows": [[[0, "2"], [1, "1"]]]})
-        assert eq.source.kind == "explicit"
+        assert eq.source.row_count == 1
+        assert eq.source.row_at(0) == FiniteRow([(0, 2), (1, 1)])
         assert eq.g is None
 
     def test_forcing_terms_parsed(self):
