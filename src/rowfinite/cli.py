@@ -89,7 +89,8 @@ def _first_index(args, source: RowSource) -> int:
 
 
 # The writers below produce the value of a top-level key byte for byte as
-# json.dumps(..., indent=2) does.
+# json.dumps(..., indent=2) does, straight from the values: the JSON
+# documents are built without a payload of dicts for the generic encoder.
 
 def _ints_json(values: Sequence[int]) -> str:
     if not values:
@@ -107,6 +108,30 @@ def _rows_json(rows: Sequence[FiniteRow]) -> str:
             for c, n, d in row.int_items())
         out.append(f"    [\n{entries}\n    ]" if entries else "    []")
     return "[\n" + ",\n".join(out) + "\n  ]"
+
+
+def _terms_json(values: Sequence[Fraction], first: int, indent: int) -> str:
+    """Terms as ``{"index": i + first, "value": "p/q"}`` objects, the value
+    of a key written ``indent`` spaces in."""
+    if not values:
+        return "[]"
+    pad = " " * indent
+    items = ",\n".join(
+        f'{pad}  {{\n{pad}    "index": {i + first},\n'
+        f'{pad}    "value": "{format_scalar(v)}"\n{pad}  }}'
+        for i, v in enumerate(values))
+    return f"[\n{items}\n{pad}]"
+
+
+def _sequences_json(sequences: Dict[int, Sequence[Fraction]], first: int) -> str:
+    """Fundamental sequences as ``{"s": s + first, "terms": [...]}`` objects."""
+    if not sequences:
+        return "[]"
+    items = ",\n".join(
+        f'    {{\n      "s": {s + first},\n'
+        f'      "terms": {_terms_json(seq, first, 6)}\n    }}'
+        for s, seq in sequences.items())
+    return f"[\n{items}\n  ]"
 
 
 def _reduce_json(state: EliminationState, horizon: int) -> str:
@@ -135,11 +160,6 @@ def _rows_csv(rows: Sequence[FiniteRow]) -> str:
     for row in rows:
         lines.append(",".join(format_scalar(v) for v in row.to_dense(width)))
     return "\n".join(lines)
-
-
-def _seq_json(values: Sequence[Fraction], first_index: int) -> list:
-    return [{"index": i + first_index, "value": format_scalar(v)}
-            for i, v in enumerate(values)]
 
 
 def _seq_csv(values: Sequence[Fraction]) -> str:
@@ -192,11 +212,13 @@ def cmd_solve(args) -> int:
     values = solver.general_solution(state, g, free, args.terms)
     first = _first_index(args, eq.source)
     _emit(args,
-          lambda: json.dumps({
-              "command": "solve",
-              "first_index": first,
-              "terms": _seq_json(values, first),
-          }, indent=2),
+          lambda: "\n".join((
+              "{",
+              '  "command": "solve",',
+              f'  "first_index": {first},',
+              f'  "terms": {_terms_json(values, first, 2)}',
+              "}",
+          )),
           lambda: _seq_csv(values),
           lambda: "\n".join(f"y_{i + first} = {format_scalar(v)}"
                             for i, v in enumerate(values)))
@@ -209,15 +231,14 @@ def cmd_fundamental(args) -> int:
     fund = solver.fundamental_set(state, args.horizon, args.terms)
     first = _first_index(args, eq.source)
     _emit(args,
-          lambda: json.dumps({
-              "command": "fundamental",
-              "basis_kind": fund.basis_kind,
-              "first_index": first,
-              "sequences": [
-                  {"s": s + first, "terms": _seq_json(seq, first)}
-                  for s, seq in fund.sequences.items()
-              ],
-          }, indent=2),
+          lambda: "\n".join((
+              "{",
+              '  "command": "fundamental",',
+              f'  "basis_kind": {json.dumps(fund.basis_kind)},',
+              f'  "first_index": {first},',
+              f'  "sequences": {_sequences_json(fund.sequences, first)}',
+              "}",
+          )),
           lambda: "\n".join(_seq_csv(seq) for seq in fund.sequences.values()),
           lambda: f"basis_kind: {fund.basis_kind}\n" + "\n".join(
               f"xi({s + first}): " + _seq_csv(seq) for s, seq in fund.sequences.items()
@@ -249,10 +270,14 @@ def cmd_hess(args) -> int:
     tail = "" if match is None else "\n" + ("MATCH" if match else "MISMATCH")
 
     def payload() -> str:
-        out = {"command": "hess", "index": order, "terms": _seq_json(values, 0)}
-        if match is not None:
-            out["elimination_match"] = match
-        return json.dumps(out, indent=2)
+        last = "" if match is None else f',\n  "elimination_match": {json.dumps(match)}'
+        return "\n".join((
+            "{",
+            '  "command": "hess",',
+            f'  "index": {order},',
+            f'  "terms": {_terms_json(values, 0, 2)}{last}',
+            "}",
+        ))
 
     _emit(args, payload,
           lambda: _seq_csv(values) + tail,
@@ -277,8 +302,10 @@ _FLAGS = {
                   "help": "number of rows to consume (default: max(terms, 1); "
                           "10 for reduce and verify)"},
     "--terms": {"type": int, "default": 10, "help": "number of solution terms to emit"},
-    "--free": {"help": "free constants, e.g. 0=1,4=-2/3"},
-    "--g": {"help": "forcing prefix, e.g. 1,0,1/2"},
+    "--free": {"help": "free constants, e.g. 0=1,4=-2/3; a value that "
+                       "starts with - needs the = form, e.g. --free=-1=2"},
+    "--g": {"help": "forcing prefix, e.g. 1,0,1/2; a value that starts "
+                    "with - needs the = form, e.g. --g=-1,0,0"},
     "--format": {"choices": ("json", "csv", "pretty"), "default": "json"},
     "--first-index": {"type": int, "default": None,
                       "help": "display offset (default 0, or -N for regular order)"},

@@ -27,8 +27,10 @@ Each consumed row passes through three steps:
    length differs from every existing pivot length.
 2. *Cross clearing* (the Jordan half) -- when the survivor's length falls
    strictly below the greatest existing pivot length, it is used as a pivot
-   to zero the matching column of every stored row.  Row lengths are
-   unchanged by this step.
+   to zero the matching column of every stored row.  Lengths strictly
+   increase with rank, so only the rows longer than the survivor are
+   visited; the shorter ones are zero there.  Row lengths are unchanged by
+   this step.
 3. *Placement* -- the survivor is inserted so nonzero-row lengths stay
    strictly increasing; displaced nonzero rows shift to later nonzero slots
    while zero rows keep their exact indices.
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
-from .rows import FiniteRow
+from .rows import FiniteRow, to_fraction
 from .sources import RowSource
 
 GAUSS_JORDAN = "gauss_jordan"
@@ -128,13 +130,14 @@ class EliminationState:
         Returns the normalized survivor together with the log of this push,
         holding the clearing multipliers and the inverse scale so far.
         """
+        mu = self.mu
         work = row
         clear = []
-        for col, c in row.items():
-            rank = bisect_left(self.mu, col)
-            if rank < len(self.mu) and self.mu[rank] == col:
+        for col, num, den in row.int_items():
+            rank = bisect_left(mu, col)
+            if rank < len(mu) and mu[rank] == col:
                 pos = self.j_set[rank]
-                m = -c
+                m = to_fraction(-num, den)
                 work = work.axpy(m, self.h_rows[pos])
                 clear.append((pos, m))
         inv = None
@@ -152,8 +155,11 @@ class EliminationState:
 
         ``g`` must be a Gaussian survivor whose length falls strictly below
         the greatest stored pivot length; violations indicate an engine bug.
-        Records the multipliers in ``log.cross`` and returns the positions
-        whose content changed.  Lengths of stored rows are never affected.
+        Only the rows longer than ``g`` can hold that column, and they are
+        the nonzero rows from the survivor's rank on, visited in position
+        order.  Records the multipliers in ``log.cross`` and returns the
+        positions whose content changed.  Lengths of stored rows are never
+        affected.
         """
         if g.is_zero:
             raise EngineError("cross clearing needs a nonzero pivot")
@@ -164,7 +170,7 @@ class EliminationState:
         if rank < len(self.mu) and self.mu[rank] == lg:
             raise EngineError(f"pivot length {lg} collides with a stored pivot")
         changed = []
-        for pos in self.j_set:
+        for pos in self.j_set[rank:]:
             c = self.h_rows[pos].get(lg)
             if c:
                 m = -c
@@ -298,12 +304,14 @@ def check_invariants(state: EliminationState) -> None:
             raise EngineError(f"row {pos} does not carry pivot length {length}")
         if row.leading != 1:
             raise EngineError(f"row {pos} rightmost coefficient is {row.leading}, not 1")
+    # ascending columns meet the pivots in rank order
+    pivot_at = {length: pos for pos, length in pivots}
     for m in range(k):
-        row = state.h_rows[m]
-        for pos, length in pivots:
-            if pos != m and row.get(length) != 0:
+        for col, _, _ in state.h_rows[m].int_items():
+            pos = pivot_at.get(col)
+            if pos is not None and pos != m:
                 raise EngineError(
-                    f"row {m} has a nonzero entry in pivot column {length} of row {pos}"
+                    f"row {m} has a nonzero entry in pivot column {col} of row {pos}"
                 )
     for n in range(k):
         q = state.q_rows[n]

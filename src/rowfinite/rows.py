@@ -13,8 +13,10 @@ Inside, each entry is a ``(column, numerator, denominator)`` triple of plain
 ``scale`` compute on those ints with the cross-gcd reductions of
 ``fractions``, so results stay canonical (equality and hashing compare the
 triples) and no ``Fraction`` is built per entry; ``items``, ``get`` and
-``leading`` build one on the way out, and ``int_items`` hands out the
-triples themselves.
+``leading`` build one on the way out (``get`` of an absent column returns
+one shared zero), and ``int_items`` hands out the triples themselves, for
+loops that build a ``Fraction`` (:func:`to_fraction`) only for the entries
+they keep.
 """
 
 from __future__ import annotations
@@ -90,8 +92,12 @@ def as_scalar(value: ScalarLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _fraction(num: int, den: int) -> Fraction:
+def to_fraction(num: int, den: int) -> Fraction:
+    """``num/den`` as a ``Fraction``, for a pair from ``int_items``."""
     return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+_ZERO = Fraction(0)
 
 
 def _mul(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
@@ -172,14 +178,14 @@ class FiniteRow:
         if not self._entries:
             raise ZeroRowError("the zero row has no rightmost coefficient")
         _, num, den = self._entries[-1]
-        return _fraction(num, den)
+        return to_fraction(num, den)
 
     @property
     def support(self) -> Tuple[int, ...]:
         return tuple(e[0] for e in self._entries)
 
     def items(self) -> Iterator[Tuple[int, Fraction]]:
-        return ((col, _fraction(num, den)) for col, num, den in self._entries)
+        return ((col, to_fraction(num, den)) for col, num, den in self._entries)
 
     def int_items(self) -> Iterator[Tuple[int, int, int]]:
         """``(column, numerator, denominator)`` per entry, in lowest terms
@@ -190,8 +196,8 @@ class FiniteRow:
         i = bisect_left(self._entries, (col,))
         if i < len(self._entries) and self._entries[i][0] == col:
             _, num, den = self._entries[i]
-            return _fraction(num, den)
-        return Fraction(0)
+            return to_fraction(num, den)
+        return _ZERO
 
     def axpy(self, c: ScalarLike, other: "FiniteRow") -> "FiniteRow":
         """Return ``self + c * other`` with exact cancellation."""

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .elimination import EliminationState
-from .rows import Scalar, ScalarLike, ShortColumnError, as_scalar
+from .rows import Scalar, ScalarLike, ShortColumnError, as_scalar, to_fraction
 from .sources import SpecError
 
 
@@ -186,12 +186,12 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
             out.append(constants.get(m, Fraction(0)))
             continue
         total = forcing[pos]
-        for col, coeff in state.h_rows[pos].items():
+        for col, num, den in state.h_rows[pos].int_items():
             if col >= m:
                 break
             c = constants.get(col)
             if c:
-                total -= coeff * c
+                total -= to_fraction(num, den) * c
         out.append(total)
     return out
 

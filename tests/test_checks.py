@@ -75,3 +75,26 @@ def test_expectation_is_read_against_the_consumed_rows_only(showcase):
                        expect_q=(FiniteRow([(8, 1)]),))
     with pytest.raises(SpecError, match="reads source row 8, past the 8 rows"):
         expected_pair_check(far, rows)
+
+
+def test_corrupted_pivot_row_fails_qhf_postulates(showcase):
+    # H and Q scaled alike, so Q . A == H still holds
+    eq, state = showcase
+    state.h_rows[7] = state.h_rows[7].scale(2)
+    state.q_rows[7] = state.q_rows[7].scale(2)
+    results = checked(eq, state)
+    assert results["left-association"] is True
+    assert results["qhf-postulates"] is False
+
+
+def test_expectation_is_reported_on_its_own_line(showcase):
+    eq, state = showcase
+    intact = EquationSpec(eq.source, expect_h=tuple(state.h_rows),
+                          expect_q=tuple(state.q_rows))
+    assert run_checks(intact, state, 0)[:2] == [("left-association", True),
+                                                ("expected-pair", True)]
+    wrong = EquationSpec(eq.source, expect_h=tuple(state.h_rows),
+                         expect_q=tuple(q.scale(2) for q in state.q_rows))
+    assert checked(wrong, state) == {"left-association": True,
+                                     "expected-pair": False,
+                                     "qhf-postulates": True, "residual": True}

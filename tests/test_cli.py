@@ -5,8 +5,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rowfinite import build_family, cli, format_scalar, run
+from rowfinite import (build_family, cli, format_scalar, general_prefix,
+                       hess_spec_from_source, run, solver)
 from rowfinite.cli import main
 
 
@@ -336,6 +339,22 @@ class TestVerify:
                                "--horizon", "8")
         assert code == 0
         assert "FAIL" not in out
+        assert "expected-pair" not in out   # the spec has no expect block
+
+    def test_corrupted_state_fails_qhf_postulates(self, capsys, monkeypatch):
+        def corrupted_run(source, horizon):
+            # the last nonzero row scaled by 2, in H and in Q alike
+            state = run(source, horizon)
+            pos = state.j_set[-1]
+            state.h_rows[pos] = state.h_rows[pos].scale(2)
+            state.q_rows[pos] = state.q_rows[pos].scale(2)
+            return state
+        monkeypatch.setattr(cli, "run", corrupted_run)
+        code, out, _ = run_cli(capsys, "verify", "--family", "example3",
+                               "--horizon", "12")
+        assert code == 1
+        assert "PASS left-association" in out
+        assert "FAIL qhf-postulates" in out
 
     def test_regular_source_runs_cross_check(self, capsys, tmp_path):
         spec = tmp_path / "rec.json"
@@ -358,7 +377,8 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--spec", str(spec),
                                "--horizon", "8")
         assert code == 0
-        assert "PASS left-association" in out
+        assert out.splitlines()[1:3] == ["PASS left-association",
+                                         "PASS expected-pair"]
 
     def test_corrupted_expectation_fails(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reduce", "--family", "example3",
@@ -374,7 +394,8 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--spec", str(spec),
                                "--horizon", "8")
         assert code == 1
-        assert "FAIL left-association" in out
+        assert "PASS left-association" in out
+        assert "FAIL expected-pair" in out
 
     def test_half_expectation_rejected(self, capsys, tmp_path):
         spec = tmp_path / "half.json"
@@ -565,3 +586,126 @@ class TestConsoleScript:
         second = subprocess.run(cmd, capture_output=True, text=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+def terms_payload(values, first):
+    return [{"index": i + first, "value": format_scalar(v)}
+            for i, v in enumerate(values)]
+
+
+def generic_json(payload):
+    """What the generic encoder prints for ``payload``."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestTermListJson:
+    """The term lists of solve, fundamental and hess JSON are written
+    directly; the bytes must be the generic encoder's."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.fractions()), st.integers(-10 ** 6, 10 ** 6))
+    def test_writer_matches_the_generic_encoder(self, values, first):
+        assert (f'{{\n  "terms": {cli._terms_json(values, first, 2)}\n}}'
+                == json.dumps({"terms": terms_payload(values, first)}, indent=2))
+
+    @pytest.mark.parametrize("first", [None, "-3", "5"])
+    def test_solve(self, capsys, first):
+        extra = [] if first is None else [f"--first-index={first}"]
+        code, out, _ = run_cli(capsys, "solve", "--family", "example2",
+                               "--horizon", "8", "--terms", "7",
+                               "--free", "0=1/2,1=1,3=-2", *extra)
+        assert code == 0
+        state = run(build_family({"family": "example2"}), 8)
+        values = solver.general_solution(state, None, {0: Fraction(1, 2), 1: 1, 3: -2}, 7)
+        first = 0 if first is None else int(first)
+        assert out == generic_json({"command": "solve", "first_index": first,
+                                    "terms": terms_payload(values, first)})
+
+    @pytest.mark.parametrize("first", [None, "-2"])
+    def test_fundamental(self, capsys, first):
+        extra = [] if first is None else [f"--first-index={first}"]
+        code, out, _ = run_cli(capsys, "fundamental", "--family", "example3",
+                               "--horizon", "13", "--terms", "9", *extra)
+        assert code == 0
+        state = run(build_family({"family": "example3"}), 13)
+        fund = solver.fundamental_set(state, 13, 9)
+        assert len(fund.sequences) > 1
+        first = 0 if first is None else int(first)
+        assert out == generic_json({
+            "command": "fundamental", "basis_kind": fund.basis_kind,
+            "first_index": first,
+            "sequences": [{"s": s + first, "terms": terms_payload(seq, first)}
+                          for s, seq in fund.sequences.items()]})
+
+    def test_fundamental_without_sequences(self, capsys, tmp_path):
+        # every column is a pivot length: no inaccessible column
+        spec = tmp_path / "full.json"
+        spec.write_text(json.dumps({"rows": [[[0, "1"]], [[0, "2"], [1, "3"]]]}))
+        code, out, _ = run_cli(capsys, "fundamental", "--spec", str(spec),
+                               "--horizon", "2", "--terms", "2")
+        assert code == 0
+        assert '"sequences": []' in out
+        assert out == generic_json({"command": "fundamental",
+                                    "basis_kind": json.loads(out)["basis_kind"],
+                                    "first_index": 0, "sequences": []})
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_hess(self, capsys, tmp_path, check):
+        obj = {"family": "second_order", "a": "n + 1", "b": "-1/2",
+               "g": ["1", "0", "-1/3"] * 4}
+        spec = tmp_path / "rec.json"
+        spec.write_text(json.dumps(obj))
+        extra = ["--verify-against-elimination"] if check else []
+        code, out, _ = run_cli(capsys, "hess", "--spec", str(spec), "--terms", "10",
+                               "--free", "0=1,1=-1/2", *extra)
+        assert code == 0
+        source = build_family(obj)
+        g = [Fraction(v) for v in obj["g"]]
+        values = general_prefix(
+            hess_spec_from_source(source, g, [1, Fraction(-1, 2)]), 10)
+        payload = {"command": "hess", "index": 2,
+                   "terms": terms_payload(values, 0)}
+        if check:
+            payload["elimination_match"] = True
+        assert out == generic_json(payload)
+
+    def test_values_past_the_int_string_limit(self, capsys, tmp_path):
+        # y_n = (10^80 + n) y_{n-1}: y_59 has more than 4,300 digits
+        obj = {"family": "first_order", "a": "10^80 + n"}
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps(obj))
+        code, out, _ = run_cli(capsys, "hess", "--spec", str(spec), "--terms", "60",
+                               "--free", "0=1")
+        assert code == 0
+        values = general_prefix(hess_spec_from_source(build_family(obj), None, [1]), 60)
+        assert len(format_scalar(values[-1])) > 4300
+        assert out == generic_json({"command": "hess", "index": 1,
+                                    "terms": terms_payload(values, 0)})
+        code, out, _ = run_cli(capsys, "solve", "--spec", str(spec),
+                               "--horizon", "61", "--terms", "61",
+                               "--free", "0=1", "--first-index=-1")
+        assert code == 0
+        assert out == generic_json({"command": "solve", "first_index": -1,
+                                    "terms": terms_payload([1] + values, -1)})
+
+
+class TestValuesStartingWithDash:
+    G = "-1,0,0,0,0,0,0,0,0,0,0,0"
+
+    def test_equals_form_prints_the_terms(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--family", "example3",
+                               "--horizon", "12", "--terms", "3",
+                               f"--g={self.G}", "--format", "csv")
+        assert code == 0
+        assert out == "0,-1,0\n"
+
+    @pytest.mark.parametrize("flag,value", [("--g", G), ("--free", "-1=2")])
+    def test_space_form_is_a_usage_error(self, flag, value):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rowfinite.cli", "solve", "--family", "example3",
+             "--horizon", "12", "--terms", "3", flag, value],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert not proc.stdout
+        assert f"argument {flag}: expected one argument" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rowfinite import (EliminationState, EngineError, FiniteRow, GAUSS_JORDAN,
                        GAUSS_ONLY, ZERO_ROW, build_family, check_invariants,
                        run)
+from rowfinite.elimination import PushLog
 from rowfinite.checks import left_association
 from conftest import (dense_rank, push_checked, random_explicit_rows,
                       random_regular_source, source_rows)
@@ -403,6 +404,187 @@ class TestHypothesisMatrices:
         assert left_association(st, rows)
         width = max((r.length + 1 for r in rows), default=1)
         assert len(st.j_set) == dense_rank(rows, width)
+
+
+def example2_state():
+    # j_set [0, 2, 3, 4, 5, 6, 7], w_set [1], mu [2, 4, 5, 6, 7, 8, 9]
+    return run(build_family({"family": "example2"}), 8)
+
+
+def bump(st, pos, col):
+    """Add 1 to the reduced row at ``pos`` in column ``col``."""
+    st.h_rows[pos] = st.h_rows[pos].axpy(1, FiniteRow([(col, 1)]))
+
+
+def zero_set_takes_a_pivot_row(st):
+    st.w_set.append(3)
+
+
+def pivot_set_loses_a_row(st):
+    st.j_set.remove(5)
+
+
+def drop_last_pivot(st):
+    st.mu.pop()
+
+
+def swap_first_pivots(st):
+    st.mu[0], st.mu[1] = st.mu[1], st.mu[0]
+
+
+def zero_row_gets_entry(st):
+    bump(st, 1, 0)
+
+
+def pivot_row_loses_its_length(st):
+    # row 3 carries length 5; its entry there cancels
+    st.h_rows[3] = st.h_rows[3].axpy(-1, FiniteRow([(5, 1)]))
+
+
+def pivot_row_is_scaled(st):
+    st.h_rows[4] = st.h_rows[4].scale(3)
+
+
+def entry_in_other_pivot_column(st):
+    bump(st, 7, 5)   # column 5 is the pivot column of row 3
+
+
+def transform_row_is_zero(st):
+    st.q_rows[2] = ZERO_ROW
+
+
+def transform_row_reaches_past_k(st):
+    st.q_rows[2] = st.q_rows[2].axpy(1, FiniteRow([(st.k, 1)]))
+
+
+class TestCheckInvariants:
+    """Each branch of check_invariants fails on a state corrupted where it
+    looks, and only there."""
+
+    def test_intact_state_passes(self):
+        check_invariants(example2_state())
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (zero_set_takes_a_pivot_row, "do not partition the consumed range"),
+        (pivot_set_loses_a_row, "do not partition the consumed range"),
+        (drop_last_pivot, "mu and j_set lengths differ"),
+        (swap_first_pivots, "pivot lengths are not strictly increasing"),
+        (zero_row_gets_entry, "row 1 is indexed as zero but is not"),
+        (pivot_row_loses_its_length, "row 3 does not carry pivot length 5"),
+        (pivot_row_is_scaled, "row 4 rightmost coefficient is 3, not 1"),
+        (entry_in_other_pivot_column,
+         "row 7 has a nonzero entry in pivot column 5 of row 3"),
+        (transform_row_is_zero, "transform row 2 is zero"),
+        (transform_row_reaches_past_k, "transform row 2 references unconsumed rows"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_each_branch_fails(self, corrupt, message):
+        st = example2_state()
+        corrupt(st)
+        with pytest.raises(EngineError, match=message):
+            check_invariants(st)
+
+    def test_zero_pivot_row_fails(self):
+        st = example2_state()
+        st.h_rows[3] = ZERO_ROW
+        with pytest.raises(EngineError, match="row 3 does not carry pivot length 5"):
+            check_invariants(st)
+
+    def test_first_pivot_column_error_is_reported(self):
+        # the lowest row first, and in a row the lowest pivot column
+        st = example2_state()
+        bump(st, 7, 6)
+        bump(st, 7, 2)
+        bump(st, 5, 4)
+        with pytest.raises(EngineError,
+                           match="row 5 has a nonzero entry in pivot column 4 of row 2"):
+            check_invariants(st)
+        st.h_rows[5] = example2_state().h_rows[5]
+        with pytest.raises(EngineError,
+                           match="row 7 has a nonzero entry in pivot column 2 of row 0"):
+            check_invariants(st)
+
+
+class ScanAllState(EliminationState):
+    """The engine as it was before the rank cut, the reference for it:
+    cross clearing probes every nonzero row, and Gaussian clearing reads
+    every entry as a Fraction."""
+
+    def reduce_with_transform(self, row):
+        work, clear = row, []
+        for col, c in row.items():
+            if col in self.mu:
+                pos = self.j_set[self.mu.index(col)]
+                work = work.axpy(-c, self.h_rows[pos])
+                clear.append((pos, -c))
+        inv = None
+        if not work.is_zero and work.leading != 1:
+            inv = 1 / work.leading
+            work = work.scale(inv)
+        return work, PushLog(clear, inv)
+
+    def jordan_clear(self, g, log):
+        changed = []
+        for pos in self.j_set:
+            c = self.h_rows[pos].get(g.length)
+            if c:
+                self.h_rows[pos] = self.h_rows[pos].axpy(-c, g)
+                log.cross.append((pos, -c))
+                changed.append(pos)
+        return changed
+
+
+_SMALL = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+@st.composite
+def shuffled_length_rows(draw):
+    """Rows whose lengths are a random permutation of 0..width-1, each with
+    a few entries at most 4 columns left of its leading one, and now and
+    then a row dependent on the one before."""
+    rows = []
+    for length in draw(st.permutations(range(draw(st.integers(1, 14))))):
+        entries = {length: draw(_SMALL.filter(bool))}
+        for col in draw(st.lists(st.integers(max(length - 4, 0), length),
+                                 max_size=3 if length else 0)):
+            entries.setdefault(col, draw(_SMALL))
+        rows.append(FiniteRow(entries.items()))
+        if draw(st.integers(0, 9)) == 0:
+            rows.append(rows[-1].scale(draw(_SMALL.filter(bool))))
+    return rows
+
+
+def trace(st):
+    return ([(log.clear, log.inv, log.cross, log.targets) for log in st._log],
+            st.h_rows, st.last_change)
+
+
+class TestRankCut:
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_length_rows())
+    @example([row(0, 0, 0, 1), row(1, 0, 0, 2), row(3, 1), row(0, 5, 0, 7, 1),
+              row(1)])
+    def test_same_log_and_rows_as_scanning_every_row(self, rows):
+        fast, ref = EliminationState(), ScanAllState()
+        for r in rows:
+            fast.push_row(r)
+            ref.push_row(r)
+        assert trace(fast) == trace(ref)
+        check_invariants(fast)
+
+    def test_shorter_rows_are_not_visited(self, monkeypatch):
+        st = EliminationState()
+        for r in (row(1), row(0, 0, 1), row(0, 0, 0, 0, 1),
+                  row(0, 0, 0, 2, 0, 0, 0, 1)):
+            st.push_row(r)
+        probed = []
+        get = FiniteRow.get
+        monkeypatch.setattr(FiniteRow, "get", lambda self, col: (
+            probed.append(self.length), get(self, col))[1])
+        g, log = st.reduce_with_transform(row(0, 0, 0, 1))
+        assert st.jordan_clear(g, log) == [3]
+        # stored lengths 0, 2, 4, 7: a pivot of length 3 meets only 4 and 7
+        assert probed == [4, 7]
+        assert st.h_rows[3] == row(0, 0, 0, 0, 0, 0, 0, 1)
 
 
 class TestPrefixHistory:
