@@ -31,10 +31,7 @@ def transforms_reproduce(rows: Sequence[FiniteRow], q_rows: Sequence[FiniteRow],
     for q_row, h_row in zip(q_rows, h_rows):
         if q_row.length >= len(rows):
             return False
-        acc = ZERO_ROW
-        for m, c in q_row.items():
-            acc = acc.axpy(c, rows[m])
-        if acc != h_row:
+        if ZERO_ROW.combine([(c, rows[m]) for m, c in q_row.items()]) != h_row:
             return False
     return True
 

@@ -131,21 +131,18 @@ class EliminationState:
         holding the clearing multipliers and the inverse scale so far.
         """
         mu = self.mu
-        work = row
         clear = []
         for col, num, den in row.int_items():
             rank = bisect_left(mu, col)
             if rank < len(mu) and mu[rank] == col:
-                pos = self.j_set[rank]
-                m = to_fraction(-num, den)
-                work = work.axpy(m, self.h_rows[pos])
-                clear.append((pos, m))
+                clear.append((self.j_set[rank], to_fraction(-num, den)))
+        work = row.combine([(m, self.h_rows[pos]) for pos, m in clear])
         inv = None
         if not work.is_zero:
             lead = work.leading
             if lead != 1:
                 inv = 1 / lead
-                work = work.scale(inv)
+                work = work.combine((), inv)
         return work, PushLog(clear, inv)
 
     # -- step 2: cross clearing ----------------------------------------------
@@ -174,7 +171,7 @@ class EliminationState:
             c = self.h_rows[pos].get(lg)
             if c:
                 m = -c
-                self.h_rows[pos] = self.h_rows[pos].axpy(m, g)
+                self.h_rows[pos] = self.h_rows[pos].combine([(m, g)])
                 log.cross.append((pos, m))
                 changed.append(pos)
         return changed
@@ -229,25 +226,24 @@ class EliminationState:
     # -- replay ----------------------------------------------------------------
 
     def replay(self, column: List[T], unit: Callable[[int], T],
-               axpy: Callable[[T, Fraction, T], T],
-               scale: Callable[[T, Fraction], T]) -> List[T]:
+               combine: Callable[[T, List[Tuple[Fraction, T]], Optional[Fraction]], T]
+               ) -> List[T]:
         """Bring ``column`` up to date with the log, in place, and return it.
 
         ``column[n]`` is the value at position n after the first
         ``len(column)`` pushes; the remaining pushes are applied in order.
-        Push k starts from ``unit(k)`` and repeats the operations it applied
-        to the reduced rows, ``axpy(x, m, y)`` standing for ``x + m * y`` and
-        ``scale(x, c)`` for ``c * x``.
+        Push k repeats the operations it applied to the reduced rows, with
+        ``combine(x, terms, c)`` standing for ``c * (x + sum(m * y for m, y
+        in terms))`` (``c`` of None for 1): its new value is ``unit(k)``
+        combined with the clearing terms and the inverse scale, and each
+        cross-cleared position is combined with one term of that value.
         """
         for k in range(len(column), len(self._log)):
             log = self._log[k]
-            value = unit(k)
-            for pos, m in log.clear:
-                value = axpy(value, m, column[pos])
-            if log.inv is not None:
-                value = scale(value, log.inv)
+            value = combine(unit(k), [(m, column[pos]) for pos, m in log.clear],
+                            log.inv)
             for pos, m in log.cross:
-                column[pos] = axpy(column[pos], m, value)
+                column[pos] = combine(column[pos], [(m, value)], None)
             _place(column, log.targets, value)
         return column
 
@@ -257,8 +253,8 @@ class EliminationState:
         same row operations in the same order, so ``q_rows[n] . A ==
         h_rows[n]``.  Built on first read and brought up to date on later
         reads; every read returns the same list."""
-        return self.replay(self._q_rows, lambda k: FiniteRow([(k, 1)]),
-                           FiniteRow.axpy, FiniteRow.scale)
+        return self.replay(self._q_rows, lambda k: FiniteRow._raw([(k, 1, 1)]),
+                           FiniteRow.combine)
 
 
 def _place(rows: list, targets: List[int], survivor) -> None:

@@ -68,6 +68,9 @@ def _zero_forcing(n: int) -> Scalar:
     return Fraction(0)
 
 
+_ZERO = Fraction(0)
+
+
 def hess_spec_from_source(source: RowSource, g: Optional[Sequence[ScalarLike]] = None,
                           init: Sequence[ScalarLike] = ()) -> HessSpec:
     """Normalize a regular-order source: each row and its forcing term are
@@ -79,12 +82,17 @@ def hess_spec_from_source(source: RowSource, g: Optional[Sequence[ScalarLike]] =
 
     @lru_cache(maxsize=None)
     def fetch(n: int):
-        row = source.row_at(n)
-        return row, row.get(n + order)
+        # row n's entries by column, with the numerator and denominator of
+        # its trailing coefficient: each quotient is then normalised once
+        entries = {col: (num, den) for col, num, den in source.row_at(n).int_items()}
+        return (entries, *entries.get(n + order, (0, 1)))
 
     def coeff(n: int, j: int) -> Scalar:
-        row, lead = fetch(n)
-        return row.get(j) / lead
+        entries, lead_num, lead_den = fetch(n)
+        entry = entries.get(j)
+        if entry is None:
+            return _ZERO
+        return Fraction(entry[0] * lead_den, entry[1] * lead_num)
 
     if g_vals is None:
         forcing = _zero_forcing
@@ -94,7 +102,9 @@ def hess_spec_from_source(source: RowSource, g: Optional[Sequence[ScalarLike]] =
                 raise ValueError(
                     f"forcing prefix has {len(g_vals)} terms, term {n} requested"
                 )
-            return g_vals[n] / fetch(n)[1]
+            _, lead_num, lead_den = fetch(n)
+            value = g_vals[n]
+            return Fraction(value.numerator * lead_den, value.denominator * lead_num)
 
     return HessSpec(index=order, coeff=coeff, forcing=forcing, init=init,
                     band=source.band)

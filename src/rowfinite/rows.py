@@ -9,14 +9,19 @@ A :class:`FiniteRow` is an immutable sparse row: strictly increasing
 ``(column, coefficient)`` pairs with no stored zeros.  Its *length* is the
 column index of the rightmost nonzero entry, ``-1`` for the zero row.
 Inside, each entry is a ``(column, numerator, denominator)`` triple of plain
-``int``s in lowest terms with a positive denominator.  ``axpy`` and
-``scale`` compute on those ints with the cross-gcd reductions of
-``fractions``, so results stay canonical (equality and hashing compare the
-triples) and no ``Fraction`` is built per entry; ``items``, ``get`` and
-``leading`` build one on the way out (``get`` of an absent column returns
-one shared zero), and ``int_items`` hands out the triples themselves, for
-loops that build a ``Fraction`` (:func:`to_fraction`) only for the entries
-they keep.
+``int``s in lowest terms with a positive denominator.
+
+Rows are combined in one way, :meth:`FiniteRow.combine`, which builds
+``c * (row + sum(m_i * row_i))`` in one pass: it accumulates unreduced
+numerator/denominator pairs per column (denominators grow only to their
+lcm) and reduces each surviving entry once, with one gcd, as in Bareiss's
+integer-preserving elimination (Math. Comp. 22, 1968), instead of
+renormalising the whole row after each pairwise step.  Results stay
+canonical (equality and hashing compare the triples) and no ``Fraction``
+is built per entry; ``items``, ``get`` and ``leading`` build one on the way
+out (``get`` of an absent column returns one shared zero), and
+``int_items`` hands out the triples themselves, for loops that build a
+``Fraction`` (:func:`to_fraction`) only for the entries they keep.
 """
 
 from __future__ import annotations
@@ -199,52 +204,114 @@ class FiniteRow:
             return to_fraction(num, den)
         return _ZERO
 
-    def axpy(self, c: ScalarLike, other: "FiniteRow") -> "FiniteRow":
-        """Return ``self + c * other`` with exact cancellation."""
-        c = as_scalar(c)
-        b = other._entries
-        if not c or not b:
-            return self
-        cn, cd = c.numerator, c.denominator
-        a = self._entries
+    def combine(self, terms: Iterable[Tuple[Fraction | int, "FiniteRow"]],
+                c: Fraction | int | None = None) -> "FiniteRow":
+        """Return ``c * (self + sum(m * row for m, row in terms))`` exactly;
+        ``c`` of None stands for 1.  Multipliers and ``c`` are ``Fraction``
+        or ``int``.
+
+        The sum is accumulated per column over the lcm of the denominators
+        and each entry reduced once (see the module docstring).  A plain
+        scale (no terms), and a single term with no ``c``, which merges the
+        two rows in column order, use the cross-gcds of ``fractions``
+        instead: that is cheaper for the short rows they get."""
+        if not isinstance(terms, list):
+            terms = list(terms)
+        if c is not None and not c:
+            return ZERO_ROW
+        if not terms:
+            if c is None:
+                return self
+            cn, cd = c.numerator, c.denominator
+            return FiniteRow._raw([(col, *_mul(cn, cd, num, den))
+                                   for col, num, den in self._entries])
+        if c is None and len(terms) == 1:
+            m, other = terms[0]
+            if not m:
+                return self
+            mn, md = m.numerator, m.denominator
+            a = self._entries
+            out = []
+            append = out.append
+            i, end = 0, len(a)
+            for col, bn, bd in other._entries:
+                while i < end and a[i][0] < col:
+                    append(a[i])
+                    i += 1
+                pn, pd = _mul(mn, md, bn, bd)
+                if i < end and a[i][0] == col:
+                    _, an, ad = a[i]
+                    i += 1
+                    num, den = _add(an, ad, pn, pd)
+                    if num:
+                        append((col, num, den))
+                else:
+                    append((col, pn, pd))
+            out.extend(a[i:])
+            return FiniteRow._raw(out)
+        nums = {col: num for col, num, _ in self._entries}
+        dens = {col: den for col, _, den in self._entries}
+        for m, row in terms:
+            mn, md = m.numerator, m.denominator
+            if not mn:
+                continue
+            for col, bn, bd in row._entries:
+                pn = mn * bn
+                pd = md * bd
+                ad = dens.get(col)
+                if ad is None:
+                    nums[col] = pn
+                    dens[col] = pd
+                elif ad == pd:
+                    nums[col] += pn
+                else:
+                    g = gcd(ad, pd)
+                    pd //= g
+                    nums[col] = nums[col] * pd + pn * (ad // g)
+                    dens[col] = ad * pd
+        cn, cd = (1, 1) if c is None else (c.numerator, c.denominator)
         out = []
         append = out.append
-        i, end = 0, len(a)
-        for col, bn, bd in b:
-            while i < end and a[i][0] < col:
-                append(a[i])
-                i += 1
-            pn, pd = _mul(cn, cd, bn, bd)
-            if i < end and a[i][0] == col:
-                _, an, ad = a[i]
-                i += 1
-                num, den = _add(an, ad, pn, pd)
-                if num:
-                    append((col, num, den))
-            else:
-                append((col, pn, pd))
-        out.extend(a[i:])
+        for col in sorted(nums):
+            num = nums[col]
+            if num:
+                den = dens[col] * cd
+                num *= cn
+                g = gcd(num, den)
+                if g != 1:
+                    num //= g
+                    den //= g
+                append((col, num, den))
         return FiniteRow._raw(out)
 
-    def scale(self, c: ScalarLike) -> "FiniteRow":
-        c = as_scalar(c)
-        if not c:
-            return ZERO_ROW
-        cn, cd = c.numerator, c.denominator
-        return FiniteRow._raw([(col, *_mul(cn, cd, num, den))
-                               for col, num, den in self._entries])
-
     def dot_prefix(self, column: Sequence[ScalarLike]) -> Fraction:
-        """Exact inner product against a column prefix covering the support."""
+        """Exact inner product against a column prefix covering the support.
+
+        Summed on the stored integer pairs, with denominators meeting
+        through their gcd; only the result is a normalised ``Fraction``."""
         if self.length >= len(column):
             raise ShortColumnError(
                 f"row has length {self.length} but only {len(column)} column "
                 f"entries were supplied"
             )
-        total = Fraction(0)
-        for col, v in self.items():
-            total += v * as_scalar(column[col])
-        return total
+        tn, td = 0, 1
+        for col, num, den in self._entries:
+            v = column[col]
+            if type(v) is not Fraction and type(v) is not int:
+                v = as_scalar(v)
+            vn = v.numerator
+            if not vn:
+                continue
+            pn = num * vn
+            pd = den * v.denominator
+            if pd == td:
+                tn += pn
+            else:
+                g = gcd(td, pd)
+                pd //= g
+                tn = tn * pd + pn * (td // g)
+                td *= pd
+        return Fraction(tn, td)
 
     def to_dense(self, width: int | None = None) -> list:
         if width is None:

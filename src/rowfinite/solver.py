@@ -134,11 +134,25 @@ def _transformed(state: EliminationState,
     transform row is longer than the prefix, which are checked before read.
     """
     column = [as_scalar(v) for v in g]
-    lengths = state.replay([], int, lambda x, m, y: max(x, y), lambda x, c: x)
+    lengths = state.replay([], int, _greatest)
     values = state.replay(
-        [], lambda k: column[k] if k < len(column) else Fraction(0),
-        lambda x, m, y: x + m * y, lambda x, c: x * c)
+        [], lambda k: column[k] if k < len(column) else Fraction(0), _combine)
     return values, lengths
+
+
+def _greatest(x: int, terms: List[Tuple[Scalar, int]], c: Optional[Scalar]) -> int:
+    """The greatest of ``x`` and the terms' values (multipliers ignored)."""
+    for _, y in terms:
+        if y > x:
+            x = y
+    return x
+
+
+def _combine(x: Scalar, terms: List[Tuple[Scalar, Scalar]], c: Optional[Scalar]) -> Scalar:
+    """``c * (x + sum(m * y for m, y in terms))`` on scalars; None for c is 1."""
+    for m, y in terms:
+        x += m * y
+    return x if c is None else x * c
 
 
 def _check_supplied(lengths: List[int], supplied: int, positions: Iterable[int]) -> None:

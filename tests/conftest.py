@@ -89,7 +89,7 @@ def random_explicit_rows(rng, max_rows=30, max_len=13):
             rows.append(FiniteRow())
         elif roll < 0.25 and nonzero:
             base = rng.choice(nonzero)
-            rows.append(base if rng.random() < 0.5 else base.scale(-1))
+            rows.append(base if rng.random() < 0.5 else base.combine((), -1))
         else:
             length = rng.randint(0, max_len)
             entries = [(col, rng.randint(-9, 9))

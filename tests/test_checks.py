@@ -14,7 +14,7 @@ def checked(eq, state, seed=0):
 
 def bump(state, pos, col):
     """Add 1 to the reduced row at ``pos`` in column ``col``."""
-    state.h_rows[pos] = state.h_rows[pos].axpy(1, FiniteRow([(col, 1)]))
+    state.h_rows[pos] = state.h_rows[pos].combine([(1, FiniteRow([(col, 1)]))])
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ def test_corrupted_reduced_entry_fails_residual(showcase, seed):
 def test_corrupted_transform_entry_fails_left_association(showcase):
     # the solvers replay the log, not Q, so only Q . A == H can see this
     eq, state = showcase
-    state.q_rows[5] = state.q_rows[5].scale(2)
+    state.q_rows[5] = state.q_rows[5].combine((), 2)
     assert checked(eq, state) == {"left-association": False,
                                   "qhf-postulates": True, "residual": True}
 
@@ -80,8 +80,8 @@ def test_expectation_is_read_against_the_consumed_rows_only(showcase):
 def test_corrupted_pivot_row_fails_qhf_postulates(showcase):
     # H and Q scaled alike, so Q . A == H still holds
     eq, state = showcase
-    state.h_rows[7] = state.h_rows[7].scale(2)
-    state.q_rows[7] = state.q_rows[7].scale(2)
+    state.h_rows[7] = state.h_rows[7].combine((), 2)
+    state.q_rows[7] = state.q_rows[7].combine((), 2)
     results = checked(eq, state)
     assert results["left-association"] is True
     assert results["qhf-postulates"] is False
@@ -94,7 +94,7 @@ def test_expectation_is_reported_on_its_own_line(showcase):
     assert run_checks(intact, state, 0)[:2] == [("left-association", True),
                                                 ("expected-pair", True)]
     wrong = EquationSpec(eq.source, expect_h=tuple(state.h_rows),
-                         expect_q=tuple(q.scale(2) for q in state.q_rows))
+                         expect_q=tuple(q.combine((), 2) for q in state.q_rows))
     assert checked(wrong, state) == {"left-association": True,
                                      "expected-pair": False,
                                      "qhf-postulates": True, "residual": True}

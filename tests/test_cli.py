@@ -346,8 +346,8 @@ class TestVerify:
             # the last nonzero row scaled by 2, in H and in Q alike
             state = run(source, horizon)
             pos = state.j_set[-1]
-            state.h_rows[pos] = state.h_rows[pos].scale(2)
-            state.q_rows[pos] = state.q_rows[pos].scale(2)
+            state.h_rows[pos] = state.h_rows[pos].combine((), 2)
+            state.q_rows[pos] = state.q_rows[pos].combine((), 2)
             return state
         monkeypatch.setattr(cli, "run", corrupted_run)
         code, out, _ = run_cli(capsys, "verify", "--family", "example3",

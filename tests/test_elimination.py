@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -87,9 +88,9 @@ class TestGaussianReduce:
                     if not usable:
                         break
                     length, pos = rng.choice(usable)
-                    work = work.axpy(-work.get(length), st.h_rows[pos])
+                    work = work.combine([(-work.get(length), st.h_rows[pos])])
                 if not work.is_zero:
-                    work = work.scale(1 / work.leading)
+                    work = work.combine((), 1 / work.leading)
                 assert work == expected
 
 
@@ -312,7 +313,7 @@ class TestLeftAssociation:
         assert left_association(st, source_rows(src, 12))
         assert not left_association(st, source_rows(src, 11))  # Q reads row 11
         # spot check: q_rows[0] combines rows 0,1,2 into the reduced row 0
-        acc = src.row_at(0).axpy(1, src.row_at(1)).axpy(-1, src.row_at(2))
+        acc = src.row_at(0).combine([(1, src.row_at(1)), (-1, src.row_at(2))])
         assert acc == st.h_rows[0] == row(2, 1)
 
     def test_empty_state_vacuously_true(self):
@@ -321,13 +322,13 @@ class TestLeftAssociation:
     def test_detects_corrupted_reduced_row(self):
         src = ex3()
         st = run(src, 12)
-        st.h_rows[3] = st.h_rows[3].axpy(1, row(1))
+        st.h_rows[3] = st.h_rows[3].combine([(1, row(1))])
         assert not left_association(st, source_rows(src, 12))
 
     def test_detects_corrupted_transform_row(self):
         src = ex3()
         st = run(src, 12)
-        st.q_rows[5] = st.q_rows[5].scale(2)
+        st.q_rows[5] = st.q_rows[5].combine((), 2)
         assert not left_association(st, source_rows(src, 12))
 
 
@@ -369,7 +370,7 @@ class TestAgainstDenseOracle:
                 for pos, length in zip(st.j_set, st.mu):
                     c = r.get(length)
                     if c:
-                        residual = residual.axpy(-c, st.h_rows[pos])
+                        residual = residual.combine([(-c, st.h_rows[pos])])
                 assert residual.is_zero
 
     def test_null_basis_annihilates_every_consumed_row(self, rng):
@@ -377,9 +378,7 @@ class TestAgainstDenseOracle:
         src = build_family({"family": "explicit", "rows": rows})
         st = run(src, len(rows))
         for basis_row in null_basis(st):
-            acc = ZERO_ROW
-            for m, c in basis_row.items():
-                acc = acc.axpy(c, rows[m])
+            acc = ZERO_ROW.combine([(c, rows[m]) for m, c in basis_row.items()])
             assert acc.is_zero
 
 
@@ -413,7 +412,7 @@ def example2_state():
 
 def bump(st, pos, col):
     """Add 1 to the reduced row at ``pos`` in column ``col``."""
-    st.h_rows[pos] = st.h_rows[pos].axpy(1, FiniteRow([(col, 1)]))
+    st.h_rows[pos] = st.h_rows[pos].combine([(1, FiniteRow([(col, 1)]))])
 
 
 def zero_set_takes_a_pivot_row(st):
@@ -438,11 +437,11 @@ def zero_row_gets_entry(st):
 
 def pivot_row_loses_its_length(st):
     # row 3 carries length 5; its entry there cancels
-    st.h_rows[3] = st.h_rows[3].axpy(-1, FiniteRow([(5, 1)]))
+    st.h_rows[3] = st.h_rows[3].combine([(-1, FiniteRow([(5, 1)]))])
 
 
 def pivot_row_is_scaled(st):
-    st.h_rows[4] = st.h_rows[4].scale(3)
+    st.h_rows[4] = st.h_rows[4].combine((), 3)
 
 
 def entry_in_other_pivot_column(st):
@@ -454,7 +453,7 @@ def transform_row_is_zero(st):
 
 
 def transform_row_reaches_past_k(st):
-    st.q_rows[2] = st.q_rows[2].axpy(1, FiniteRow([(st.k, 1)]))
+    st.q_rows[2] = st.q_rows[2].combine([(1, FiniteRow([(st.k, 1)]))])
 
 
 class TestCheckInvariants:
@@ -514,12 +513,12 @@ class ScanAllState(EliminationState):
         for col, c in row.items():
             if col in self.mu:
                 pos = self.j_set[self.mu.index(col)]
-                work = work.axpy(-c, self.h_rows[pos])
+                work = work.combine([(-c, self.h_rows[pos])])
                 clear.append((pos, -c))
         inv = None
         if not work.is_zero and work.leading != 1:
             inv = 1 / work.leading
-            work = work.scale(inv)
+            work = work.combine((), inv)
         return work, PushLog(clear, inv)
 
     def jordan_clear(self, g, log):
@@ -527,7 +526,7 @@ class ScanAllState(EliminationState):
         for pos in self.j_set:
             c = self.h_rows[pos].get(g.length)
             if c:
-                self.h_rows[pos] = self.h_rows[pos].axpy(-c, g)
+                self.h_rows[pos] = self.h_rows[pos].combine([(-c, g)])
                 log.cross.append((pos, -c))
                 changed.append(pos)
         return changed
@@ -549,7 +548,7 @@ def shuffled_length_rows(draw):
             entries.setdefault(col, draw(_SMALL))
         rows.append(FiniteRow(entries.items()))
         if draw(st.integers(0, 9)) == 0:
-            rows.append(rows[-1].scale(draw(_SMALL.filter(bool))))
+            rows.append(rows[-1].combine((), draw(_SMALL.filter(bool))))
     return rows
 
 
@@ -585,6 +584,79 @@ class TestRankCut:
         # stored lengths 0, 2, 4, 7: a pivot of length 3 meets only 4 and 7
         assert probed == [4, 7]
         assert st.h_rows[3] == row(0, 0, 0, 0, 0, 0, 0, 1)
+
+
+def axpy(x, m, y):
+    """``x + m * y`` on Fraction entries: one link of the reference chain."""
+    acc = dict(x.items())
+    for col, v in y.items():
+        acc[col] = acc.get(col, 0) + m * v
+    return FiniteRow(acc.items())
+
+
+def scale(x, c):
+    return FiniteRow((col, c * v) for col, v in x.items())
+
+
+def chained_q_rows(st):
+    """The log replayed onto the identity rows one pairwise row operation at
+    a time, as the engine did before it combined each push's rows in one
+    pass."""
+    column = []
+    for k, log in enumerate(st._log):
+        value = FiniteRow([(k, 1)])
+        for pos, m in log.clear:
+            value = axpy(value, m, column[pos])
+        if log.inv is not None:
+            value = scale(value, log.inv)
+        for pos, m in log.cross:
+            column[pos] = axpy(column[pos], m, value)
+        displaced = [column[p] for p in log.targets[:-1]]
+        column.append(value)
+        for pos, moved in zip(log.targets, [value] + displaced):
+            column[pos] = moved
+    return column
+
+
+def shuffled_explicit_rows(seed, width):
+    """Rows whose lengths are a seeded permutation of 0..width-1, with a few
+    entries left of the leading one and every seventh row followed by a
+    multiple of a combination of earlier rows."""
+    rng = random.Random(seed)
+    lengths = list(range(width))
+    rng.shuffle(lengths)
+    rows = []
+    for n, length in enumerate(lengths):
+        entries = {length: Fraction(rng.randint(1, 9), rng.randint(1, 4))}
+        for _ in range(3):
+            entries.setdefault(rng.randint(max(length - 4, 0), length),
+                               Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        rows.append(FiniteRow(entries.items()))
+        if n % 7 == 6:
+            rows.append(rows[-1].combine([(Fraction(-2, 3), rows[-3])], 5))
+    return rows
+
+
+class TestTransformReplay:
+    @pytest.mark.parametrize("family, horizon", [("example2", 60), ("example3", 48)])
+    def test_q_rows_match_the_chained_replay_on_builtins(self, family, horizon):
+        st = run(build_family({"family": family}), horizon)
+        assert st.q_rows == chained_q_rows(st)
+
+    def test_q_rows_match_the_chained_replay_on_a_shuffled_matrix(self):
+        st = EliminationState()
+        for r in shuffled_explicit_rows(seed=11, width=40):
+            st.push_row(r)
+        assert any(log.cross for log in st._log) and st.w_set
+        assert st.q_rows == chained_q_rows(st)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shuffled_length_rows())
+    def test_q_rows_match_the_chained_replay_on_random_rows(self, rows):
+        st = EliminationState()
+        for r in rows:
+            st.push_row(r)
+        assert st.q_rows == chained_q_rows(st)
 
 
 class TestPrefixHistory:

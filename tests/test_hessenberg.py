@@ -277,6 +277,28 @@ class TestSpecFromSource:
         spec = hess_spec_from_source(src, init=(1,))
         assert spec.forcing(99) == 0
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "first_order", "a": "(n + 1)/(n + 3)"},
+        {"family": "second_order", "a": "n/2 - 1", "b": "-3/(n + 1)"},
+        {"family": "n_order", "N": 3, "a": "n*j - j^2/(n+1) + 1"},
+        # trailing coefficient -(n+3)/(n+2): negative at every n
+        {"family": "n_order", "N": 2, "a": "(j - 2*n - 5)/(n + 2)"},
+    ])
+    def test_coefficients_equal_fraction_division(self, spec):
+        src = build_family(spec)
+        order = src.regular_order_index
+        g = [Fraction(n - 4, n % 3 + 1) for n in range(12)]
+        hs = hess_spec_from_source(src, g, [1] * order)
+        for n in range(12):
+            r = src.row_at(n)
+            lead = r.get(n + order)
+            for j in range(n + order + 2):
+                value = hs.coeff(n, j)
+                assert value == r.get(j) / lead and type(value) is Fraction
+            assert hs.forcing(n) == g[n] / lead
+        if spec["family"] == "n_order" and spec["N"] == 2:
+            assert all(src.row_at(n).get(n + 2) < 0 for n in range(12))
+
 
 class TestBand:
     def test_sources_tag_their_band(self):

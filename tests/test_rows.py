@@ -14,7 +14,7 @@ def row(*dense):
 
 
 def normalized(r):
-    return r.scale(1 / r.leading)
+    return r.combine((), 1 / r.leading)
 
 
 class TestScalarText:
@@ -86,27 +86,29 @@ class TestConstruction:
 
 
 class TestAxpy:
+    """``combine`` with one term and no scale: ``self + c * other``."""
+
     def test_zero_multiplier_is_identity(self):
         r = row(1, 2, 1)
-        assert r.axpy(0, row(9, 9)) == r
+        assert r.combine([(0, row(9, 9))]) == r
 
     def test_gaussian_step_second_order_instance(self):
         # dst (0,3,4,1) plus -4 times (1,2,1) clears column 2
         dst = row(0, 3, 4, 1)
         src = row(1, 2, 1)
-        assert dst.axpy(-4, src) == row(-4, -5, 0, 1)
+        assert dst.combine([(-4, src)]) == row(-4, -5, 0, 1)
 
     def test_exact_cancellation_to_zero(self):
         r = row(1, 1)
-        out = r.axpy(-1, row(1, 1))
+        out = r.combine([(-1, row(1, 1))])
         assert out.is_zero and out.length == -1
 
     def test_unit_and_sign_multipliers(self):
         a, b = row(1, 2), row(0, 5, 3)
-        assert a.axpy(1, b) == row(1, 7, 3)
-        assert a.axpy(-1, b) == row(1, -3, -3)
-        assert a.scale(2) == row(2, 4)
-        assert a.scale(-1) == row(-1, -2)
+        assert a.combine([(1, b)]) == row(1, 7, 3)
+        assert a.combine([(-1, b)]) == row(1, -3, -3)
+        assert a.combine((), 2) == row(2, 4)
+        assert a.combine((), -1) == row(-1, -2)
 
 
 finite_rows = st.builds(
@@ -122,18 +124,86 @@ small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 multipliers = st.one_of(small_scalars, st.integers(-20, 20).map(Fraction))
 
 
+def dense_combine(r, terms, c):
+    """``c * (r + sum(m * s))`` on dense Fraction lists, as a FiniteRow."""
+    width = max([r.length] + [s.length for _, s in terms]) + 1
+    acc = r.to_dense(width)
+    for m, s in terms:
+        for col, v in s.items():
+            acc[col] += m * v
+    if c is not None:
+        acc = [c * v for v in acc]
+    return FiniteRow(enumerate(acc))
+
+
+# denominators drawn so that they often share factors; columns from a small
+# range, so supports overlap, or a wide one, so they are often disjoint
+shared_fractions = st.builds(Fraction, st.integers(-30, 30),
+                             st.sampled_from([1, 2, 3, 4, 6, 9, 12, 36]))
+combine_rows = st.builds(
+    FiniteRow,
+    st.lists(st.tuples(st.one_of(st.integers(0, 5), st.integers(0, 40)),
+                       shared_fractions),
+             max_size=7, unique_by=lambda e: e[0]),
+)
+combine_multipliers = st.one_of(st.just(0), st.integers(-6, 6), shared_fractions)
+combine_scales = st.one_of(st.none(), st.just(0), st.integers(-6, -1),
+                           st.just(Fraction(-5, 6)), shared_fractions)
+
+
+class TestCombine:
+    @given(combine_rows,
+           st.lists(st.tuples(combine_multipliers, combine_rows), max_size=4),
+           combine_scales)
+    def test_matches_dense_fraction_arithmetic(self, r, terms, c):
+        # equality compares the stored integer pairs, so this also checks
+        # that they come out in lowest terms
+        assert r.combine(terms, c) == dense_combine(r, terms, c)
+
+    @given(combine_rows,
+           st.lists(st.tuples(combine_multipliers, combine_rows), max_size=3),
+           combine_scales)
+    def test_full_cancellation_gives_the_zero_row(self, r, terms, c):
+        total = dense_combine(r, terms, None)
+        out = r.combine(terms + [(-1, total)], c)
+        assert out == ZERO_ROW and out.length == -1
+
+    def test_terms_may_be_any_iterable(self):
+        r, s = row(1, 2), row(0, 1, 1)
+        assert r.combine(iter([(2, s), (-1, s)])) == row(1, 3, 1)
+        assert r.combine((t for t in [(2, s)]), -1) == row(-1, -4, -2)
+
+    def test_scale_zero_and_no_terms(self):
+        r = row(1, Fraction(1, 2))
+        assert r.combine(()) is r
+        assert r.combine((), 0) == ZERO_ROW
+        assert r.combine([(1, r), (2, r)], 0) == ZERO_ROW
+
+    def test_shared_denominators_with_a_scale(self):
+        a = FiniteRow([(0, Fraction(1, 4)), (2, Fraction(1, 6))])
+        b = FiniteRow([(0, Fraction(1, 6)), (1, Fraction(5, 9))])
+        out = a.combine([(Fraction(1, 2), b), (3, b)], Fraction(-12, 5))
+        assert list(out.int_items()) == [(0, -2, 1), (1, -14, 3), (2, -2, 5)]
+
+    def test_disjoint_supports_interleave_in_column_order(self):
+        a = FiniteRow([(1, 1), (7, 2)])
+        b = FiniteRow([(0, 3), (4, 5)])
+        d = FiniteRow([(2, 1), (9, 1)])
+        assert a.combine([(1, b), (-1, d)]).support == (0, 1, 2, 4, 7, 9)
+
+
 class TestProperties:
     @given(finite_rows, small_scalars, finite_rows)
     def test_axpy_length_bound(self, r, c, s):
-        assert r.axpy(c, s).length <= max(r.length, s.length)
+        assert r.combine([(c, s)]).length <= max(r.length, s.length)
 
     @given(finite_rows, small_scalars)
     def test_equal_length_cancellation_shrinks(self, r, c):
         # cancel the rightmost entries of two equal-length rows
         if r.is_zero:
             return
-        other = r.scale(2)
-        out = r.axpy(Fraction(-1, 2), other)
+        other = r.combine((), 2)
+        out = r.combine([(Fraction(-1, 2), other)])
         assert out.length < r.length
 
     @given(finite_rows, multipliers, finite_rows)
@@ -142,11 +212,11 @@ class TestProperties:
         # that they come out in lowest terms
         width = max(r.length, s.length) + 1
         expected = [x + c * y for x, y in zip(r.to_dense(width), s.to_dense(width))]
-        assert r.axpy(c, s) == FiniteRow(enumerate(expected))
+        assert r.combine([(c, s)]) == FiniteRow(enumerate(expected))
 
     @given(finite_rows, multipliers)
     def test_scale_matches_fraction_arithmetic(self, r, c):
-        assert r.scale(c) == FiniteRow((col, c * v) for col, v in r.items())
+        assert r.combine((), c) == FiniteRow((col, c * v) for col, v in r.items())
 
     @given(finite_rows)
     def test_int_items_are_the_entries_in_lowest_terms(self, r):
@@ -198,6 +268,23 @@ class TestDotPrefix:
 
     def test_string_column_entries(self):
         assert row(0, 2).dot_prefix(["7", "1/2"]) == 1
+
+    def test_short_column_message(self):
+        with pytest.raises(ShortColumnError,
+                           match="row has length 2 but only 2 column entries were supplied"):
+            row(1, 0, 3).dot_prefix([1, 2])
+
+    @given(finite_rows,
+           st.lists(st.one_of(small_scalars, st.integers(-9, 9),
+                              st.builds(Fraction, st.integers(-30, 30),
+                                        st.sampled_from([1, 2, 6, 9, 36]))),
+                    min_size=13, max_size=16))
+    def test_matches_fraction_arithmetic(self, r, column):
+        expected = Fraction(0)
+        for col, v in r.items():
+            expected += v * column[col]
+        out = r.dot_prefix(column)
+        assert out == expected and type(out) is Fraction
 
 
 class TestMisc:
