@@ -6,8 +6,7 @@ from .rows import (FiniteRow, Scalar, ShortColumnError, ZERO_ROW, ZeroRowError,
 from .sources import (CoeffExpr, EquationSpec, EvalError, ExprSyntaxError,
                       RowSource, SpecError, build_family, equation_from_obj,
                       load_equation, parse_coeff_expr)
-from .elimination import (EliminationState, EngineError, GAUSS_JORDAN,
-                          GAUSS_ONLY, check_invariants, run)
+from .elimination import EliminationState, EngineError, check_invariants, run
 from .solver import (AccessibleIndexError, FundamentalSet, InaccessibleLengths,
                      InconsistentSystemError, frechet_distance,
                      fundamental_set, general_solution, inaccessible_lengths)
@@ -21,8 +20,7 @@ __all__ = [
     "CoeffExpr", "EquationSpec", "EvalError", "ExprSyntaxError", "RowSource",
     "SpecError", "build_family", "equation_from_obj", "load_equation",
     "parse_coeff_expr",
-    "EliminationState", "EngineError", "GAUSS_JORDAN", "GAUSS_ONLY",
-    "check_invariants", "run",
+    "EliminationState", "EngineError", "check_invariants", "run",
     "AccessibleIndexError", "FundamentalSet", "InaccessibleLengths",
     "InconsistentSystemError", "frechet_distance", "fundamental_set",
     "general_solution", "inaccessible_lengths",

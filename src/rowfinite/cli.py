@@ -9,7 +9,8 @@ subcommand accepts only the flags it reads (``_COMMANDS``); any other flag
 is an argparse usage error.
 
 Exit codes: 0 ok, 1 verification failure, 2 spec or usage error,
-3 evaluation error, 4 inconsistent system.
+3 evaluation error, 4 inconsistent system, 141 (128 + SIGPIPE) stdout closed
+before the output was written, as by ``| head``.
 
 All rationals are printed as ``p`` or ``p/q``.  The JSON output of ``reduce``
 uses the explicit-matrix key ``rows`` for the reduced prefix, so it can be
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -31,8 +33,7 @@ from . import checks
 from . import hessenberg as hb
 from . import solver
 from .elimination import EliminationState, run
-from .rows import (FiniteRow, ShortColumnError, format_ratio, format_scalar,
-                   parse_scalar)
+from .rows import FiniteRow, format_ratio, format_scalar, parse_scalar
 from .sources import (EquationSpec, EvalError, RowSource, SpecError,
                       build_family, load_equation)
 
@@ -41,6 +42,7 @@ EXIT_VERIFY = 1
 EXIT_SPEC = 2
 EXIT_EVAL = 3
 EXIT_INCONSISTENT = 4
+EXIT_PIPE = 141
 
 
 _FREE_INDEX = re.compile(r"[+-]?[0-9]+")
@@ -78,6 +80,11 @@ def _load_source(args) -> EquationSpec:
     if args.family:
         return EquationSpec(build_family({"family": args.family}))
     raise SpecError("one of --spec or --family is required")
+
+
+def _mode(state: EliminationState) -> str:
+    """The printed engine mode: a certified run never cross-clears."""
+    return "gauss_only" if state.certified else "gauss_jordan"
 
 
 def _first_index(args, source: RowSource) -> int:
@@ -142,7 +149,7 @@ def _reduce_json(state: EliminationState, horizon: int) -> str:
         "{",
         '  "command": "reduce",',
         f'  "horizon": {horizon},',
-        f'  "mode": {json.dumps(state.mode)},',
+        f'  "mode": "{_mode(state)}",',
         f'  "certified": {json.dumps(state.certified)},',
         f'  "rows": {_rows_json(state.h_rows)},',
         f'  "q_rows": {_rows_json(state.q_rows)},',
@@ -194,7 +201,7 @@ def cmd_reduce(args) -> int:
           lambda: _reduce_json(state, args.horizon),
           lambda: _rows_csv(state.h_rows),
           lambda: (
-              f"reduced prefix (mode {state.mode}):\n{_pretty_rows(state.h_rows)}\n"
+              f"reduced prefix (mode {_mode(state)}):\n{_pretty_rows(state.h_rows)}\n"
               f"transform rows:\n{_pretty_rows(state.q_rows)}\n"
               f"j_set={state.j_set} w_set={state.w_set} mu={state.mu}\n"
               f"stable_since={state.last_change}"
@@ -352,13 +359,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: --horizon and --terms must be at least 1", file=sys.stderr)
         return EXIT_SPEC
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()   # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the flush at exit would fail again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except solver.InconsistentSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (SpecError, ShortColumnError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
     except EvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL

@@ -35,11 +35,12 @@ Each consumed row passes through three steps:
    strictly increasing; displaced nonzero rows shift to later nonzero slots
    while zero rows keep their exact indices.
 
-``gauss_only`` mode serves sources whose rows already arrive in strictly
-increasing length order (lower echelon): steps 2-3 provably never fire there
-and every prefix is final the moment it appears, so the reported prefixes are
-certified.  For arbitrary sources stabilization is only empirical; the
-engine records, per prefix index, the last step that changed it.
+A *certified* state serves a source whose rows arrive in strictly
+increasing length order (lower echelon), as every source with a
+``regular_order_index`` does: steps 2-3 provably never fire there, a row that
+would need them is an :class:`EngineError`, and every prefix is final the
+moment it appears.  For arbitrary sources stabilization is only empirical;
+the engine records, per prefix index, the last step that changed it.
 """
 
 from __future__ import annotations
@@ -47,13 +48,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from .rows import FiniteRow, to_fraction
 from .sources import RowSource
-
-GAUSS_JORDAN = "gauss_jordan"
-GAUSS_ONLY = "gauss_only"
 
 T = TypeVar("T")
 
@@ -87,6 +85,7 @@ class EliminationState:
 
     Attributes
     ----------
+    certified      : the source is lower echelon, so every prefix is final.
     h_rows         : reduced rows.
     q_rows         : matching transform rows, index-aligned with h_rows;
                      replayed from the log when read (see the property).
@@ -97,10 +96,8 @@ class EliminationState:
                      differed from the previous step (creation counts).
     """
 
-    def __init__(self, mode: str = GAUSS_JORDAN):
-        if mode not in (GAUSS_JORDAN, GAUSS_ONLY):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
+    def __init__(self, certified: bool = False):
+        self.certified = certified
         self.h_rows: List[FiniteRow] = []
         self.j_set: List[int] = []
         self.w_set: List[int] = []
@@ -113,10 +110,6 @@ class EliminationState:
     def k(self) -> int:
         """Number of source rows consumed so far."""
         return len(self.h_rows)
-
-    @property
-    def certified(self) -> bool:
-        return self.mode == GAUSS_ONLY
 
     @property
     def greatest_length(self) -> int:
@@ -178,13 +171,11 @@ class EliminationState:
 
     # -- step 3: placement -----------------------------------------------------
 
-    def insert_with_permutation(self, g: FiniteRow, log: PushLog,
-                                extra_changed: Iterable[int] = ()) -> None:
+    def insert_with_permutation(self, g: FiniteRow, log: PushLog) -> None:
         """Place a survivor, shifting nonzero rows as needed, and update the
-        change markers of the shifted rows and of ``extra_changed`` (zero
-        rows never move).  Records the placement in ``log.targets``."""
+        change markers of the shifted rows and of the rows in ``log.cross``
+        (zero rows never move).  Records the placement in ``log.targets``."""
         k = self.k
-        changed = set(extra_changed)
         if g.is_zero:
             targets = [k]
             self.w_set.append(k)
@@ -197,14 +188,13 @@ class EliminationState:
             if rank < len(self.mu) and self.mu[rank] == g.length:
                 raise EngineError(f"pivot length {g.length} collides with a stored pivot")
             targets = self.j_set[rank:] + [k]
-            changed.update(targets[:-1])
             self.mu.insert(rank, g.length)
             self.j_set.append(k)
         _place(self.h_rows, targets, g)
         log.targets = targets
-        if changed:
-            for n in range(min(changed), k):
-                self.last_change[n] = k
+        # targets[0] is k unless rows shifted, and then the first of them
+        for n in range(min([targets[0]] + [pos for pos, _ in log.cross]), k):
+            self.last_change[n] = k
         self.last_change.append(k)
 
     # -- the full step ---------------------------------------------------------
@@ -213,14 +203,11 @@ class EliminationState:
         """Consume one source row, restoring every invariant, and log the
         operations applied."""
         g, log = self.reduce_with_transform(row)
-        changed = []
         if not g.is_zero and self.mu and g.length < self.mu[-1]:
-            if self.mode == GAUSS_ONLY:
-                raise EngineError(
-                    "source tagged lower-echelon produced a length-decreasing row"
-                )
-            changed = self.jordan_clear(g, log)
-        self.insert_with_permutation(g, log, changed)
+            if self.certified:
+                raise EngineError("certified source produced a length-decreasing row")
+            self.jordan_clear(g, log)
+        self.insert_with_permutation(g, log)
         self._log.append(log)
 
     # -- replay ----------------------------------------------------------------
@@ -256,6 +243,18 @@ class EliminationState:
         return self.replay(self._q_rows, lambda k: FiniteRow._raw([(k, 1, 1)]),
                            FiniteRow.combine)
 
+    def q_lengths(self) -> List[int]:
+        """The length of each transform row, folded out of the log without
+        building ``Q``: the rightmost entry of a transform row never
+        cancels, so the length of ``q_rows[n]`` is the last push that wrote
+        position n, by a cross-clear or by placement."""
+        lengths: List[int] = []
+        for k, log in enumerate(self._log):
+            for pos, _ in log.cross:
+                lengths[pos] = k
+            _place(lengths, log.targets, k)
+        return lengths
+
 
 def _place(rows: list, targets: List[int], survivor) -> None:
     """The placement step: append a slot at position k (the last target),
@@ -268,12 +267,11 @@ def _place(rows: list, targets: List[int], survivor) -> None:
 
 
 def run(source: RowSource, horizon: int) -> EliminationState:
-    """Push rows 0..horizon-1 of the source; gauss_only for lower-echelon
-    sources, full mode otherwise."""
+    """Push rows 0..horizon-1 of the source; the state is certified when
+    the source has a regular order, whose rows come in lower echelon."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    mode = GAUSS_ONLY if source.lower_echelon else GAUSS_JORDAN
-    state = EliminationState(mode=mode)
+    state = EliminationState(certified=source.regular_order_index is not None)
     for n in range(horizon):
         state.push_row(source.row_at(n))
     return state

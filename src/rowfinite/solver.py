@@ -128,24 +128,14 @@ def _transformed(state: EliminationState,
     replayed on the forcing values (Q itself is not built); the second list
     holds the length of each q_rows[n], for :func:`_check_supplied`.
 
-    The rightmost entry of a transform row never cancels, so the length of
-    q_rows[n] is the last push that wrote position n.  Forcing values past
-    the supplied prefix are taken as 0: they reach only the positions whose
-    transform row is longer than the prefix, which are checked before read.
+    Forcing values past the supplied prefix are taken as 0: they reach only
+    the positions whose transform row is longer than the prefix, which are
+    checked before read.
     """
     column = [as_scalar(v) for v in g]
-    lengths = state.replay([], int, _greatest)
     values = state.replay(
         [], lambda k: column[k] if k < len(column) else Fraction(0), _combine)
-    return values, lengths
-
-
-def _greatest(x: int, terms: List[Tuple[Scalar, int]], c: Optional[Scalar]) -> int:
-    """The greatest of ``x`` and the terms' values (multipliers ignored)."""
-    for _, y in terms:
-        if y > x:
-            x = y
-    return x
+    return values, state.q_lengths()
 
 
 def _combine(x: Scalar, terms: List[Tuple[Scalar, Scalar]], c: Optional[Scalar]) -> Scalar:

@@ -28,15 +28,16 @@ families:
 ``explicit``
     a stored finite list of rows.
 
-Sources whose rows come in strictly increasing length order carry the
-``lower_echelon`` tag; when additionally every trailing coefficient of a
-constant- or ascending-order family is nonzero they carry
-``regular_order_index = N``.  The regularity claim is checked lazily, row by
-row, because nonvanishing of an arbitrary coefficient expression for all n is
-not decidable up front.  The banded families (``first_order``,
-``second_order``, ``n_order``) also carry ``band``, the number of columns left
-of the trailing one that a row can occupy (1, 2 and N), so that the closed
-form in :mod:`rowfinite.hessenberg` skips the entries known to be zero.
+The constant- and ascending-order families (``first_order``,
+``second_order``, ``n_order``, ``ascending``) carry ``regular_order_index =
+N``: every trailing coefficient is nonzero, so their rows come in strictly
+increasing length order and the elimination of them is certified.  The
+regularity claim is checked lazily, row by row, because nonvanishing of an
+arbitrary coefficient expression for all n is not decidable up front.  The
+banded families (``first_order``, ``second_order``, ``n_order``) also carry
+``band``, the number of columns left of the trailing one that a row can
+occupy (1, 2 and N), so that the closed form in :mod:`rowfinite.hessenberg`
+skips the entries known to be zero.
 The order N of ``n_order`` and ``ascending`` is at most ``MAX_ORDER``.
 
 Coefficient expressions use the grammar (whitespace insignificant)::
@@ -386,7 +387,6 @@ class RowSource:
     """
 
     row_fn: Callable[[int], FiniteRow]
-    lower_echelon: bool = False
     regular_order_index: Optional[int] = None
     row_count: Optional[int] = None
     band: Optional[int] = None
@@ -413,13 +413,13 @@ def _parse_row_entries(data) -> FiniteRow:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise SpecError(f"row entry must be a [column, value] pair, got {item!r}")
         col, value = item
-        if not isinstance(col, int) or col < 0:
+        if not isinstance(col, int) or isinstance(col, bool) or col < 0:
             raise SpecError(f"column must be a nonnegative integer, got {col!r}")
         if col <= last:
             raise SpecError(f"row columns must be strictly increasing, got {col} after {last}")
         last = col
         entries.append((col, as_scalar(value)))
-    return FiniteRow(entries)
+    return FiniteRow._from_sorted(entries)
 
 
 def _require(spec: Mapping, key: str, family: str):
@@ -450,8 +450,7 @@ def build_family(spec: Mapping) -> RowSource:
         def first_order_row(n: int) -> FiniteRow:
             return FiniteRow._from_sorted([(n, -a(n)), (n + 1, 1)])
 
-        return RowSource(first_order_row, lower_echelon=True,
-                         regular_order_index=1, band=1)
+        return RowSource(first_order_row, regular_order_index=1, band=1)
 
     if family == "second_order":
         a = _coeff_n(_require(spec, "a", family), "a")
@@ -460,8 +459,7 @@ def build_family(spec: Mapping) -> RowSource:
         def second_order_row(n: int) -> FiniteRow:
             return FiniteRow._from_sorted([(n, a(n)), (n + 1, b(n)), (n + 2, 1)])
 
-        return RowSource(second_order_row, lower_echelon=True,
-                         regular_order_index=2, band=2)
+        return RowSource(second_order_row, regular_order_index=2, band=2)
 
     if family in ("n_order", "ascending"):
         order = _require(spec, "N", family)
@@ -483,8 +481,7 @@ def build_family(spec: Mapping) -> RowSource:
             entries.append((n + order, lead))
             return FiniteRow._from_sorted(entries)
 
-        return RowSource(regular_row, lower_echelon=True,
-                         regular_order_index=order,
+        return RowSource(regular_row, regular_order_index=order,
                          band=order if family == "n_order" else None)
 
     if family == "example2":

@@ -125,7 +125,7 @@ def test_criterion_3_left_association_and_postulates():
         ]
         for src, horizon in builtins:
             state = EliminationState(
-                mode="gauss_only" if src.lower_echelon else "gauss_jordan")
+                certified=src.regular_order_index is not None)
             for n in range(horizon):
                 state.push_row(src.row_at(n))
                 check_invariants(state)

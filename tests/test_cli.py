@@ -24,7 +24,8 @@ def reduce_payload(state, horizon):
     generic encoder to serialize."""
     def rows(rs):
         return [[[c, format_scalar(v)] for c, v in r.items()] for r in rs]
-    return {"command": "reduce", "horizon": horizon, "mode": state.mode,
+    mode = "gauss_only" if state.certified else "gauss_jordan"
+    return {"command": "reduce", "horizon": horizon, "mode": mode,
             "certified": state.certified, "rows": rows(state.h_rows),
             "q_rows": rows(state.q_rows), "j_set": state.j_set,
             "w_set": state.w_set, "mu": state.mu,
@@ -468,6 +469,13 @@ class TestUsageAndErrors:
         assert code == 2 and not out
         assert "True" in err
 
+    def test_boolean_column_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "bool.json"
+        spec.write_text('{"rows": [[[true, 1]]]}')
+        code, out, err = run_cli(capsys, "reduce", "--spec", str(spec))
+        assert code == 2 and not out
+        assert err == "error: column must be a nonnegative integer, got True\n"
+
     @pytest.mark.parametrize("expr,offset", [
         ("(" * 3000 + "1" + ")" * 3000, 50),
         ("-" * 5000 + "1", 50),
@@ -586,6 +594,24 @@ class TestConsoleScript:
         second = subprocess.run(cmd, capture_output=True, text=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_package_runs_as_a_module(self):
+        done = subprocess.run([sys.executable, "-m", "rowfinite", "--help"],
+                              capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: rowfinite")
+
+    def test_closed_stdout_exits_141(self):
+        # 31 MB of output: far more than the pipe holds once it is closed
+        cmd = [sys.executable, "-m", "rowfinite", "reduce", "--family",
+               "example2", "--horizon", "300", "--format", "pretty"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.readline().startswith("reduced prefix")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in err
 
 
 def terms_payload(values, first):

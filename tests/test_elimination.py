@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rowfinite import (EliminationState, EngineError, FiniteRow, GAUSS_JORDAN,
-                       GAUSS_ONLY, ZERO_ROW, build_family, check_invariants,
-                       run)
+from rowfinite import (EliminationState, EngineError, FiniteRow, ZERO_ROW,
+                       build_family, check_invariants, run)
 from rowfinite.elimination import PushLog
 from rowfinite.checks import left_association
 from conftest import (dense_rank, push_checked, random_explicit_rows,
@@ -225,12 +224,12 @@ class TestPushRow:
     def test_gauss_only_never_permutes(self):
         src = build_family({"family": "first_order", "a": "n + 2"})
         st = run(src, 6)
-        assert st.mode == GAUSS_ONLY
+        assert st.certified
         assert st.j_set == list(range(6))
         assert st.last_change == list(range(6))
 
     def test_gauss_only_rejects_length_drop(self):
-        st = EliminationState(mode=GAUSS_ONLY)
+        st = EliminationState(certified=True)
         st.push_row(row(0, 0, 1))
         with pytest.raises(EngineError):
             st.push_row(row(1))
@@ -247,7 +246,8 @@ class TestModesAgree:
         for shape in ("n_order", "ascending"):
             src = random_regular_source(rng, order=2, horizon=12, shape=shape)
             certified = run(src, 12)
-            general = EliminationState(mode=GAUSS_JORDAN)
+            assert certified.certified
+            general = EliminationState()
             for n in range(12):
                 general.push_row(src.row_at(n))
             assert certified.h_rows == general.h_rows
@@ -259,7 +259,7 @@ class TestRunAndPrefixes:
         src = ex3()
         st = run(src, 12)
         assert st.k == 12
-        assert st.mode == GAUSS_JORDAN
+        assert not st.certified
         check_invariants(st)
 
     def test_constant_first_order_column_of_products(self):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from rowfinite import (AccessibleIndexError, EliminationState, GAUSS_JORDAN,
-                       GAUSS_ONLY, InconsistentSystemError, ShortColumnError,
+from rowfinite import (AccessibleIndexError, EliminationState,
+                       InconsistentSystemError, ShortColumnError,
                        build_family, frechet_distance, fundamental_set,
                        general_solution, inaccessible_lengths, run)
 from rowfinite.checks import left_association
@@ -434,7 +434,7 @@ class TestTransformReplay:
     @given(hs.integers(0, 2 ** 32), hs.sampled_from(["explicit", "n_order", "ascending"]))
     def test_replay_matches_the_transform_rows(self, seed, shape):
         rng = random.Random(seed)
-        mode = GAUSS_JORDAN
+        certified = False
         if shape == "explicit":
             rows = random_explicit_rows(rng, max_rows=14, max_len=9)
         else:
@@ -442,8 +442,8 @@ class TestTransformReplay:
             src = random_regular_source(rng, order=rng.randint(1, 3),
                                         horizon=horizon, shape=shape)
             rows = [src.row_at(n) for n in range(horizon)]
-            mode = GAUSS_ONLY
-        st, fresh = EliminationState(mode), EliminationState(mode)
+            certified = True
+        st, fresh = EliminationState(certified), EliminationState(certified)
         for r in rows:
             st.push_row(r)
             fresh.push_row(r)
@@ -451,6 +451,7 @@ class TestTransformReplay:
                 assert len(st.q_rows) == st.k   # resumes from this step later
         q_rows = st.q_rows
         assert q_rows == fresh.q_rows
+        assert st.q_lengths() == [q.length for q in st.q_rows]
         assert left_association(st, rows)
 
         k = st.k

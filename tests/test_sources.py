@@ -22,7 +22,6 @@ class TestExample2:
 
     def test_not_tagged_regular(self):
         src = build_family({"family": "example2"})
-        assert not src.lower_echelon
         assert src.regular_order_index is None
 
     def test_trailing_coefficient_vanishes_at_one(self):
@@ -52,7 +51,7 @@ class TestRegularFamilies:
         src = build_family({"family": "first_order", "a": "2"})
         assert src.row_at(0) == row(-2, 1)
         assert src.row_at(1) == row(0, -2, 1)
-        assert src.lower_echelon and src.regular_order_index == 1
+        assert src.regular_order_index == 1
 
     def test_second_order_from_lists(self):
         src = build_family({"family": "second_order", "a": [1, 3], "b": [2, 4]})
