@@ -103,7 +103,7 @@ def residual_check(state: elimination.EliminationState,
 def hessenberg_cross_check(state: elimination.EliminationState,
                            source: RowSource, rng: random.Random) -> bool:
     """Compare the closed form with the elimination path on random forcing
-    terms and initial values (certified regular-order sources only)."""
+    terms and initial values (regular-order sources only)."""
     order = source.regular_order_index
     g = [_random_scalar(rng) for _ in range(state.k)]
     init = [_random_scalar(rng) for _ in range(order)]
@@ -127,7 +127,7 @@ def run_checks(eq: EquationSpec, state: elimination.EliminationState,
     except elimination.EngineError:
         results.append(("qhf-postulates", False))
     results.append(("residual", residual_check(state, rows, rng)))
-    if eq.source.regular_order_index is not None and state.certified:
+    if eq.source.regular_order_index is not None:
         results.append(("hessenberg-cross-check",
                         hessenberg_cross_check(state, eq.source, rng)))
     return results

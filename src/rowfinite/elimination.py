@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, TypeVar
 
-from .rows import FiniteRow, to_fraction
+from .rows import FiniteRow
 from .sources import RowSource
 
 T = TypeVar("T")
@@ -65,7 +65,8 @@ class PushLog:
     """The elementary operations one push applied, in the order applied.
 
     ``clear``   (position, multiplier) pairs of Gaussian clearing: the
-                survivor became ``survivor + multiplier * row[position]``;
+                survivor became ``survivor + multiplier * row[position]``,
+                the multiplier an ``int`` when integral, else a ``Fraction``;
     ``inv``     the factor the survivor was then scaled by, or None;
     ``cross``   (position, multiplier) pairs of cross clearing: row
                 ``position`` became ``row + multiplier * survivor``;
@@ -74,7 +75,7 @@ class PushLog:
                 target is the new position k.
     """
 
-    clear: List[Tuple[int, Fraction]]
+    clear: List[Tuple[int, int | Fraction]]
     inv: Optional[Fraction]
     cross: List[Tuple[int, Fraction]] = field(default_factory=list)
     targets: List[int] = field(default_factory=list)
@@ -128,7 +129,7 @@ class EliminationState:
         for col, num, den in row.int_items():
             rank = bisect_left(mu, col)
             if rank < len(mu) and mu[rank] == col:
-                clear.append((self.j_set[rank], to_fraction(-num, den)))
+                clear.append((self.j_set[rank], -num if den == 1 else Fraction(-num, den)))
         work = row.combine([(m, self.h_rows[pos]) for pos, m in clear])
         inv = None
         if not work.is_zero:
@@ -213,7 +214,7 @@ class EliminationState:
     # -- replay ----------------------------------------------------------------
 
     def replay(self, column: List[T], unit: Callable[[int], T],
-               combine: Callable[[T, List[Tuple[Fraction, T]], Optional[Fraction]], T]
+               combine: Callable[[T, List[Tuple[int | Fraction, T]], Optional[Fraction]], T]
                ) -> List[T]:
         """Bring ``column`` up to date with the log, in place, and return it.
 
@@ -224,6 +225,7 @@ class EliminationState:
         in terms))`` (``c`` of None for 1): its new value is ``unit(k)``
         combined with the clearing terms and the inverse scale, and each
         cross-cleared position is combined with one term of that value.
+        A multiplier ``m`` is an ``int`` or a ``Fraction`` (see :class:`PushLog`).
         """
         for k in range(len(column), len(self._log)):
             log = self._log[k]

@@ -138,10 +138,11 @@ def _transformed(state: EliminationState,
     return values, state.q_lengths()
 
 
-def _combine(x: Scalar, terms: List[Tuple[Scalar, Scalar]], c: Optional[Scalar]) -> Scalar:
+def _combine(x: Scalar, terms: List[Tuple[int | Scalar, Scalar]],
+             c: Optional[Scalar]) -> Scalar:
     """``c * (x + sum(m * y for m, y in terms))`` on scalars; None for c is 1."""
     for m, y in terms:
-        x += m * y
+        x += y * m   # not m * y: an int m would detour through Fraction.__rmul__
     return x if c is None else x * c
 
 

@@ -56,10 +56,11 @@ anything beyond is an :class:`ExprSyntaxError`.
 
 Each expression is compiled once, when it is parsed, into nested closures
 that compute over ``int`` and turn into a ``Fraction`` only where a division
-occurs; :meth:`CoeffExpr.evaluate` returns a ``Fraction``.  Evaluation raises
-:class:`EvalError` on a zero denominator (tested before the numerator is
-evaluated), on a non-integer ``cospi2`` argument, and on ``j`` where no column
-index applies.
+occurs.  Rows are built from the closures' ``int`` or ``Fraction`` values
+as they are; :meth:`CoeffExpr.evaluate` is the ``Fraction`` API.
+Evaluation raises :class:`EvalError` on a zero denominator (tested before
+the numerator is evaluated), on a non-integer ``cospi2`` argument, and on
+``j`` where no column index applies.
 """
 
 from __future__ import annotations
@@ -323,8 +324,7 @@ class CoeffExpr:
         self._fn = _compile(root)
 
     def evaluate(self, n: int, j: Optional[int] = None) -> Fraction:
-        value = self._fn(n, j)
-        return value if type(value) is Fraction else Fraction(value)
+        return Fraction(self._fn(n, j))
 
     def __repr__(self) -> str:
         return f"CoeffExpr({self.text!r})"
@@ -338,12 +338,12 @@ def parse_coeff_expr(text: str) -> CoeffExpr:
 # --- coefficient adapters --------------------------------------------------
 
 
-def _coeff_n(value, name: str) -> Callable[[int], Fraction]:
+def _coeff_n(value, name: str) -> Callable[[int], int | Fraction]:
     """Adapt an n-indexed coefficient parameter to a function of n."""
     if isinstance(value, str):
         value = parse_coeff_expr(value)
     if isinstance(value, CoeffExpr):
-        return lambda n: value.evaluate(n)
+        return lambda n: value._fn(n, None)
     if isinstance(value, (int, Fraction)):
         const = as_scalar(value)
         return lambda n: const
@@ -361,12 +361,12 @@ def _coeff_n(value, name: str) -> Callable[[int], Fraction]:
     raise SpecError(f"parameter {name!r} must be an expression, constant, list, or callable")
 
 
-def _coeff_nj(value, name: str) -> Callable[[int, int], Fraction]:
+def _coeff_nj(value, name: str) -> Callable[[int, int], int | Fraction]:
     """Adapt an (n, j)-indexed coefficient parameter."""
     if isinstance(value, str):
         value = parse_coeff_expr(value)
     if isinstance(value, CoeffExpr):
-        return lambda n, j: value.evaluate(n, j)
+        return value._fn
     if isinstance(value, (int, Fraction)):
         const = as_scalar(value)
         return lambda n, j: const
@@ -428,10 +428,10 @@ def _require(spec: Mapping, key: str, family: str):
     return spec[key]
 
 
-_EX2_LOW = parse_coeff_expr("2*n*(n+1)")
-_EX2_MID = parse_coeff_expr("-(n^2 + 3*n - 2)")
-_EX2_HIGH = parse_coeff_expr("n - 1")
-_EX3 = parse_coeff_expr("1 - cospi2(2*n - j)")
+# compiled coefficients: example2's at columns n, n+1, n+2, and example3's
+_EX2 = tuple(parse_coeff_expr(text)._fn
+             for text in ("2*n*(n+1)", "-(n^2 + 3*n - 2)", "n - 1"))
+_EX3 = parse_coeff_expr("1 - cospi2(2*n - j)")._fn
 
 
 def build_family(spec: Mapping) -> RowSource:
@@ -486,17 +486,14 @@ def build_family(spec: Mapping) -> RowSource:
 
     if family == "example2":
         def example2_row(n: int) -> FiniteRow:
-            return FiniteRow._from_sorted([
-                (n, _EX2_LOW.evaluate(n)),
-                (n + 1, _EX2_MID.evaluate(n)),
-                (n + 2, _EX2_HIGH.evaluate(n)),
-            ])
+            return FiniteRow._from_sorted([(n + i, fn(n, None))
+                                           for i, fn in enumerate(_EX2)])
 
         return RowSource(example2_row)
 
     if family == "example3":
         def example3_row(n: int) -> FiniteRow:
-            return FiniteRow._from_sorted([(j, _EX3.evaluate(n, j))
+            return FiniteRow._from_sorted([(j, _EX3(n, j))
                                            for j in range(n + 3)])
 
         return RowSource(example3_row)

@@ -3,7 +3,8 @@ corrupted where that check looks."""
 
 import pytest
 
-from rowfinite import EquationSpec, FiniteRow, SpecError, build_family, run
+from rowfinite import (EliminationState, EquationSpec, FiniteRow, SpecError,
+                       build_family, run)
 from rowfinite.checks import expected_pair_check, run_checks
 from conftest import source_rows
 
@@ -55,6 +56,19 @@ def test_corrupted_transform_entry_fails_left_association(showcase):
     state.q_rows[5] = state.q_rows[5].combine((), 2)
     assert checked(eq, state) == {"left-association": False,
                                   "qhf-postulates": True, "residual": True}
+
+
+def test_uncertified_state_over_a_regular_source_runs_the_cross_check(regular):
+    # the source, not the state's certification, decides that the closed
+    # form applies; rows of a regular order never need a cross-clear
+    eq, _ = regular
+    state = EliminationState()
+    for row in source_rows(eq.source, 6):
+        state.push_row(row)
+    assert not state.certified
+    assert checked(eq, state) == {"left-association": True,
+                                  "qhf-postulates": True, "residual": True,
+                                  "hessenberg-cross-check": True}
 
 
 def test_corrupted_reduced_entry_fails_hessenberg_cross_check(regular):

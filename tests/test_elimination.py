@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rowfinite import (EliminationState, EngineError, FiniteRow, ZERO_ROW,
-                       build_family, check_invariants, run)
+                       build_family, check_invariants, run, solver)
 from rowfinite.elimination import PushLog
 from rowfinite.checks import left_association
 from conftest import (dense_rank, push_checked, random_explicit_rows,
@@ -506,7 +506,8 @@ class TestCheckInvariants:
 class ScanAllState(EliminationState):
     """The engine as it was before the rank cut, the reference for it:
     cross clearing probes every nonzero row, and Gaussian clearing reads
-    every entry as a Fraction."""
+    every entry as a Fraction, so it also logs every multiplier as one
+    (the reference for :class:`TestIntegerMultipliers`)."""
 
     def reduce_with_transform(self, row):
         work, clear = row, []
@@ -657,6 +658,63 @@ class TestTransformReplay:
         for r in rows:
             st.push_row(r)
         assert st.q_rows == chained_q_rows(st)
+
+
+def solutions(st, rows, seed):
+    """``general_solution`` with random free constants at the inaccessible
+    columns, for no forcing, for a forcing consistent by construction
+    (``A . y`` for a random y) and for a random forcing: the values, or the
+    zero rows violated."""
+    rng = random.Random(seed)
+    width = st.greatest_length + 1
+
+    def small():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    pivot = set(st.mu)
+    free = {s: small() for s in range(width) if s not in pivot}
+    probe = [small() for _ in range(width)]
+    out = []
+    for g in (None, [r.dot_prefix(probe) for r in rows], [small() for _ in rows]):
+        try:
+            out.append(solver.general_solution(st, g, free, width))
+        except solver.InconsistentSystemError as exc:
+            out.append(exc.violated)
+    return out
+
+
+class TestIntegerMultipliers:
+    """Integral clearing multipliers are logged as ``int``; the log, H, Q
+    and the solutions equal those of the all-``Fraction`` reference."""
+
+    def check(self, rows):
+        fast, ref = EliminationState(), ScanAllState()
+        for r in rows:
+            fast.push_row(r)
+            ref.push_row(r)
+        multipliers = [m for log in fast._log for _, m in log.clear]
+        for m in multipliers:
+            assert type(m) is (int if Fraction(m).denominator == 1 else Fraction)
+        assert trace(fast) == trace(ref)
+        assert fast.q_rows == ref.q_rows
+        assert solutions(fast, rows, 5) == solutions(ref, rows, 5)
+        return multipliers
+
+    @pytest.mark.parametrize("family, horizon", [("example2", 40), ("example3", 40)])
+    def test_builtins(self, family, horizon):
+        src = build_family({"family": family})
+        multipliers = self.check(source_rows(src, horizon))
+        assert any(type(m) is int for m in multipliers)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_shuffled_matrices(self, seed):
+        multipliers = self.check(shuffled_explicit_rows(seed=seed, width=30))
+        assert {type(m) for m in multipliers} == {int, Fraction}
+
+    @settings(max_examples=50, deadline=None)
+    @given(shuffled_length_rows())
+    def test_random_rows(self, rows):
+        self.check(rows)
 
 
 class TestPrefixHistory:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rowfinite import EvalError, ExprSyntaxError, build_family, parse_coeff_expr
+from rowfinite import (EvalError, ExprSyntaxError, FiniteRow, SpecError,
+                       build_family, parse_coeff_expr)
 from rowfinite.sources import MAX_DEPTH, MAX_EXPONENT, _Parser
 
 
@@ -252,3 +253,56 @@ def test_evaluation_is_deterministic_and_exact(n, j):
     expected = Fraction((n - j) ** 2 - n * j + 7)
     assert expr.evaluate(n, j) == expected
     assert expr.evaluate(n, j) == expr.evaluate(n, j)
+
+
+def row_outcome(source, n):
+    """Row n of a source as its ``(column, numerator, denominator)``
+    triples, or the class and message of the error building it raises."""
+    try:
+        triples = tuple(source.row_at(n).int_items())
+    except (EvalError, SpecError) as exc:
+        return (type(exc).__name__, str(exc))
+    assert all(type(num) is int and type(den) is int for _, num, den in triples)
+    return triples
+
+
+def through_evaluate(text, takes_j):
+    """The coefficient as a callable over ``CoeffExpr.evaluate``, which
+    hands the row builder a ``Fraction`` for every value."""
+    expr = parse_coeff_expr(text)
+    if takes_j:
+        return lambda n, j: expr.evaluate(n, j)
+    return lambda n: expr.evaluate(n)
+
+
+@given(st.sampled_from(["first_order", "second_order", "n_order", "ascending"]),
+       st.one_of(_texts, _zero_divisions), _texts, st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=12))
+def test_rows_from_closure_values_match_rows_from_evaluate(family, a, b, order, n):
+    # row builders take the compiled closures' int or Fraction values
+    # unboxed; rows and error texts must be those built from Fractions
+    try:
+        parse_coeff_expr(a), parse_coeff_expr(b)
+    except ExprSyntaxError:   # a draw past MAX_DEPTH or MAX_EXPONENT
+        assume(False)
+    takes_j = family in ("n_order", "ascending")
+    spec = {"family": family, "a": a, "b": b, "N": order}
+    reference = dict(spec, a=through_evaluate(a, takes_j),
+                     b=through_evaluate(b, takes_j))
+    assert (row_outcome(build_family(spec), n)
+            == row_outcome(build_family(reference), n))
+
+
+_EX3_COS = (1, 0, -1, 0)   # cos(m pi / 2) by m mod 4
+
+
+def test_builtin_rows_match_rows_built_from_fractions():
+    ex2, ex3 = build_family({"family": "example2"}), build_family({"family": "example3"})
+    for n in range(200):
+        assert ex2.row_at(n) == FiniteRow([
+            (n, Fraction(2 * n * (n + 1))),
+            (n + 1, -Fraction(n * n + 3 * n - 2)),
+            (n + 2, Fraction(n - 1)),
+        ])
+        assert ex3.row_at(n) == FiniteRow(
+            (m, 1 - Fraction(_EX3_COS[(2 * n - m) % 4])) for m in range(n + 3))
