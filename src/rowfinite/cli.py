@@ -15,8 +15,9 @@ before the output was written, as by ``| head``.
 All rationals are printed as ``p`` or ``p/q``.  The JSON output of ``reduce``
 uses the explicit-matrix key ``rows`` for the reduced prefix, so it can be
 fed back in as an equation spec when every entry is within the interpreter's
-4,300-digit limit on parsing an integer; a longer entry prints in full but
-is rejected on reading (exit 2).
+4,300-digit limit on parsing an integer and every column within
+``MAX_COLUMN``; a longer entry or a farther column prints in full but is
+rejected on reading (exit 2).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from . import checks
 from . import hessenberg as hb
@@ -66,10 +67,11 @@ def _parse_free(text: Optional[str]) -> Dict[int, Fraction]:
     return out
 
 
-def _parse_g(text: Optional[str]) -> Optional[List[Fraction]]:
-    if text is None:
-        return None
-    return [parse_scalar(chunk) for chunk in text.split(",")]
+def _forcing(args, eq: EquationSpec) -> Optional[List[Fraction]]:
+    """``--g`` if given, else the spec's ``g``; None for no forcing."""
+    if args.g is not None:
+        return [parse_scalar(chunk) for chunk in args.g.split(",")]
+    return None if eq.g is None else list(eq.g)
 
 
 def _load_source(args) -> EquationSpec:
@@ -145,6 +147,8 @@ def _reduce_json(state: EliminationState, horizon: int) -> str:
     """The ``reduce`` JSON document, equal to ``json.dumps`` of the payload
     with ``indent=2`` but built without a per-entry ``Fraction`` or the
     generic encoder: ``Q`` can hold tens of thousands of entries."""
+    # before the row strings: after them, perfbench jordan's peak RSS rose 2 MiB
+    since = _ints_json(state.stable_since())
     return "\n".join((
         "{",
         '  "command": "reduce",',
@@ -156,17 +160,21 @@ def _reduce_json(state: EliminationState, horizon: int) -> str:
         f'  "j_set": {_ints_json(state.j_set)},',
         f'  "w_set": {_ints_json(state.w_set)},',
         f'  "mu": {_ints_json(state.mu)},',
-        f'  "stable_since": {_ints_json(state.last_change)}',
+        f'  "stable_since": {since}',
         "}",
     ))
 
 
-def _rows_csv(rows: Sequence[FiniteRow]) -> str:
-    width = max((row.length + 1 for row in rows), default=0)
-    lines = []
+def _dense_cells(rows: Sequence[FiniteRow]) -> Iterator[List[str]]:
+    """Each of the rows (one at least) as printed cells, padded with zeros to
+    one width; one row at a time, so csv holds no more than one row's cells."""
+    width = max(row.length + 1 for row in rows)
     for row in rows:
-        lines.append(",".join(format_scalar(v) for v in row.to_dense(width)))
-    return "\n".join(lines)
+        yield [format_scalar(v) for v in row.to_dense(width)]
+
+
+def _rows_csv(rows: Sequence[FiniteRow]) -> str:
+    return "\n".join(",".join(line) for line in _dense_cells(rows))
 
 
 def _seq_csv(values: Sequence[Fraction]) -> str:
@@ -185,13 +193,29 @@ def _emit(args, json_text: Callable[[], str], csv_text: Callable[[], str],
 
 
 def _pretty_rows(rows: Sequence[FiniteRow]) -> str:
-    width = max((row.length + 1 for row in rows), default=0)
-    cells = [[format_scalar(v) for v in row.to_dense(width)] for row in rows]
-    if not cells:
-        return "(empty)"
-    col_w = [max(len(line[c]) for line in cells) for c in range(width)]
+    cells = list(_dense_cells(rows))
+    col_w = [max(map(len, column)) for column in zip(*cells)]
     return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(line, col_w))
                      for line in cells)
+
+
+def _emit_terms(args, key: str, key_value: int, values: Sequence[Fraction],
+                first: int, match: Optional[bool] = None) -> None:
+    """Print terms y_first.. for ``solve`` and ``hess``, after ``key`` in
+    JSON, and then the elimination cross-check's verdict if there is one."""
+    tail = "" if match is None else "\n" + ("MATCH" if match else "MISMATCH")
+    last = "" if match is None else f',\n  "elimination_match": {json.dumps(match)}'
+    _emit(args,
+          lambda: "\n".join((
+              "{",
+              f'  "command": "{args.command}",',
+              f'  "{key}": {key_value},',
+              f'  "terms": {_terms_json(values, first, 2)}{last}',
+              "}",
+          )),
+          lambda: _seq_csv(values) + tail,
+          lambda: "\n".join(f"y_{i + first} = {format_scalar(v)}"
+                            for i, v in enumerate(values)) + tail)
 
 
 def cmd_reduce(args) -> int:
@@ -204,7 +228,7 @@ def cmd_reduce(args) -> int:
               f"reduced prefix (mode {_mode(state)}):\n{_pretty_rows(state.h_rows)}\n"
               f"transform rows:\n{_pretty_rows(state.q_rows)}\n"
               f"j_set={state.j_set} w_set={state.w_set} mu={state.mu}\n"
-              f"stable_since={state.last_change}"
+              f"stable_since={state.stable_since()}"
           ))
     return EXIT_OK
 
@@ -212,23 +236,11 @@ def cmd_reduce(args) -> int:
 def cmd_solve(args) -> int:
     eq = _load_source(args)
     free = _parse_free(args.free)
-    g = _parse_g(args.g)
-    if g is None and eq.g is not None:
-        g = list(eq.g)
+    g = _forcing(args, eq)
     state = run(eq.source, args.horizon)
     values = solver.general_solution(state, g, free, args.terms)
     first = _first_index(args, eq.source)
-    _emit(args,
-          lambda: "\n".join((
-              "{",
-              '  "command": "solve",',
-              f'  "first_index": {first},',
-              f'  "terms": {_terms_json(values, first, 2)}',
-              "}",
-          )),
-          lambda: _seq_csv(values),
-          lambda: "\n".join(f"y_{i + first} = {format_scalar(v)}"
-                            for i, v in enumerate(values)))
+    _emit_terms(args, "first_index", first, values, first)
     return EXIT_OK
 
 
@@ -260,9 +272,7 @@ def cmd_hess(args) -> int:
         raise SpecError("hess needs a regular-order source "
                         "(first_order, second_order, n_order, or ascending)")
     order = source.regular_order_index
-    g = _parse_g(args.g)
-    if g is None and eq.g is not None:
-        g = list(eq.g)
+    g = _forcing(args, eq)
     free = _parse_free(args.free)
     for key in free:
         if not 0 <= key < order:
@@ -274,23 +284,8 @@ def cmd_hess(args) -> int:
     match = None
     if args.verify_against_elimination:
         match = checks.closed_form_matches(run(source, args.terms), g, init, values)
-    tail = "" if match is None else "\n" + ("MATCH" if match else "MISMATCH")
-
-    def payload() -> str:
-        last = "" if match is None else f',\n  "elimination_match": {json.dumps(match)}'
-        return "\n".join((
-            "{",
-            '  "command": "hess",',
-            f'  "index": {order},',
-            f'  "terms": {_terms_json(values, 0, 2)}{last}',
-            "}",
-        ))
-
-    _emit(args, payload,
-          lambda: _seq_csv(values) + tail,
-          lambda: "\n".join(f"y_{n} = {format_scalar(v)}"
-                            for n, v in enumerate(values)) + tail)
-    return EXIT_OK if match in (None, True) else EXIT_VERIFY
+    _emit_terms(args, "index", order, values, 0, match)
+    return EXIT_VERIFY if match is False else EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -40,7 +40,7 @@ increasing length order (lower echelon), as every source with a
 ``regular_order_index`` does: steps 2-3 provably never fire there, a row that
 would need them is an :class:`EngineError`, and every prefix is final the
 moment it appears.  For arbitrary sources stabilization is only empirical;
-the engine records, per prefix index, the last step that changed it.
+``stable_since()`` reads the last step that changed each prefix off the log.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, List, Optional, Tuple, TypeVar
 
 from .rows import FiniteRow
@@ -93,8 +94,6 @@ class EliminationState:
     j_set, w_set   : positions of nonzero and of zero rows (both increasing).
     mu             : lengths of the nonzero rows in position order; strictly
                      increasing at all times.
-    last_change    : per prefix index n, the last step k at which rows 0..n
-                     differed from the previous step (creation counts).
     """
 
     def __init__(self, certified: bool = False):
@@ -103,7 +102,6 @@ class EliminationState:
         self.j_set: List[int] = []
         self.w_set: List[int] = []
         self.mu: List[int] = []
-        self.last_change: List[int] = []
         self._log: List[PushLog] = []
         self._q_rows: List[FiniteRow] = []
 
@@ -173,17 +171,13 @@ class EliminationState:
     # -- step 3: placement -----------------------------------------------------
 
     def insert_with_permutation(self, g: FiniteRow, log: PushLog) -> None:
-        """Place a survivor, shifting nonzero rows as needed, and update the
-        change markers of the shifted rows and of the rows in ``log.cross``
-        (zero rows never move).  Records the placement in ``log.targets``."""
+        """Place a survivor at its length rank, shifting each nonzero row from
+        there on to the next nonzero slot (none at rank ``len(mu)``); zero
+        rows never move.  Records the placement in ``log.targets``."""
         k = self.k
         if g.is_zero:
             targets = [k]
             self.w_set.append(k)
-        elif not self.mu or g.length > self.mu[-1]:
-            targets = [k]
-            self.j_set.append(k)
-            self.mu.append(g.length)
         else:
             rank = bisect_left(self.mu, g.length)
             if rank < len(self.mu) and self.mu[rank] == g.length:
@@ -193,10 +187,6 @@ class EliminationState:
             self.j_set.append(k)
         _place(self.h_rows, targets, g)
         log.targets = targets
-        # targets[0] is k unless rows shifted, and then the first of them
-        for n in range(min([targets[0]] + [pos for pos, _ in log.cross]), k):
-            self.last_change[n] = k
-        self.last_change.append(k)
 
     # -- the full step ---------------------------------------------------------
 
@@ -256,6 +246,15 @@ class EliminationState:
                 lengths[pos] = k
             _place(lengths, log.targets, k)
         return lengths
+
+    def stable_since(self) -> List[int]:
+        """Per prefix index n, the last push that changed rows 0..n (creation
+        counts): push k changes no row below ``targets[0]``, as it
+        cross-clears only rows that its placement shifts."""
+        since = list(range(self.k))
+        for k, log in enumerate(self._log):
+            since[log.targets[0]] = k
+        return list(accumulate(since, max))
 
 
 def _place(rows: list, targets: List[int], survivor) -> None:

@@ -16,9 +16,10 @@ values (``hess_spec_from_source(source, None, e_i)``), the particular
 solution the case of zero initial values.
 
 Because the superdiagonal is identically 1, expanding along the last row
-gives the division-free recurrence
+gives a division-free recurrence; for the terms y_k = (-1)^k d_k, with d_k
+the minor of order k+1 and m[k][0] its first-column entry, it reads
 
-    d_k = sum_{j=0..k} (-1)^(k-j) m[k][j] d_{j-1},   d_{-1} = 1,
+    y_k = m[k][0] - sum_{j=1..k} m[k][j] y_{j-1},
 
 which evaluates every leading principal determinant in one pass, so asking
 for a whole prefix costs the same as asking for its last term.  Below the
@@ -128,25 +129,23 @@ def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
         raise ValueError(f"expected {spec.index} initial values, got {len(spec.init)}")
     coeff, index, band = spec.coeff, spec.index, spec.band
     init = [(i, y0) for i, y0 in enumerate(spec.init) if y0]
-    dets = [Fraction(1)]   # dets[j] is d_{j-1}
+    ys: List[Scalar] = []   # ys[j - 1] is y_{j-1} = (-1)^(j-1) d_{j-1}
     for k in range(count):
         low = 1 if band is None else max(1, k - band + 1)
-        acc = Fraction(0)
+        value = Fraction(0)
         read = False
         for j in range(k, low - 1, -1):
-            prev = dets[j]
+            prev = ys[j - 1]
             if prev:
                 read = True
                 m = coeff(k, index + j - 1)
                 if m:
-                    acc += m * prev if (k - j) % 2 == 0 else -m * prev
+                    value -= m * prev
         if not read:
             coeff(k, index + k - 1)
-        value = spec.forcing(k)
+        value += spec.forcing(k)
         for i, y0 in init:
             if band is None or i >= k + index - band:
                 value -= coeff(k, i) * y0
-        if value:
-            acc += -value if k % 2 else value
-        dets.append(acc)
-    return [-d if k % 2 else d for k, d in enumerate(dets[1:])]
+        ys.append(value)
+    return ys

@@ -38,7 +38,8 @@ banded families (``first_order``, ``second_order``, ``n_order``) also carry
 ``band``, the number of columns left of the trailing one that a row can
 occupy (1, 2 and N), so that the closed form in :mod:`rowfinite.hessenberg`
 skips the entries known to be zero.
-The order N of ``n_order`` and ``ascending`` is at most ``MAX_ORDER``.
+The order N of ``n_order`` and ``ascending`` is at most ``MAX_ORDER``, and
+a column of an ``explicit`` or ``expect`` row at most ``MAX_COLUMN``.
 
 Coefficient expressions use the grammar (whitespace insignificant)::
 
@@ -131,10 +132,12 @@ def _tokenize(text: str):
 # stay well under Python's default recursion limit of 1000; MAX_EXPONENT
 # bounds the degree a power can reach, exponents of nested powers multiplied;
 # MAX_ORDER bounds the order N of the n_order and ascending families, whose
-# rows hold N+1 entries or more.
+# rows hold N+1 entries or more; MAX_COLUMN bounds a column in an explicit
+# or ``expect`` row, since checks and dense output grow with the width.
 MAX_DEPTH = 50
 MAX_EXPONENT = 1000
 MAX_ORDER = 10_000
+MAX_COLUMN = 100_000
 
 
 class _Parser:
@@ -415,6 +418,8 @@ def _parse_row_entries(data) -> FiniteRow:
         col, value = item
         if not isinstance(col, int) or isinstance(col, bool) or col < 0:
             raise SpecError(f"column must be a nonnegative integer, got {col!r}")
+        if col > MAX_COLUMN:
+            raise SpecError(f"column must be at most {MAX_COLUMN}, got {col}")
         if col <= last:
             raise SpecError(f"row columns must be strictly increasing, got {col} after {last}")
         last = col

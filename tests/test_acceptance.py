@@ -97,8 +97,8 @@ def test_criterion_2_cosine_equation_reduction():
         state = run(src, 12)
         assert [dense_str(r, 14) for r in state.h_rows] == EX3_QHF
         assert [dense_str(r, 12) for r in state.q_rows] == EX3_Q
-        assert state.last_change[:3] == [2, 2, 2]
-        assert state.last_change[3:] == list(range(3, 12))
+        assert state.stable_since()[:3] == [2, 2, 2]
+        assert state.stable_since()[3:] == list(range(3, 12))
         assert state.w_set == [6, 10]
         assert [state.q_rows[w] for w in state.w_set] == [
             FiniteRow([(3, 1), (4, -1), (5, -1), (6, 1)]),

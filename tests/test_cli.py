@@ -2,15 +2,17 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowfinite import (build_family, cli, format_scalar, general_prefix,
-                       hess_spec_from_source, run, solver)
+from rowfinite import (FiniteRow, build_family, cli, format_scalar,
+                       general_prefix, hess_spec_from_source, run, solver)
 from rowfinite.cli import main
+from rowfinite.sources import MAX_COLUMN
 
 
 def run_cli(capsys, *argv):
@@ -29,7 +31,7 @@ def reduce_payload(state, horizon):
             "certified": state.certified, "rows": rows(state.h_rows),
             "q_rows": rows(state.q_rows), "j_set": state.j_set,
             "w_set": state.w_set, "mu": state.mu,
-            "stable_since": state.last_change}
+            "stable_since": state.stable_since()}
 
 
 class TestReduce:
@@ -68,6 +70,17 @@ class TestReduce:
                                "--horizon", "3", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "0,-2,1,0,0"
+
+    def test_csv_holds_one_row_of_cells_at_a_time(self):
+        # 100 rows of 10,000 cells: all cells at once would take 30x the text
+        rows = [FiniteRow([(10_000 - i, 1)]) for i in range(100)]
+        tracemalloc.start()
+        try:
+            text = cli._rows_csv(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
 
     def test_pretty_format_runs(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "--family", "example3",
@@ -233,6 +246,17 @@ class TestSolve:
         assert payload["first_index"] == 0
         assert payload["terms"][0] == {"index": 0, "value": "1"}
 
+    @pytest.mark.parametrize("obj,expected", [
+        ({"family": "first_order", "a": 2}, "1,2,4"),
+        ({"family": "n_order", "N": 1, "a": 3}, "1,-1,1"),
+    ])
+    def test_numeric_coefficients(self, capsys, tmp_path, obj, expected):
+        spec = tmp_path / "num.json"
+        spec.write_text(json.dumps(obj))
+        code, out, _ = run_cli(capsys, "solve", "--spec", str(spec), "--terms", "3",
+                               "--free", "0=1", "--format", "csv")
+        assert (code, out) == (0, expected + "\n")
+
     def test_forcing_from_spec_file(self, capsys, tmp_path):
         spec = tmp_path / "eq.json"
         spec.write_text(json.dumps({"family": "first_order", "a": "2",
@@ -317,6 +341,39 @@ class TestHess:
         hess = run_cli(capsys, "hess", *args)
         solve = run_cli(capsys, "solve", *args)
         assert hess == solve == (3, "", "error: row 2: division by zero\n")
+
+    @pytest.mark.parametrize("free", ["1=1", "-1=1"])
+    def test_initial_value_outside_the_order_exits_2(self, capsys, tmp_path, free):
+        spec = tmp_path / "rec.json"
+        spec.write_text(json.dumps({"family": "first_order", "a": "n + 1"}))
+        code, out, err = run_cli(capsys, "hess", "--spec", str(spec),
+                                 f"--free={free}")
+        assert code == 2 and not out
+        assert err == (f"error: initial values live at indices 0..0, "
+                       f"got {free.split('=')[0]}\n")
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("csv", "1,3,7,15,0\nMISMATCH\n"),
+        ("pretty", "y_0 = 1\ny_1 = 3\ny_2 = 7\ny_3 = 15\ny_4 = 0\nMISMATCH\n"),
+        ("json", None),
+    ])
+    def test_cross_check_mismatch_exits_1(self, capsys, tmp_path, monkeypatch,
+                                          fmt, expected):
+        # a closed form that is wrong at its last term
+        real = cli.hb.general_prefix
+        monkeypatch.setattr(cli.hb, "general_prefix",
+                            lambda spec, count: real(spec, count)[:-1] + [0])
+        spec = tmp_path / "rec.json"
+        spec.write_text(json.dumps({"family": "first_order", "a": "2",
+                                    "g": ["1"] * 8}))
+        code, out, _ = run_cli(capsys, "hess", "--spec", str(spec),
+                               "--terms", "5", "--format", fmt,
+                               "--verify-against-elimination")
+        assert code == 1
+        assert out == (expected or generic_json({
+            "command": "hess", "index": 1,
+            "terms": terms_payload([1, 3, 7, 15, 0], 0),
+            "elimination_match": False}))
 
     def test_irregular_spec_rejected(self, capsys):
         code, _, err = run_cli(capsys, "hess", "--family", "example2",
@@ -410,14 +467,23 @@ class TestVerify:
     def test_expectation_past_the_consumed_rows_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "far.json"
         spec.write_text(json.dumps({"family": "example3", "expect": {
-            "h": [[]], "q": [[[1000000000, "1"]]]}}))
+            "h": [[]], "q": [[[MAX_COLUMN, "1"]]]}}))
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "--spec", str(spec),
                                  "--horizon", "4")
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
-        assert err == ("error: 'expect' q reads source row 1000000000, "
+        assert err == (f"error: 'expect' q reads source row {MAX_COLUMN}, "
                        "past the 4 rows consumed\n")
+
+    def test_all_zero_matrix_passes(self, capsys, tmp_path):
+        spec = tmp_path / "zero.json"
+        spec.write_text('{"rows": [[], []]}')
+        code, out, _ = run_cli(capsys, "verify", "--spec", str(spec),
+                               "--horizon", "2")
+        assert code == 0
+        assert out == ("seed 0\nPASS left-association\nPASS qhf-postulates\n"
+                       "PASS residual\n")
 
     def test_seed_recorded(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "example3",
@@ -468,6 +534,68 @@ class TestUsageAndErrors:
                                  "--horizon", "2")
         assert code == 2 and not out
         assert "True" in err
+
+    @pytest.mark.parametrize("obj,message", [
+        ({"family": "first_order", "a": 1.5},
+         "parameter 'a' must be an expression, constant, list, or callable"),
+        ({"family": "n_order", "N": 1, "a": 1.5},
+         "parameter 'a' must be an expression, constant, or callable"),
+        ({"rows": [[[0, "1", 2]]]},
+         "row entry must be a [column, value] pair, got [0, '1', 2]"),
+        ({"rows": [[[0, "1"]]], "expect": 5},
+         "'expect' must be an object with 'h' and/or 'q'"),
+    ])
+    def test_malformed_spec_value_exits_2(self, capsys, tmp_path, obj, message):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "reduce", "--spec", str(spec),
+                                 "--horizon", "1")
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
+
+    FAR_COMMANDS = [("verify",), ("reduce", "--format", "csv"),
+                    ("reduce", "--format", "pretty")]
+
+    @pytest.mark.parametrize("command", FAR_COMMANDS)
+    @pytest.mark.parametrize("obj,far", [
+        ({"rows": [[[MAX_COLUMN + 1, "1"]], [[0, "1"]]]}, MAX_COLUMN + 1),
+        ({"rows": [[[10 ** 12, "1"]], [[0, "1"]]]}, 10 ** 12),
+        ({"rows": [[[0, "1"]], [[0, "1"]]], "expect": {
+            "h": [[], [[0, "1"]]], "q": [[[0, "1"], [MAX_COLUMN + 1, "1"]]]}},
+         MAX_COLUMN + 1),
+    ], ids=["past-the-bound", "far", "expect"])
+    def test_column_past_the_bound_exits_2(self, capsys, tmp_path, command, obj, far):
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *command, "--spec", str(spec),
+                                 "--horizon", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == f"error: column must be at most {MAX_COLUMN}, got {far}\n"
+
+    @pytest.mark.parametrize("command", FAR_COMMANDS)
+    def test_column_at_the_bound_is_read(self, capsys, tmp_path, command):
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps({"rows": [[[MAX_COLUMN, "1"]], [[0, "1"]]]}))
+        code, out, _ = run_cli(capsys, *command, "--spec", str(spec),
+                               "--horizon", "2")
+        assert code == 0
+        if command[0] == "reduce":
+            assert out.count("0") >= MAX_COLUMN
+
+    @pytest.mark.parametrize("command,message", [
+        ("solve", "--free expects i=p/q pairs, got 'x'"),
+        ("hess", "not a rational literal: 'z'"),
+    ])
+    def test_free_and_forcing_parse_order(self, capsys, tmp_path, command, message):
+        # solve reads --free first, hess reads --g first
+        spec = tmp_path / "rec.json"
+        spec.write_text(json.dumps({"family": "first_order", "a": "2"}))
+        code, out, err = run_cli(capsys, command, "--spec", str(spec),
+                                 "--free=x", "--g=z")
+        assert code == 2 and not out
+        assert message in err
 
     def test_boolean_column_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "bool.json"

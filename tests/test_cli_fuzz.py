@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rowfinite import cli
+from rowfinite.sources import MAX_COLUMN
 
 SPEC = "<spec>"   # stands for the path of the drawn spec file
 
@@ -70,9 +71,10 @@ _EXPRS = mostly(st.recursive(_ATOMS, _compound, max_leaves=6),
 _ROWS = mostly(
     st.lists(st.dictionaries(st.integers(0, 12), _RATIONALS, max_size=4).map(
         lambda row: [[c, row[c]] for c in sorted(row)]), min_size=1, max_size=8),
-    # bad columns, bad values, bad entry shapes
+    # bad columns (far ones included), bad values, bad entry shapes
     st.lists(st.lists(
-        st.tuples(st.integers(-2, 12) | st.sampled_from(["1", 1.5, True]),
+        st.tuples(st.integers(-2, 12)
+                  | st.sampled_from(["1", 1.5, True, MAX_COLUMN + 1, 10 ** 12]),
                   _VALUES).map(list) | st.sampled_from([[1], 5, "x", [0, "1", 2]]),
         max_size=4), max_size=6) | _JUNK_VALUES)
 
@@ -140,6 +142,8 @@ def exit_code(argv):
 @example((["verify", "--spec", SPEC, "--horizon", "4"],
           json.dumps({"family": "example3",
                       "expect": {"h": [[]], "q": [[[1000000000, "1"]]]}})))
+@example((["reduce", "--spec", SPEC, "--horizon=2", "--format=csv"],
+          json.dumps({"rows": [[[10 ** 12, "1"]], [[0, "1"]]]})))
 def test_every_invocation_ends_in_a_documented_exit_code(case):
     argv, spec_text = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -213,7 +213,7 @@ class TestPushRow:
         assert st.h_rows[1] == row(2, 1, 0, 1)
         st.push_row(src.row_at(2))
         assert st.h_rows == [row(2, 1), row(-1, 0, 1), FiniteRow([(3, 1)])]
-        assert st.last_change[:3] == [2, 2, 2]
+        assert st.stable_since()[:3] == [2, 2, 2]
 
     def test_dependent_row_becomes_zero(self):
         src = build_family({"family": "example2"})
@@ -226,7 +226,7 @@ class TestPushRow:
         st = run(src, 6)
         assert st.certified
         assert st.j_set == list(range(6))
-        assert st.last_change == list(range(6))
+        assert st.stable_since() == list(range(6))
 
     def test_gauss_only_rejects_length_drop(self):
         st = EliminationState(certified=True)
@@ -273,20 +273,20 @@ class TestRunAndPrefixes:
 
     def test_prefix_stabilization_markers(self):
         st = run(ex3(), 12)
-        assert st.last_change[:3] == [2, 2, 2]
+        assert st.stable_since()[:3] == [2, 2, 2]
         assert not st.certified
         assert st.h_rows[:3] == [row(2, 1), row(-1, 0, 1), FiniteRow([(3, 1)])]
 
     def test_prefix_before_stabilization(self):
         st = run(ex3(), 2)
         assert st.h_rows[0] == FiniteRow([(1, Fraction(1, 2)), (2, 1)])
-        assert st.last_change[0] == 0
+        assert st.stable_since()[0] == 0
 
     def test_certified_prefix_for_lower_echelon(self):
         src = build_family({"family": "second_order", "a": "1", "b": "n"})
         st = run(src, 5)
         assert st.certified
-        assert st.last_change[:4] == [0, 1, 2, 3]
+        assert st.stable_since()[:4] == [0, 1, 2, 3]
 
 
 class TestLeftNullBasis:
@@ -555,7 +555,7 @@ def shuffled_length_rows(draw):
 
 def trace(st):
     return ([(log.clear, log.inv, log.cross, log.targets) for log in st._log],
-            st.h_rows, st.last_change)
+            st.h_rows, st.stable_since())
 
 
 class TestRankCut:
@@ -735,15 +735,35 @@ class TestPrefixHistory:
             seen = [g for g in glens if g is not None]
             assert all(b <= a for a, b in zip(seen, seen[1:]))
 
-    def test_change_markers_match_snapshots(self):
-        src = ex3()
-        st, history = self.snapshot_run([src.row_at(n) for n in range(12)])
+    def assert_markers_match(self, st, history):
         for n in range(st.k):
             changed_at = [n]  # creation
             for k in range(n + 1, st.k):
                 if history[k][n] != history[k - 1][n]:
                     changed_at.append(k)
-            assert st.last_change[n] == max(changed_at)
+            assert st.stable_since()[n] == max(changed_at)
+
+    def test_change_markers_match_snapshots(self):
+        src = ex3()
+        st, history = self.snapshot_run([src.row_at(n) for n in range(12)])
+        self.assert_markers_match(st, history)
+
+    def test_change_markers_match_snapshots_where_rows_shift(self):
+        # rows in random length order: pushes cross-clear and shift rows
+        shifted, crossed = [], []
+
+        @settings(max_examples=100, deadline=None)
+        @given(shuffled_length_rows())
+        @example([row(0, 0, 0, 1), row(1, 0, 0, 2), row(3, 1),
+                  row(0, 5, 0, 7, 1), row(1)])
+        def check(rows):
+            st, history = self.snapshot_run(rows)
+            self.assert_markers_match(st, history)
+            shifted.append(any(len(log.targets) > 1 for log in st._log))
+            crossed.append(any(log.cross for log in st._log))
+
+        check()
+        assert any(shifted) and any(crossed)
 
     def test_stable_greatest_length_means_stable_prefix(self):
         # once the prefix greatest length stops dropping, the prefix is frozen

@@ -347,3 +347,7 @@ class TestBand:
     def test_negative_band_rejected(self):
         with pytest.raises(ValueError, match="band"):
             banded_spec({0: 1}, 1, init=(1,), band=-1)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="^index must be nonnegative$"):
+            HessSpec(index=-1, coeff=lambda n, j: 0, forcing=zero_forcing)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from rowfinite import (AccessibleIndexError, EliminationState,
-                       InconsistentSystemError, ShortColumnError,
+                       InconsistentSystemError, ShortColumnError, SpecError,
                        build_family, frechet_distance, fundamental_set,
                        general_solution, inaccessible_lengths, run)
 from rowfinite.checks import left_association
@@ -325,6 +325,22 @@ class TestGeneralSolution:
             sol = general_solution(st, g, free, width)
             for n in range(st.k):
                 assert src.row_at(n).dot_prefix(sol) == g[n]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda st: inaccessible_lengths(st, -1), ValueError,
+     "horizon must be nonnegative"),
+    (lambda st: general_solution(st, None, {}, 0), ValueError,
+     "terms must be positive"),
+    (lambda st: general_solution(st, None, {"0": 1}, 3), SpecError,
+     "free-constant index must be a nonnegative integer, got '0'"),
+    (lambda st: frechet_distance([1], [1], -1), ValueError,
+     "horizon must be nonnegative"),
+], ids=["inaccessible-horizon", "terms", "free-key", "frechet-horizon"])
+def test_argument_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call(ex2_state())
+    assert type(info.value) is error and str(info.value) == message
 
 
 class TestRegularOrderTerm:
