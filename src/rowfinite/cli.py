@@ -170,7 +170,10 @@ def _dense_cells(rows: Sequence[FiniteRow]) -> Iterator[List[str]]:
     one width; one row at a time, so csv holds no more than one row's cells."""
     width = max(row.length + 1 for row in rows)
     for row in rows:
-        yield [format_scalar(v) for v in row.to_dense(width)]
+        cells = ["0"] * width
+        for col, num, den in row.int_items():
+            cells[col] = format_ratio(num, den)
+        yield cells
 
 
 def _rows_csv(rows: Sequence[FiniteRow]) -> str:
@@ -193,10 +196,14 @@ def _emit(args, json_text: Callable[[], str], csv_text: Callable[[], str],
 
 
 def _pretty_rows(rows: Sequence[FiniteRow]) -> str:
-    cells = list(_dense_cells(rows))
-    col_w = [max(map(len, column)) for column in zip(*cells)]
+    """Dense rows right-aligned per column; the widths come from the stored
+    entries (a zero cell is one character), so cells are built a row at a time."""
+    col_w = [1] * max(row.length + 1 for row in rows)
+    for row in rows:
+        for col, num, den in row.int_items():
+            col_w[col] = max(col_w[col], len(format_ratio(num, den)))
     return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(line, col_w))
-                     for line in cells)
+                     for line in _dense_cells(rows))
 
 
 def _emit_terms(args, key: str, key_value: int, values: Sequence[Fraction],

@@ -27,10 +27,10 @@ Each consumed row passes through three steps:
    length differs from every existing pivot length.
 2. *Cross clearing* (the Jordan half) -- when the survivor's length falls
    strictly below the greatest existing pivot length, it is used as a pivot
-   to zero the matching column of every stored row.  Lengths strictly
-   increase with rank, so only the rows longer than the survivor are
-   visited; the shorter ones are zero there.  Row lengths are unchanged by
-   this step.
+   to zero the matching column of every stored row.  Only the rows that
+   hold that column are visited, through a column index (the transpose of
+   the row lists, as in Gustavson, ACM TOMS 4(3), 1978) built on the first
+   cross-clear.  Row lengths are unchanged by this step.
 3. *Placement* -- the survivor is inserted so nonzero-row lengths stay
    strictly increasing; displaced nonzero rows shift to later nonzero slots
    while zero rows keep their exact indices.
@@ -46,10 +46,11 @@ moment it appears.  For arbitrary sources stabilization is only empirical;
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 from .rows import FiniteRow
 from .sources import RowSource
@@ -70,7 +71,8 @@ class PushLog:
                 the multiplier an ``int`` when integral, else a ``Fraction``;
     ``inv``     the factor the survivor was then scaled by, or None;
     ``cross``   (position, multiplier) pairs of cross clearing: row
-                ``position`` became ``row + multiplier * survivor``;
+                ``position`` became ``row + multiplier * survivor``, the
+                multiplier an ``int`` when integral, else a ``Fraction``;
     ``targets`` placement: the survivor went to ``targets[0]`` and the row
                 at ``targets[i]`` moved to ``targets[i + 1]``; the last
                 target is the new position k.
@@ -78,7 +80,7 @@ class PushLog:
 
     clear: List[Tuple[int, int | Fraction]]
     inv: Optional[Fraction]
-    cross: List[Tuple[int, Fraction]] = field(default_factory=list)
+    cross: List[Tuple[int, int | Fraction]] = field(default_factory=list)
     targets: List[int] = field(default_factory=list)
 
 
@@ -94,6 +96,9 @@ class EliminationState:
     j_set, w_set   : positions of nonzero and of zero rows (both increasing).
     mu             : lengths of the nonzero rows in position order; strictly
                      increasing at all times.
+    _holders       : column -> pivot lengths (never changed by placement)
+                     of the rows with an entry there; None until the first
+                     cross-clear.
     """
 
     def __init__(self, certified: bool = False):
@@ -104,6 +109,7 @@ class EliminationState:
         self.mu: List[int] = []
         self._log: List[PushLog] = []
         self._q_rows: List[FiniteRow] = []
+        self._holders: Optional[Dict[int, Set[int]]] = None
 
     @property
     def k(self) -> int:
@@ -144,11 +150,10 @@ class EliminationState:
 
         ``g`` must be a Gaussian survivor whose length falls strictly below
         the greatest stored pivot length; violations indicate an engine bug.
-        Only the rows longer than ``g`` can hold that column, and they are
-        the nonzero rows from the survivor's rank on, visited in position
-        order.  Records the multipliers in ``log.cross`` and returns the
-        positions whose content changed.  Lengths of stored rows are never
-        affected.
+        Only the rows the column index lists at that column are visited,
+        in position order (length order is position order).  Records the
+        multipliers in ``log.cross`` and returns the positions whose content
+        changed.  Lengths of stored rows are never affected.
         """
         if g.is_zero:
             raise EngineError("cross clearing needs a nonzero pivot")
@@ -158,14 +163,22 @@ class EliminationState:
         rank = bisect_left(self.mu, lg)
         if rank < len(self.mu) and self.mu[rank] == lg:
             raise EngineError(f"pivot length {lg} collides with a stored pivot")
+        holders = self._holders
+        if holders is None:
+            holders = self._holders = _column_holders(self)
         changed = []
-        for pos in self.j_set[rank:]:
-            c = self.h_rows[pos].get(lg)
-            if c:
-                m = -c
-                self.h_rows[pos] = self.h_rows[pos].combine([(m, g)])
-                log.cross.append((pos, m))
-                changed.append(pos)
+        for length in sorted(holders.get(lg, ())):
+            pos = self.j_set[bisect_left(self.mu, length)]
+            row = self.h_rows[pos]
+            for col, num, den in row.int_items():
+                holders[col].discard(length)
+                if col == lg:
+                    m = -num if den == 1 else Fraction(-num, den)
+            row = self.h_rows[pos] = row.combine([(m, g)])
+            for col, _, _ in row.int_items():
+                holders[col].add(length)
+            log.cross.append((pos, m))
+            changed.append(pos)
         return changed
 
     # -- step 3: placement -----------------------------------------------------
@@ -185,6 +198,9 @@ class EliminationState:
             targets = self.j_set[rank:] + [k]
             self.mu.insert(rank, g.length)
             self.j_set.append(k)
+            if self._holders is not None:
+                for col, _, _ in g.int_items():
+                    self._holders[col].add(g.length)
         _place(self.h_rows, targets, g)
         log.targets = targets
 
@@ -267,6 +283,16 @@ def _place(rows: list, targets: List[int], survivor) -> None:
         rows[pos] = value
 
 
+def _column_holders(state: EliminationState) -> Dict[int, Set[int]]:
+    """The column index of ``state`` scanned from its rows: column -> pivot
+    lengths of the nonzero rows with an entry there."""
+    holders: Dict[int, Set[int]] = defaultdict(set)
+    for pos, length in zip(state.j_set, state.mu):
+        for col, _, _ in state.h_rows[pos].int_items():
+            holders[col].add(length)
+    return holders
+
+
 def run(source: RowSource, horizon: int) -> EliminationState:
     """Push rows 0..horizon-1 of the source; the state is certified when
     the source has a regular order, whose rows come in lower echelon."""
@@ -281,7 +307,8 @@ def run(source: RowSource, horizon: int) -> EliminationState:
 def check_invariants(state: EliminationState) -> None:
     """Raise EngineError unless the state satisfies every structural
     invariant: the quasi-Hermite postulates on nonzero rows, pinned zero
-    rows, coherent index sets, and nonzero transform rows."""
+    rows, coherent index sets, a column index (once built) that matches the
+    rows, and nonzero transform rows."""
     k = state.k
     if sorted(state.j_set + state.w_set) != list(range(k)):
         raise EngineError("j_set and w_set do not partition the consumed range")
@@ -308,6 +335,10 @@ def check_invariants(state: EliminationState) -> None:
                 raise EngineError(
                     f"row {m} has a nonzero entry in pivot column {col} of row {pos}"
                 )
+    if state._holders is not None:
+        live = {col: lengths for col, lengths in state._holders.items() if lengths}
+        if live != _column_holders(state):
+            raise EngineError("the column index does not match the stored rows")
     for n in range(k):
         q = state.q_rows[n]
         if q.is_zero:

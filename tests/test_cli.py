@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import time
@@ -81,6 +82,44 @@ class TestReduce:
         finally:
             tracemalloc.stop()
         assert peak < 3 * len(text)
+
+    def test_dense_formats_match_the_fraction_renderer(self, capsys, monkeypatch,
+                                                       tmp_path):
+        # the cells as built before: every cell a Fraction through to_dense
+        def cells(rows):
+            width = max(r.length + 1 for r in rows)
+            return [[format_scalar(v) for v in r.to_dense(width)] for r in rows]
+
+        def old_csv(rows):
+            return "\n".join(",".join(line) for line in cells(rows))
+
+        def old_pretty(rows):
+            table = cells(rows)
+            col_w = [max(map(len, column)) for column in zip(*table)]
+            return "\n".join("  ".join(c.rjust(w) for c, w in zip(line, col_w))
+                             for line in table)
+
+        rng = random.Random(14)
+        seen_gap = False
+        for draw in range(40):
+            used = sorted(rng.sample(range(12), rng.randint(1, 8)))
+            seen_gap |= used != list(range(len(used)))
+            rows = [[] if rng.random() < 0.2 else
+                    [[c, format_scalar(Fraction(rng.choice([-7, -3, -1, 1, 2, 9]),
+                                                rng.randint(1, 4)))]
+                     for c in sorted(rng.sample(used, rng.randint(1, len(used))))]
+                    for _ in range(rng.randint(1, 9))]
+            spec = tmp_path / f"m{draw}.json"
+            spec.write_text(json.dumps({"rows": rows}))
+            for fmt in ("csv", "pretty"):
+                argv = ("reduce", "--spec", str(spec), "--horizon", str(len(rows)),
+                        "--format", fmt)
+                new = run_cli(capsys, *argv)
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "_rows_csv", old_csv)
+                    m.setattr(cli, "_pretty_rows", old_pretty)
+                    assert run_cli(capsys, *argv) == new
+        assert seen_gap
 
     def test_pretty_format_runs(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "--family", "example3",

@@ -566,25 +566,84 @@ class TestRankCut:
     def test_same_log_and_rows_as_scanning_every_row(self, rows):
         fast, ref = EliminationState(), ScanAllState()
         for r in rows:
-            fast.push_row(r)
+            push_checked(fast, r)
             ref.push_row(r)
         assert trace(fast) == trace(ref)
-        check_invariants(fast)
 
     def test_shorter_rows_are_not_visited(self, monkeypatch):
+        # the longest row first, so the column index is already built
         st = EliminationState()
-        for r in (row(1), row(0, 0, 1), row(0, 0, 0, 0, 1),
-                  row(0, 0, 0, 2, 0, 0, 0, 1)):
+        for r in (row(0, 0, 0, 2, 0, 0, 0, 1), row(1), row(0, 0, 1),
+                  row(0, 0, 0, 0, 1)):
             st.push_row(r)
-        probed = []
-        get = FiniteRow.get
-        monkeypatch.setattr(FiniteRow, "get", lambda self, col: (
-            probed.append(self.length), get(self, col))[1])
+        assert st.mu == [0, 2, 4, 7] and st._holders is not None
+        read = []
+        for name in ("get", "int_items", "combine"):
+            method = getattr(FiniteRow, name)
+            monkeypatch.setattr(FiniteRow, name, lambda self, *a, method=method: (
+                read.append(self.length), method(self, *a))[1])
         g, log = st.reduce_with_transform(row(0, 0, 0, 1))
+        read.clear()
         assert st.jordan_clear(g, log) == [3]
-        # stored lengths 0, 2, 4, 7: a pivot of length 3 meets only 4 and 7
-        assert probed == [4, 7]
+        # stored lengths 0, 2, 4, 7: only the row of length 7 holds column 3
+        assert set(read) == {7}
         assert st.h_rows[3] == row(0, 0, 0, 0, 0, 0, 0, 1)
+
+
+def built_at(rows):
+    """Push ``rows`` with the invariants checked after every push; return
+    the number of pushes before the column index was built (None if never)."""
+    st, built = EliminationState(), None
+    for n, r in enumerate(rows):
+        push_checked(st, r)
+        if built is None and st._holders is not None:
+            built = n
+    return built
+
+
+class TestColumnIndex:
+    def test_cancellation_past_the_pivot_column(self):
+        # the second push cancels column 1 as well as column 2 in the first
+        # row, so the index must drop that row from column 1 too
+        rows = [FiniteRow({1: 1, 2: 1, 5: 1}.items()), FiniteRow({1: 1, 2: 1}.items()),
+                FiniteRow({1: 1}.items())]
+        st = EliminationState()
+        for r in rows:
+            push_checked(st, r)
+        assert st.h_rows == [FiniteRow([(1, 1)]), FiniteRow([(2, 1)]), FiniteRow([(5, 1)])]
+        assert st._log[1].cross == [(0, -1)] and st._log[2].cross == [(0, -1)]
+
+    def test_index_built_late_matches_the_rows(self, rng):
+        late = []
+
+        @settings(max_examples=100, deadline=None)
+        @given(shuffled_length_rows())
+        def check(rows):
+            late.append((built_at(rows) or 0) >= 2)
+
+        check()
+        for _ in range(30):
+            late.append((built_at(random_explicit_rows(rng, max_rows=25)) or 0) >= 2)
+        assert late.count(True) >= 10
+
+    @pytest.mark.parametrize("plant", ["stale", "missing"])
+    def test_planted_error_fails(self, plant):
+        st = EliminationState()
+        for r in (row(0, 0, 1), row(0, 1)):
+            st.push_row(r)
+        check_invariants(st)
+        if plant == "stale":
+            st._holders[0].add(2)
+        else:
+            st._holders[2].discard(2)
+        with pytest.raises(EngineError, match="column index does not match"):
+            check_invariants(st)
+
+    def test_not_built_without_a_cross_clear(self):
+        assert run(build_family({"family": "example2"}), 60)._holders is None
+        source = random_regular_source(random.Random(5), 2, 20, "n_order")
+        st = run(source, 20)
+        assert st.certified and st._holders is None
 
 
 def axpy(x, m, y):
