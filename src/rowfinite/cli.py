@@ -28,7 +28,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from . import checks
 from . import hessenberg as hb
@@ -167,7 +167,7 @@ def _reduce_json(state: EliminationState, horizon: int) -> str:
 
 def _dense_cells(rows: Sequence[FiniteRow]) -> Iterator[List[str]]:
     """Each of the rows (one at least) as printed cells, padded with zeros to
-    one width; one row at a time, so csv holds no more than one row's cells."""
+    one width; one row at a time, so a dense format holds one row's cells."""
     width = max(row.length + 1 for row in rows)
     for row in rows:
         cells = ["0"] * width
@@ -176,34 +176,45 @@ def _dense_cells(rows: Sequence[FiniteRow]) -> Iterator[List[str]]:
         yield cells
 
 
-def _rows_csv(rows: Sequence[FiniteRow]) -> str:
-    return "\n".join(",".join(line) for line in _dense_cells(rows))
+def _rows_csv(rows: Sequence[FiniteRow]) -> Iterator[str]:
+    return (",".join(line) for line in _dense_cells(rows))
 
 
 def _seq_csv(values: Sequence[Fraction]) -> str:
     return ",".join(format_scalar(v) for v in values)
 
 
-def _emit(args, json_text: Callable[[], str], csv_text: Callable[[], str],
-          pretty_text: Callable[[], str]) -> None:
-    """Print the output in the requested format; only that one is rendered."""
+def _emit(args, json_text: Callable[[], str], csv_lines: Callable[[], Iterable[str]],
+          pretty_lines: Callable[[], Iterable[str]]) -> None:
+    """Print the output in the requested format; only that one is rendered.
+    A csv or pretty renderer yields its text in pieces, each printed with a
+    newline as it comes, so a dense matrix is written a row at a time."""
     if args.format == "json":
         print(json_text())
-    elif args.format == "csv":
-        print(csv_text())
     else:
-        print(pretty_text())
+        for piece in (csv_lines if args.format == "csv" else pretty_lines)():
+            print(piece)
 
 
-def _pretty_rows(rows: Sequence[FiniteRow]) -> str:
+def _pretty_rows(rows: Sequence[FiniteRow]) -> Iterator[str]:
     """Dense rows right-aligned per column; the widths come from the stored
     entries (a zero cell is one character), so cells are built a row at a time."""
     col_w = [1] * max(row.length + 1 for row in rows)
     for row in rows:
         for col, num, den in row.int_items():
             col_w[col] = max(col_w[col], len(format_ratio(num, den)))
-    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(line, col_w))
-                     for line in _dense_cells(rows))
+    return ("  ".join(cell.rjust(w) for cell, w in zip(line, col_w))
+            for line in _dense_cells(rows))
+
+
+def _reduce_pretty(state: EliminationState) -> Iterator[str]:
+    """The ``reduce`` pretty text, a line at a time."""
+    yield f"reduced prefix (mode {_mode(state)}):"
+    yield from _pretty_rows(state.h_rows)
+    yield "transform rows:"
+    yield from _pretty_rows(state.q_rows)
+    yield f"j_set={state.j_set} w_set={state.w_set} mu={state.mu}"
+    yield f"stable_since={state.stable_since()}"
 
 
 def _emit_terms(args, key: str, key_value: int, values: Sequence[Fraction],
@@ -220,9 +231,9 @@ def _emit_terms(args, key: str, key_value: int, values: Sequence[Fraction],
               f'  "terms": {_terms_json(values, first, 2)}{last}',
               "}",
           )),
-          lambda: _seq_csv(values) + tail,
-          lambda: "\n".join(f"y_{i + first} = {format_scalar(v)}"
-                            for i, v in enumerate(values)) + tail)
+          lambda: [_seq_csv(values) + tail],
+          lambda: ["\n".join(f"y_{i + first} = {format_scalar(v)}"
+                             for i, v in enumerate(values)) + tail])
 
 
 def cmd_reduce(args) -> int:
@@ -231,12 +242,7 @@ def cmd_reduce(args) -> int:
     _emit(args,
           lambda: _reduce_json(state, args.horizon),
           lambda: _rows_csv(state.h_rows),
-          lambda: (
-              f"reduced prefix (mode {_mode(state)}):\n{_pretty_rows(state.h_rows)}\n"
-              f"transform rows:\n{_pretty_rows(state.q_rows)}\n"
-              f"j_set={state.j_set} w_set={state.w_set} mu={state.mu}\n"
-              f"stable_since={state.stable_since()}"
-          ))
+          lambda: _reduce_pretty(state))
     return EXIT_OK
 
 
@@ -265,10 +271,10 @@ def cmd_fundamental(args) -> int:
               f'  "sequences": {_sequences_json(fund.sequences, first)}',
               "}",
           )),
-          lambda: "\n".join(_seq_csv(seq) for seq in fund.sequences.values()),
-          lambda: f"basis_kind: {fund.basis_kind}\n" + "\n".join(
+          lambda: ["\n".join(_seq_csv(seq) for seq in fund.sequences.values())],
+          lambda: [f"basis_kind: {fund.basis_kind}\n" + "\n".join(
               f"xi({s + first}): " + _seq_csv(seq) for s, seq in fund.sequences.items()
-          ))
+          )])
     return EXIT_OK
 
 

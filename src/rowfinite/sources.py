@@ -28,6 +28,11 @@ families:
 ``explicit``
     a stored finite list of rows.
 
+Every family but ``explicit`` is a formula family, and they share one row
+builder, :func:`_formula_source`: row n holds ``a(n, j)`` at columns
+``n..n+N`` (banded) or ``0..n+N``, with N = 1 and 2 for the first- and
+second-order families and 2 for the examples.  One adapter, :func:`_coeff`,
+turns a parameter (expression, constant, per-n list or callable) into ``a``.
 The constant- and ascending-order families (``first_order``,
 ``second_order``, ``n_order``, ``ascending``) carry ``regular_order_index =
 N``: every trailing coefficient is nonzero, so their rows come in strictly
@@ -47,6 +52,8 @@ Coefficient expressions use the grammar (whitespace insignificant)::
     term   := factor (('*' | '/') factor)*
     factor := atom ('^' nonneg-int)?
     atom   := int | 'n' | 'j' | 'cospi2' '(' expr ')' | '(' expr ')' | '-' atom
+
+where ``int`` is a run of the ASCII digits 0-9 that ``int()`` accepts.
 
 ``cospi2(m)`` is the exact value of cos(m*pi/2) for integer m, i.e. the cycle
 1, 0, -1, 0 indexed by m mod 4.  An expression nests at most ``MAX_DEPTH``
@@ -97,6 +104,7 @@ class EvalError(ArithmeticError):
 # --- tokenizer ------------------------------------------------------------
 
 _OPS = "+-*/^()"
+_DIGITS = "0123456789"   # str.isdigit() also holds for other scripts' digits
 
 
 def _tokenize(text: str):
@@ -106,9 +114,9 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(("int", text[i:j], i))
             i = j
@@ -127,17 +135,22 @@ def _tokenize(text: str):
     return toks
 
 
-# Bounds that keep parsing and evaluation finite.  The parser uses up to six
+# Bounds that keep parsing and evaluation finite.  The parser uses up to eight
 # stack frames per level and a compiled expression one, so MAX_DEPTH levels
-# stay well under Python's default recursion limit of 1000; MAX_EXPONENT
-# bounds the degree a power can reach, exponents of nested powers multiplied;
-# MAX_ORDER bounds the order N of the n_order and ascending families, whose
-# rows hold N+1 entries or more; MAX_COLUMN bounds a column in an explicit
-# or ``expect`` row, since checks and dense output grow with the width.
+# (50 x 8 = 400 parser frames) stay far below Python's default recursion
+# limit of 1000; MAX_EXPONENT bounds the degree a power can reach, exponents
+# of nested powers multiplied; MAX_ORDER bounds the order N of the n_order
+# and ascending families, whose rows hold N+1 entries or more; MAX_COLUMN
+# bounds a column in an explicit or ``expect`` row, since checks and dense
+# output grow with the width.
 MAX_DEPTH = 50
 MAX_EXPONENT = 1000
 MAX_ORDER = 10_000
 MAX_COLUMN = 100_000
+
+
+_SUMS = {"+": "add", "-": "sub"}
+_PRODUCTS = {"*": "mul", "/": "div"}
 
 
 class _Parser:
@@ -160,6 +173,12 @@ class _Parser:
         self.i += 1
         return tok
 
+    def literal(self, value: str, pos: int) -> int:
+        try:
+            return int(value)
+        except ValueError:   # past the interpreter's limit on digits
+            raise ExprSyntaxError(f"integer of {len(value)} digits is too long", pos) from None
+
     def fail(self, expected: tuple):
         kind, value, pos = self.peek()
         what = "end of input" if kind == "end" else repr(value)
@@ -178,20 +197,15 @@ class _Parser:
         return node
 
     def expr(self):
-        node, depth = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            _, op, pos = self.advance()
-            rhs, rhs_depth = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-            depth = self.checked(max(depth, rhs_depth) + 1, pos)
-        return node, depth
+        return self.chain(lambda: self.chain(self.factor, _PRODUCTS), _SUMS)
 
-    def term(self):
-        node, depth = self.factor()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
+    def chain(self, operand, ops: Mapping[str, str]):
+        """``operand`` (op ``operand``)*, left associative, over ``ops``."""
+        node, depth = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
             _, op, pos = self.advance()
-            rhs, rhs_depth = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
+            rhs, rhs_depth = operand()
+            node = (ops[op], node, rhs)
             depth = self.checked(max(depth, rhs_depth) + 1, pos)
         return node, depth
 
@@ -202,14 +216,15 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind != "int":
                 self.fail(("nonnegative integer exponent",))
-            if int(value) > MAX_EXPONENT:
+            exponent = self.literal(value, pos)
+            if exponent > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent {value} exceeds {MAX_EXPONENT}", pos)
-            power = int(value) * _power(node)
+            power = exponent * _power(node)
             if power > MAX_EXPONENT:
                 raise ExprSyntaxError(
                     f"nested exponents multiply to {power}, over {MAX_EXPONENT}", pos)
             self.advance()
-            node = ("pow", node, int(value))
+            node = ("pow", node, exponent)
             depth = self.checked(depth + 1, pos)
         return node, depth
 
@@ -225,7 +240,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "int":
             self.advance()
-            return ("num", int(value)), 1
+            return ("num", self.literal(value, pos)), 1
         if kind == "name":
             self.advance()
             if value in ("n", "j"):
@@ -341,41 +356,33 @@ def parse_coeff_expr(text: str) -> CoeffExpr:
 # --- coefficient adapters --------------------------------------------------
 
 
-def _coeff_n(value, name: str) -> Callable[[int], int | Fraction]:
-    """Adapt an n-indexed coefficient parameter to a function of n."""
+def _coeff(value, name: str, per_n: bool) -> Callable[[int, Optional[int]], int | Fraction]:
+    """Adapt a coefficient parameter to a function of ``(n, j)``.  A per-n
+    parameter may also be a list; it does not read the column, so an
+    expression sees ``j = None`` and a callable gets ``n`` alone."""
     if isinstance(value, str):
         value = parse_coeff_expr(value)
     if isinstance(value, CoeffExpr):
-        return lambda n: value._fn(n, None)
+        fn = value._fn
+        return (lambda n, j: fn(n, None)) if per_n else fn
     if isinstance(value, (int, Fraction)):
         const = as_scalar(value)
-        return lambda n: const
-    if isinstance(value, (list, tuple)):
+        return lambda n, j: const
+    if per_n and isinstance(value, (list, tuple)):
         vals = [as_scalar(v) for v in value]
 
-        def from_list(n: int) -> Fraction:
+        def from_list(n: int, j: Optional[int]) -> Fraction:
             if not 0 <= n < len(vals):
                 raise SpecError(f"parameter {name!r} has {len(vals)} values, row {n} requested")
             return vals[n]
 
         return from_list
-    if callable(value):
-        return lambda n: as_scalar(value(n))
-    raise SpecError(f"parameter {name!r} must be an expression, constant, list, or callable")
-
-
-def _coeff_nj(value, name: str) -> Callable[[int, int], int | Fraction]:
-    """Adapt an (n, j)-indexed coefficient parameter."""
-    if isinstance(value, str):
-        value = parse_coeff_expr(value)
-    if isinstance(value, CoeffExpr):
-        return value._fn
-    if isinstance(value, (int, Fraction)):
-        const = as_scalar(value)
-        return lambda n, j: const
+    if callable(value) and per_n:
+        return lambda n, j: as_scalar(value(n))
     if callable(value):
         return lambda n, j: as_scalar(value(n, j))
-    raise SpecError(f"parameter {name!r} must be an expression, constant, or callable")
+    raise SpecError(f"parameter {name!r} must be an expression, constant, "
+                    f"{'list, ' if per_n else ''}or callable")
 
 
 # --- RowSource --------------------------------------------------------------
@@ -439,6 +446,25 @@ _EX2 = tuple(parse_coeff_expr(text)._fn
 _EX3 = parse_coeff_expr("1 - cospi2(2*n - j)")._fn
 
 
+def _formula_source(family: str, order: int, a: Callable[[int, int], int | Fraction],
+                    banded: bool, regular: bool) -> RowSource:
+    """The rows of a formula family: row n holds ``a(n, j)`` at columns
+    ``n..n+order`` if ``banded``, else ``0..n+order``.  The trailing
+    coefficient ``a(n, n+order)`` is evaluated first; a ``regular`` family
+    claims it never vanishes, and only a regular banded family has a band."""
+    def formula_row(n: int) -> FiniteRow:
+        lead = a(n, n + order)
+        if regular and lead == 0:
+            raise SpecError(f"family {family!r} claims regular order {order} but the "
+                            f"trailing coefficient vanishes at n={n}")
+        entries = [(j, a(n, j)) for j in range(n if banded else 0, n + order)]
+        entries.append((n + order, lead))
+        return FiniteRow._from_sorted(entries)
+
+    return RowSource(formula_row, regular_order_index=order if regular else None,
+                     band=order if regular and banded else None)
+
+
 def build_family(spec: Mapping) -> RowSource:
     """Build a RowSource from a family descriptor (parsed JSON or a dict)."""
     family = spec.get("family")
@@ -450,21 +476,15 @@ def build_family(spec: Mapping) -> RowSource:
         return RowSource(rows.__getitem__, row_count=len(rows))
 
     if family == "first_order":
-        a = _coeff_n(_require(spec, "a", family), "a")
-
-        def first_order_row(n: int) -> FiniteRow:
-            return FiniteRow._from_sorted([(n, -a(n)), (n + 1, 1)])
-
-        return RowSource(first_order_row, regular_order_index=1, band=1)
+        a = _coeff(_require(spec, "a", family), "a", per_n=True)
+        return _formula_source(family, 1, lambda n, j: -a(n, j) if j == n else 1,
+                               banded=True, regular=True)
 
     if family == "second_order":
-        a = _coeff_n(_require(spec, "a", family), "a")
-        b = _coeff_n(_require(spec, "b", family), "b")
-
-        def second_order_row(n: int) -> FiniteRow:
-            return FiniteRow._from_sorted([(n, a(n)), (n + 1, b(n)), (n + 2, 1)])
-
-        return RowSource(second_order_row, regular_order_index=2, band=2)
+        a, b = (_coeff(_require(spec, key, family), key, per_n=True) for key in "ab")
+        return _formula_source(
+            family, 2, lambda n, j: a(n, j) if j == n else b(n, j) if j == n + 1 else 1,
+            banded=True, regular=True)
 
     if family in ("n_order", "ascending"):
         order = _require(spec, "N", family)
@@ -472,36 +492,15 @@ def build_family(spec: Mapping) -> RowSource:
             raise SpecError(f"'N' must be a nonnegative integer, got {order!r}")
         if order > MAX_ORDER:
             raise SpecError(f"'N' must be at most {MAX_ORDER}, got {order}")
-        a = _coeff_nj(_require(spec, "a", family), "a")
-        lo_of = (lambda n: n) if family == "n_order" else (lambda n: 0)
-
-        def regular_row(n: int) -> FiniteRow:
-            lead = a(n, n + order)
-            if lead == 0:
-                raise SpecError(
-                    f"family {family!r} claims regular order {order} but the "
-                    f"trailing coefficient vanishes at n={n}"
-                )
-            entries = [(j, a(n, j)) for j in range(lo_of(n), n + order)]
-            entries.append((n + order, lead))
-            return FiniteRow._from_sorted(entries)
-
-        return RowSource(regular_row, regular_order_index=order,
-                         band=order if family == "n_order" else None)
+        a = _coeff(_require(spec, "a", family), "a", per_n=False)
+        return _formula_source(family, order, a, banded=family == "n_order", regular=True)
 
     if family == "example2":
-        def example2_row(n: int) -> FiniteRow:
-            return FiniteRow._from_sorted([(n + i, fn(n, None))
-                                           for i, fn in enumerate(_EX2)])
-
-        return RowSource(example2_row)
+        return _formula_source(family, 2, lambda n, j: _EX2[j - n](n, None),
+                               banded=True, regular=False)
 
     if family == "example3":
-        def example3_row(n: int) -> FiniteRow:
-            return FiniteRow._from_sorted([(j, _EX3(n, j))
-                                           for j in range(n + 3)])
-
-        return RowSource(example3_row)
+        return _formula_source(family, 2, _EX3, banded=False, regular=False)
 
     raise SpecError(f"unsupported family {family!r}")
 

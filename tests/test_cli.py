@@ -77,7 +77,7 @@ class TestReduce:
         rows = [FiniteRow([(10_000 - i, 1)]) for i in range(100)]
         tracemalloc.start()
         try:
-            text = cli._rows_csv(rows)
+            text = "\n".join(cli._rows_csv(rows))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -115,11 +115,38 @@ class TestReduce:
                 argv = ("reduce", "--spec", str(spec), "--horizon", str(len(rows)),
                         "--format", fmt)
                 new = run_cli(capsys, *argv)
-                with monkeypatch.context() as m:
-                    m.setattr(cli, "_rows_csv", old_csv)
-                    m.setattr(cli, "_pretty_rows", old_pretty)
+                with monkeypatch.context() as m:   # each text printed as one piece
+                    m.setattr(cli, "_rows_csv", lambda rows: [old_csv(rows)])
+                    m.setattr(cli, "_pretty_rows", lambda rows: [old_pretty(rows)])
                     assert run_cli(capsys, *argv) == new
         assert seen_gap
+
+    @pytest.mark.parametrize("fmt", ["csv", "pretty"])
+    def test_dense_output_is_written_a_line_at_a_time(self, monkeypatch, tmp_path, fmt):
+        class LongestWrite:
+            """A stdout that keeps the length of its longest write and line."""
+            write_len = line_len = line = 0
+
+            def write(self, text):
+                self.write_len = max(self.write_len, len(text))
+                head, *ended = text.split("\n")
+                self.line += len(head)
+                for part in ended:
+                    self.line_len, self.line = max(self.line_len, self.line), len(part)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps({"rows": [[[MAX_COLUMN - 99 + i, "1"]]
+                                             for i in range(100)]}))
+        sink = LongestWrite()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["reduce", "--spec", str(spec), "--horizon", "100",
+                     "--format", fmt]) == 0
+        assert sink.line_len > MAX_COLUMN
+        assert sink.write_len <= sink.line_len
 
     def test_pretty_format_runs(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "--family", "example3",

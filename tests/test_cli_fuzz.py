@@ -66,7 +66,7 @@ _VALUES = mostly(_RATIONALS | st.integers(-9, 9), _JUNK_VALUES)
 # division by zero, j where no column applies, and syntax errors included
 _EXPRS = mostly(st.recursive(_ATOMS, _compound, max_leaves=6),
                 st.sampled_from(["1/0", "1/(n - n)", "j/(j - n)", "n +", "(",
-                                 "2^", "n^-1", "", "y"])
+                                 "2^", "n^-1", "", "y", "n + \u0663", "n^\u00b2"])
                 | _JUNK_VALUES | st.lists(_VALUES, max_size=4))
 _ROWS = mostly(
     st.lists(st.dictionaries(st.integers(0, 12), _RATIONALS, max_size=4).map(

@@ -186,6 +186,17 @@ class TestSyntaxErrors:
         assert ev(f"1^{MAX_EXPONENT}", 0) == 1
         assert ev("(n^10)^100", 2) == 2 ** 1000
 
+    @pytest.mark.parametrize("text,offset", [
+        ("n + \u0663", 4),          # ARABIC-INDIC DIGIT THREE: a digit, not 0-9
+        ("n^\u00b2", 2),            # SUPERSCRIPT TWO
+        ("n + " + "1" * 5000, 4),   # past the interpreter's limit on digits
+        ("n^" + "1" * 5000, 2),
+    ], ids=["other-script-digit", "superscript-exponent", "long-integer", "long-exponent"])
+    def test_integer_literals_are_ascii_digits_int_accepts(self, text, offset):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_coeff_expr(text)
+        assert info.value.position == offset
+
     def test_unexpected_character(self):
         with pytest.raises(ExprSyntaxError) as info:
             parse_coeff_expr("n % 2")

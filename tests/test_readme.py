@@ -1,10 +1,11 @@
 """The README's examples run as written and print what it says they print."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
-from rowfinite import cli
+from rowfinite import cli, equation_from_obj
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -33,3 +34,14 @@ def test_command_lines_print_their_results(capsys, tmp_path, monkeypatch):
             assert " and ".join(capsys.readouterr().out.splitlines()) == result[5:]
             checked += 1
     assert checked == 2
+
+
+def test_file_format_examples_reduce(tmp_path):
+    blocks = code_blocks("json")
+    assert len(blocks) == 2
+    for i, block in enumerate(blocks):
+        spec = tmp_path / f"spec{i}.json"
+        spec.write_text(block, encoding="utf-8")
+        rows = equation_from_obj(json.loads(block)).source.row_count
+        horizon = ["--horizon", str(rows)] if rows is not None else []
+        assert cli.main(["reduce", "--spec", str(spec), *horizon]) == 0

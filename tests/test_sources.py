@@ -2,9 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rowfinite import (EvalError, FiniteRow, SpecError, build_family,
-                       equation_from_obj, load_equation)
+from rowfinite import (EvalError, FiniteRow, SpecError, as_scalar, build_family,
+                       equation_from_obj, load_equation, parse_coeff_expr)
+from rowfinite.sources import CoeffExpr, RowSource
 
 
 def row(*dense):
@@ -168,3 +171,145 @@ class TestDescriptorsAndFiles:
         src.row_at(0)
         with pytest.raises(EvalError, match="row 2"):
             src.row_at(2)
+
+
+# --- the six row closures and two coefficient adapters that the shared row
+# builder replaced, kept as the reference build_family must reproduce
+
+def reference_coeff_n(value, name):
+    if isinstance(value, str):
+        value = parse_coeff_expr(value)
+    if isinstance(value, CoeffExpr):
+        return lambda n: value._fn(n, None)
+    if isinstance(value, (int, Fraction)):
+        const = as_scalar(value)
+        return lambda n: const
+    if isinstance(value, (list, tuple)):
+        vals = [as_scalar(v) for v in value]
+
+        def from_list(n):
+            if not 0 <= n < len(vals):
+                raise SpecError(f"parameter {name!r} has {len(vals)} values, row {n} requested")
+            return vals[n]
+
+        return from_list
+    if callable(value):
+        return lambda n: as_scalar(value(n))
+    raise SpecError(f"parameter {name!r} must be an expression, constant, list, or callable")
+
+
+def reference_coeff_nj(value, name):
+    if isinstance(value, str):
+        value = parse_coeff_expr(value)
+    if isinstance(value, CoeffExpr):
+        return value._fn
+    if isinstance(value, (int, Fraction)):
+        const = as_scalar(value)
+        return lambda n, j: const
+    if callable(value):
+        return lambda n, j: as_scalar(value(n, j))
+    raise SpecError(f"parameter {name!r} must be an expression, constant, or callable")
+
+
+_REF_EX2 = tuple(parse_coeff_expr(text)._fn
+                 for text in ("2*n*(n+1)", "-(n^2 + 3*n - 2)", "n - 1"))
+_REF_EX3 = parse_coeff_expr("1 - cospi2(2*n - j)")._fn
+
+
+def reference_family(spec):
+    family = spec["family"]
+    if family == "first_order":
+        a = reference_coeff_n(spec["a"], "a")
+        return RowSource(lambda n: FiniteRow._from_sorted([(n, -a(n)), (n + 1, 1)]),
+                         regular_order_index=1, band=1)
+    if family == "second_order":
+        a = reference_coeff_n(spec["a"], "a")
+        b = reference_coeff_n(spec["b"], "b")
+        return RowSource(lambda n: FiniteRow._from_sorted(
+            [(n, a(n)), (n + 1, b(n)), (n + 2, 1)]), regular_order_index=2, band=2)
+    if family in ("n_order", "ascending"):
+        order = spec["N"]
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+            raise SpecError(f"'N' must be a nonnegative integer, got {order!r}")
+        a = reference_coeff_nj(spec["a"], "a")
+        lo_of = (lambda n: n) if family == "n_order" else (lambda n: 0)
+
+        def regular_row(n):
+            lead = a(n, n + order)
+            if lead == 0:
+                raise SpecError(
+                    f"family {family!r} claims regular order {order} but the "
+                    f"trailing coefficient vanishes at n={n}"
+                )
+            entries = [(j, a(n, j)) for j in range(lo_of(n), n + order)]
+            entries.append((n + order, lead))
+            return FiniteRow._from_sorted(entries)
+
+        return RowSource(regular_row, regular_order_index=order,
+                         band=order if family == "n_order" else None)
+    if family == "example2":
+        return RowSource(lambda n: FiniteRow._from_sorted(
+            [(n + i, fn(n, None)) for i, fn in enumerate(_REF_EX2)]))
+    assert family == "example3"
+    return RowSource(lambda n: FiniteRow._from_sorted(
+        [(j, _REF_EX3(n, j)) for j in range(n + 3)]))
+
+
+def family_outcome(build, spec):
+    """The source's tags and rows 0..7 as integer triples, ended by the type
+    and message of the first error; or the error building it raises.  Any
+    exception counts: a callable parameter may raise anything."""
+    try:
+        src = build(spec)
+    except Exception as exc:
+        return (type(exc), str(exc))
+    rows = []
+    for n in range(8):
+        try:
+            rows.append(tuple(src.row_at(n).int_items()))
+        except Exception as exc:
+            rows.append((type(exc), str(exc)))
+            break
+    return src.regular_order_index, src.band, rows
+
+
+def _from_text(text):
+    """A callable parameter over an expression: ``f(n)`` or ``f(n, j)``."""
+    expr = parse_coeff_expr(text)
+    return lambda *index: expr.evaluate(*index)
+
+
+_COEFF_TEXTS = st.recursive(
+    st.sampled_from(["n", "j", "0", "1", "2", "n - 1", "j - n"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(sub, st.integers(0, 2)).map(lambda t: f"({t[0]})^{t[1]}"),
+        sub.map(lambda t: f"cospi2({t})"),            # j - n over 2 is no integer
+        sub.map(lambda t: f"cospi2(({t})/2)"),
+    ),
+    max_leaves=5,
+) | st.sampled_from(["1/(n - 2)", "1/(j - n - 1)", "(j-n-2)*(1/(j-n-1))"])
+_SCALARS = (st.integers(-3, 3) | st.fractions(max_denominator=4, min_value=-3, max_value=3)
+            | st.sampled_from(["1/2", "-3"]))
+_COEFFS = (_COEFF_TEXTS | _SCALARS.filter(lambda v: not isinstance(v, str))
+           | st.lists(_SCALARS, max_size=6)                     # runs out before row 7
+           | _COEFF_TEXTS.map(_from_text)
+           | st.sampled_from([lambda *index: 0.5, 1.5, None, True, {}, ["x"]]))
+_SPECS = st.fixed_dictionaries({
+    "family": st.sampled_from(["first_order", "second_order", "n_order",
+                               "ascending", "example2", "example3"]),
+    "a": _COEFFS, "b": _COEFFS, "N": st.integers(0, 3) | st.sampled_from([-1, True, "2"]),
+})
+
+
+class TestFormulaBuilder:
+    @given(_SPECS)
+    # the trailing coefficient vanishes and column n+1 divides by zero
+    @example({"family": "n_order", "a": "(j-n-2)*(1/(j-n-1))", "b": 0, "N": 2})
+    @example({"family": "ascending", "a": "(j-n-2)*(1/(j-n-1))", "b": 0, "N": 2})
+    @example({"family": "first_order", "a": "j", "b": 0, "N": 0})
+    @example({"family": "second_order", "a": [1, 2], "b": "n/(n - 1)", "N": 0})
+    @settings(max_examples=300, deadline=None)
+    def test_rows_and_tags_match_the_old_closures(self, spec):
+        assert (family_outcome(build_family, spec)
+                == family_outcome(reference_family, spec))
