@@ -10,7 +10,9 @@ is an argparse usage error.
 
 Exit codes: 0 ok, 1 verification failure, 2 spec or usage error,
 3 evaluation error, 4 inconsistent system, 141 (128 + SIGPIPE) stdout closed
-before the output was written, as by ``| head``.
+before the output was written, as by ``| head``.  Output is printed as it is
+rendered: ``reduce`` JSON and csv a row at a time, a transform row once final;
+``--format pretty`` builds all of ``Q`` first, for its column widths.
 
 All rationals are printed as ``p`` or ``p/q``.  The JSON output of ``reduce``
 uses the explicit-matrix key ``rows`` for the reduced prefix, so it can be
@@ -47,6 +49,7 @@ EXIT_PIPE = 141
 
 
 _FREE_INDEX = re.compile(r"[+-]?[0-9]+")
+_Lines = Callable[[], Iterable[str]]   # a renderer of one output format
 
 
 def _parse_free(text: Optional[str]) -> Dict[int, Fraction]:
@@ -107,16 +110,18 @@ def _ints_json(values: Sequence[int]) -> str:
     return "[\n" + ",\n".join(f"    {v}" for v in values) + "\n  ]"
 
 
-def _rows_json(rows: Sequence[FiniteRow]) -> str:
-    """Rows (one at least) as lists of ``[column, "p/q"]`` pairs, written
-    straight from the integer pairs."""
-    out = []
-    for row in rows:
+def _rows_json(key: str, rows: Iterable[FiniteRow], count: int) -> Iterator[str]:
+    """The line of ``key`` and then its ``count`` rows (one at least) as
+    lists of ``[column, "p/q"]`` pairs, written straight from the integer
+    pairs a row at a time."""
+    yield f'  "{key}": ['
+    for i, row in enumerate(rows, 1):
+        comma = "," if i < count else ""
         entries = ",\n".join(
             f'      [\n        {c},\n        "{format_ratio(n, d)}"\n      ]'
             for c, n, d in row.int_items())
-        out.append(f"    [\n{entries}\n    ]" if entries else "    []")
-    return "[\n" + ",\n".join(out) + "\n  ]"
+        yield f"    [\n{entries}\n    ]{comma}" if entries else f"    []{comma}"
+    yield "  ],"
 
 
 def _terms_json(values: Sequence[Fraction], first: int, indent: int) -> str:
@@ -143,26 +148,22 @@ def _sequences_json(sequences: Dict[int, Sequence[Fraction]], first: int) -> str
     return f"[\n{items}\n  ]"
 
 
-def _reduce_json(state: EliminationState, horizon: int) -> str:
+def _reduce_json(state: EliminationState, horizon: int) -> Iterator[str]:
     """The ``reduce`` JSON document, equal to ``json.dumps`` of the payload
-    with ``indent=2`` but built without a per-entry ``Fraction`` or the
-    generic encoder: ``Q`` can hold tens of thousands of entries."""
-    # before the row strings: after them, perfbench jordan's peak RSS rose 2 MiB
-    since = _ints_json(state.stable_since())
-    return "\n".join((
-        "{",
-        '  "command": "reduce",',
-        f'  "horizon": {horizon},',
-        f'  "mode": "{_mode(state)}",',
-        f'  "certified": {json.dumps(state.certified)},',
-        f'  "rows": {_rows_json(state.h_rows)},',
-        f'  "q_rows": {_rows_json(state.q_rows)},',
-        f'  "j_set": {_ints_json(state.j_set)},',
-        f'  "w_set": {_ints_json(state.w_set)},',
-        f'  "mu": {_ints_json(state.mu)},',
-        f'  "stable_since": {since}',
-        "}",
-    ))
+    with ``indent=2``, written a row at a time without a per-entry ``Fraction``
+    or the generic encoder; each transform row is written once it is final."""
+    yield from ("{",
+                '  "command": "reduce",',
+                f'  "horizon": {horizon},',
+                f'  "mode": "{_mode(state)}",',
+                f'  "certified": {json.dumps(state.certified)},')
+    yield from _rows_json("rows", state.h_rows, state.k)
+    yield from _rows_json("q_rows", state.transform_rows(), state.k)
+    yield from (f'  "j_set": {_ints_json(state.j_set)},',
+                f'  "w_set": {_ints_json(state.w_set)},',
+                f'  "mu": {_ints_json(state.mu)},',
+                f'  "stable_since": {_ints_json(state.stable_since())}',
+                "}")
 
 
 def _dense_cells(rows: Sequence[FiniteRow]) -> Iterator[List[str]]:
@@ -184,16 +185,13 @@ def _seq_csv(values: Sequence[Fraction]) -> str:
     return ",".join(format_scalar(v) for v in values)
 
 
-def _emit(args, json_text: Callable[[], str], csv_lines: Callable[[], Iterable[str]],
-          pretty_lines: Callable[[], Iterable[str]]) -> None:
+def _emit(args, json_lines: _Lines, csv_lines: _Lines, pretty_lines: _Lines) -> None:
     """Print the output in the requested format; only that one is rendered.
-    A csv or pretty renderer yields its text in pieces, each printed with a
-    newline as it comes, so a dense matrix is written a row at a time."""
-    if args.format == "json":
-        print(json_text())
-    else:
-        for piece in (csv_lines if args.format == "csv" else pretty_lines)():
-            print(piece)
+    Each renderer yields its text in pieces, each printed with a newline as
+    it comes, so a matrix is written a row at a time."""
+    render = {"json": json_lines, "csv": csv_lines, "pretty": pretty_lines}
+    for piece in render[args.format]():
+        print(piece)
 
 
 def _pretty_rows(rows: Sequence[FiniteRow]) -> Iterator[str]:
@@ -224,13 +222,11 @@ def _emit_terms(args, key: str, key_value: int, values: Sequence[Fraction],
     tail = "" if match is None else "\n" + ("MATCH" if match else "MISMATCH")
     last = "" if match is None else f',\n  "elimination_match": {json.dumps(match)}'
     _emit(args,
-          lambda: "\n".join((
-              "{",
-              f'  "command": "{args.command}",',
-              f'  "{key}": {key_value},',
-              f'  "terms": {_terms_json(values, first, 2)}{last}',
-              "}",
-          )),
+          lambda: ("{",
+                   f'  "command": "{args.command}",',
+                   f'  "{key}": {key_value},',
+                   f'  "terms": {_terms_json(values, first, 2)}{last}',
+                   "}"),
           lambda: [_seq_csv(values) + tail],
           lambda: ["\n".join(f"y_{i + first} = {format_scalar(v)}"
                              for i, v in enumerate(values)) + tail])
@@ -263,14 +259,12 @@ def cmd_fundamental(args) -> int:
     fund = solver.fundamental_set(state, args.horizon, args.terms)
     first = _first_index(args, eq.source)
     _emit(args,
-          lambda: "\n".join((
-              "{",
-              '  "command": "fundamental",',
-              f'  "basis_kind": {json.dumps(fund.basis_kind)},',
-              f'  "first_index": {first},',
-              f'  "sequences": {_sequences_json(fund.sequences, first)}',
-              "}",
-          )),
+          lambda: ("{",
+                   '  "command": "fundamental",',
+                   f'  "basis_kind": {json.dumps(fund.basis_kind)},',
+                   f'  "first_index": {first},',
+                   f'  "sequences": {_sequences_json(fund.sequences, first)}',
+                   "}"),
           lambda: ["\n".join(_seq_csv(seq) for seq in fund.sequences.values())],
           lambda: [f"basis_kind: {fund.basis_kind}\n" + "\n".join(
               f"xi({s + first}): " + _seq_csv(seq) for s, seq in fund.sequences.items()

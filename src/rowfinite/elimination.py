@@ -10,8 +10,10 @@ per push, the elementary operations that push applied (the clearing
 multipliers, the inverse scale, the cross-clearing multipliers and the
 placement targets).  Replaying the log on the identity rows gives the
 transform rows, ``q_rows[n] . A == h_rows[n]`` entrywise for every consumed
-``n``; ``q_rows`` is built that way on first read only.  Replaying it on a
-forcing column gives the transformed forcing ``Q . g`` without building ``Q``.
+``n``.  The replay yields each row once no later push writes it and drops it
+once no later push reads it, so ``reduce`` writes ``Q`` without holding it
+(two rows live on ``example2``); ``q_rows`` is the whole list, built on read.
+Replaying the log on a forcing column gives the transformed forcing ``Q . g``.
 :func:`check_invariants` judges the engine state; ``Q . A == H`` against
 the source rows is checked in :mod:`rowfinite.checks`.
 
@@ -50,7 +52,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from .rows import FiniteRow
 from .sources import RowSource
@@ -160,8 +162,7 @@ class EliminationState:
         lg = g.length
         if not self.mu or lg >= self.mu[-1]:
             raise EngineError("cross-clearing pivot does not fall below the prefix")
-        rank = bisect_left(self.mu, lg)
-        if rank < len(self.mu) and self.mu[rank] == lg:
+        if self.mu[bisect_left(self.mu, lg)] == lg:   # below mu[-1]: in range
             raise EngineError(f"pivot length {lg} collides with a stored pivot")
         holders = self._holders
         if holders is None:
@@ -219,37 +220,54 @@ class EliminationState:
 
     # -- replay ----------------------------------------------------------------
 
-    def replay(self, column: List[T], unit: Callable[[int], T],
+    def replay(self, unit: Callable[[int], T],
                combine: Callable[[T, List[Tuple[int | Fraction, T]], Optional[Fraction]], T]
-               ) -> List[T]:
-        """Bring ``column`` up to date with the log, in place, and return it.
+               ) -> Iterator[T]:
+        """Replay the log and yield each position's final value, in position
+        order, as soon as no later push writes it or a position before it.
 
-        ``column[n]`` is the value at position n after the first
-        ``len(column)`` pushes; the remaining pushes are applied in order.
         Push k repeats the operations it applied to the reduced rows, with
         ``combine(x, terms, c)`` standing for ``c * (x + sum(m * y for m, y
         in terms))`` (``c`` of None for 1): its new value is ``unit(k)``
         combined with the clearing terms and the inverse scale, and each
         cross-cleared position is combined with one term of that value.
         A multiplier ``m`` is an ``int`` or a ``Fraction`` (see :class:`PushLog`).
+        A push that writes position n puts its own row, of length k, at or
+        below n, so n is final after push ``max(q_lengths()[:n + 1])``; then
+        only clearing reads it, and its value is dropped once yielded and read.
         """
-        for k in range(len(column), len(self._log)):
-            log = self._log[k]
+        final = self.q_lengths()
+        last_read = {pos: k for k, log in enumerate(self._log) for pos, _ in log.clear}
+        column: List[Optional[T]] = []
+        done = 0
+        for k, log in enumerate(self._log):
             value = combine(unit(k), [(m, column[pos]) for pos, m in log.clear],
                             log.inv)
             for pos, m in log.cross:
                 column[pos] = combine(column[pos], [(m, value)], None)
             _place(column, log.targets, value)
-        return column
+            for pos, _ in log.clear:
+                if pos < done and last_read[pos] == k:
+                    column[pos] = None
+            while done <= k and final[done] <= k:
+                value = column[done]
+                if last_read.get(done, -1) <= k:
+                    column[done] = None
+                done += 1
+                yield value
+
+    def transform_rows(self) -> Iterator[FiniteRow]:
+        """The transform rows in position order, each yielded once final:
+        the log replayed on the identity rows."""
+        return self.replay(lambda k: FiniteRow._raw([(k, 1, 1)]), FiniteRow.combine)
 
     @property
     def q_rows(self) -> List[FiniteRow]:
-        """Transform rows: the log replayed on the identity rows, with the
-        same row operations in the same order, so ``q_rows[n] . A ==
-        h_rows[n]``.  Built on first read and brought up to date on later
-        reads; every read returns the same list."""
-        return self.replay(self._q_rows, lambda k: FiniteRow._raw([(k, 1, 1)]),
-                           FiniteRow.combine)
+        """Transform rows, ``q_rows[n] . A == h_rows[n]``: the list of
+        :meth:`transform_rows`, built on read and kept until the next push."""
+        if len(self._q_rows) != self.k:
+            self._q_rows = list(self.transform_rows())
+        return self._q_rows
 
     def q_lengths(self) -> List[int]:
         """The length of each transform row, folded out of the log without
@@ -276,11 +294,11 @@ class EliminationState:
 def _place(rows: list, targets: List[int], survivor) -> None:
     """The placement step: append a slot at position k (the last target),
     put the survivor at ``targets[0]`` and move the entry at each target to
-    the next one."""
-    displaced = [rows[p] for p in targets[:-1]]
+    the next one, the last first."""
     rows.append(survivor)
-    for pos, value in zip(targets, [survivor] + displaced):
-        rows[pos] = value
+    for i in range(len(targets) - 2, -1, -1):
+        rows[targets[i + 1]] = rows[targets[i]]
+    rows[targets[0]] = survivor
 
 
 def _column_holders(state: EliminationState) -> Dict[int, Set[int]]:
@@ -332,15 +350,13 @@ def check_invariants(state: EliminationState) -> None:
         for col, _, _ in state.h_rows[m].int_items():
             pos = pivot_at.get(col)
             if pos is not None and pos != m:
-                raise EngineError(
-                    f"row {m} has a nonzero entry in pivot column {col} of row {pos}"
-                )
+                raise EngineError(f"row {m} has a nonzero entry in pivot column "
+                                  f"{col} of row {pos}")
     if state._holders is not None:
         live = {col: lengths for col, lengths in state._holders.items() if lengths}
         if live != _column_holders(state):
             raise EngineError("the column index does not match the stored rows")
-    for n in range(k):
-        q = state.q_rows[n]
+    for n, q in enumerate(state.q_rows):
         if q.is_zero:
             raise EngineError(f"transform row {n} is zero")
         if q.length >= k:

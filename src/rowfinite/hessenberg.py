@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .rows import Scalar, ScalarLike, as_scalar
+from .rows import Scalar, ScalarLike, as_scalar, short_forcing
 from .sources import RowSource, SpecError
 
 
@@ -49,6 +49,7 @@ class HessSpec:
     y_n itself is implicitly 1.  ``forcing(n)`` is the right-hand side and
     ``init`` holds y_{-N}..y_{-1}.  ``band``, when set, promises
     ``coeff(n, j) == 0`` for j < n+index-band; None promises nothing.
+    ``forcing_terms``, when set, is how many terms ``forcing`` has.
     """
 
     index: int
@@ -56,6 +57,7 @@ class HessSpec:
     forcing: Callable[[int], Scalar]
     init: Tuple[Scalar, ...] = field(default=())
     band: Optional[int] = None
+    forcing_terms: Optional[int] = None
 
     def __post_init__(self):
         if self.index < 0:
@@ -86,7 +88,7 @@ def hess_spec_from_source(source: RowSource, g: Optional[Sequence[ScalarLike]] =
         # row n's entries by column, with the numerator and denominator of
         # its trailing coefficient: each quotient is then normalised once
         entries = {col: (num, den) for col, num, den in source.row_at(n).int_items()}
-        return (entries, *entries.get(n + order, (0, 1)))
+        return (entries, *entries[n + order])
 
     def coeff(n: int, j: int) -> Scalar:
         entries, lead_num, lead_den = fetch(n)
@@ -99,16 +101,12 @@ def hess_spec_from_source(source: RowSource, g: Optional[Sequence[ScalarLike]] =
         forcing = _zero_forcing
     else:
         def forcing(n: int) -> Scalar:
-            if n >= len(g_vals):
-                raise ValueError(
-                    f"forcing prefix has {len(g_vals)} terms, term {n} requested"
-                )
             _, lead_num, lead_den = fetch(n)
             value = g_vals[n]
             return Fraction(value.numerator * lead_den, value.denominator * lead_num)
 
     return HessSpec(index=order, coeff=coeff, forcing=forcing, init=init,
-                    band=source.band)
+                    band=source.band, forcing_terms=None if g_vals is None else len(g_vals))
 
 
 def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
@@ -124,7 +122,7 @@ def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
     where no product reads row k (every minor it would multiply vanishes,
     or lies outside the band), row k is still read once, before its forcing
     term, so that its errors fire as they do on the elimination path, which
-    reads every row before it reads the forcing."""
+    reads every row before it reads the forcing; a short forcing fails there."""
     if len(spec.init) != spec.index:
         raise ValueError(f"expected {spec.index} initial values, got {len(spec.init)}")
     coeff, index, band = spec.coeff, spec.index, spec.band
@@ -143,6 +141,8 @@ def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
                     value -= m * prev
         if not read:
             coeff(k, index + k - 1)
+        if spec.forcing_terms is not None and k >= spec.forcing_terms:
+            raise short_forcing(spec.forcing_terms, count)
         value += spec.forcing(k)
         for i, y0 in init:
             if band is None or i >= k + index - band:

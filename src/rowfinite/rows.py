@@ -46,6 +46,13 @@ class ShortColumnError(ValueError):
     """A dot product was asked against a column that does not cover the row."""
 
 
+def short_forcing(given: int, needed: int) -> ShortColumnError:
+    """The error of a forcing prefix of ``given`` terms where the requested
+    output reads ``needed``, both counted from g_0."""
+    return ShortColumnError(f"forcing prefix has {given} terms counted from g_0; "
+                            f"the requested output needs {needed}")
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` (sign on the numerator, q > 0) exactly."""
     s = text.strip()
@@ -312,16 +319,6 @@ class FiniteRow:
                 tn = tn * pd + pn * (td // g)
                 td *= pd
         return Fraction(tn, td)
-
-    def to_dense(self, width: int | None = None) -> list:
-        if width is None:
-            width = self.length + 1
-        if width < self.length + 1:
-            raise ValueError(f"width {width} does not cover length {self.length}")
-        dense = [Fraction(0)] * width
-        for col, v in self.items():
-            dense[col] = v
-        return dense
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteRow):

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .elimination import EliminationState
-from .rows import Scalar, ScalarLike, ShortColumnError, as_scalar, to_fraction
+from .rows import Scalar, ScalarLike, as_scalar, short_forcing, to_fraction
 from .sources import SpecError
 
 
@@ -126,15 +126,15 @@ def _transformed(state: EliminationState,
                  g: Sequence[ScalarLike]) -> Tuple[List[Scalar], List[int]]:
     """Entry n of the first list is q_rows[n] . g, from the elimination log
     replayed on the forcing values (Q itself is not built); the second list
-    holds the length of each q_rows[n], for :func:`_check_supplied`.
+    holds the length of each q_rows[n]: q_rows[n] . g reads g_0..g_length.
 
     Forcing values past the supplied prefix are taken as 0: they reach only
     the positions whose transform row is longer than the prefix, which are
     checked before read.
     """
     column = [as_scalar(v) for v in g]
-    values = state.replay(
-        [], lambda k: column[k] if k < len(column) else Fraction(0), _combine)
+    values = list(state.replay(
+        lambda k: column[k] if k < len(column) else Fraction(0), _combine))
     return values, state.q_lengths()
 
 
@@ -144,17 +144,6 @@ def _combine(x: Scalar, terms: List[Tuple[int | Scalar, Scalar]],
     for m, y in terms:
         x += y * m   # not m * y: an int m would detour through Fraction.__rmul__
     return x if c is None else x * c
-
-
-def _check_supplied(lengths: List[int], supplied: int, positions: Iterable[int]) -> None:
-    """Raise ShortColumnError at the first of ``positions`` whose transform
-    row reaches past the ``supplied`` forcing values."""
-    for n in positions:
-        if lengths[n] >= supplied:
-            raise ShortColumnError(
-                f"row has length {lengths[n]} but only {supplied} column "
-                f"entries were supplied"
-            )
 
 
 def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
@@ -170,7 +159,8 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
 
     Checks, in this order: ``terms``; the free constants; that ``g`` covers
     the transform rows at the zero rows; consistency; that ``g`` covers the
-    transform rows at the pivot rows the terms reach.
+    transform rows at the pivot rows the terms reach.  A short ``g`` is a
+    ShortColumnError that gives how many terms these rows read.
     """
     _check_terms(state, terms)
     constants = _checked_free(state, free)
@@ -178,12 +168,15 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
     forcing = [Fraction(0)] * state.k
     if g is not None:
         forcing, lengths = _transformed(state, g)
-        _check_supplied(lengths, len(g), state.w_set)
+        read = state.w_set + [pivot_pos[m] for m in range(terms) if m in pivot_pos]
+        needed = 1 + max((lengths[n] for n in read), default=-1)
+        if any(lengths[w] >= len(g) for w in state.w_set):
+            raise short_forcing(len(g), needed)
         violated = [w for w in state.w_set if forcing[w] != 0]
         if violated:
             raise InconsistentSystemError(violated)
-        _check_supplied(lengths, len(g),
-                        (pivot_pos[m] for m in range(terms) if m in pivot_pos))
+        if needed > len(g):
+            raise short_forcing(len(g), needed)
     out: List[Scalar] = []
     for m in range(terms):
         pos = pivot_pos.get(m)

@@ -4,9 +4,18 @@ from fractions import Fraction
 from typing import Tuple
 
 import pytest
+from hypothesis import strategies as st
 
 from rowfinite import (FiniteRow, HessSpec, as_scalar, build_family,
                        check_invariants, general_prefix)
+
+
+def dense(row, width=None):
+    """``row`` as a list of ``width`` Fractions, its length + 1 by default."""
+    out = [Fraction(0)] * (row.length + 1 if width is None else width)
+    for col, v in row.items():
+        out[col] = v
+    return out
 
 
 def naive_det(dense):
@@ -99,6 +108,26 @@ def random_explicit_rows(rng, max_rows=30, max_len=13):
     return rows
 
 
+_SMALL = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+@st.composite
+def shuffled_length_rows(draw):
+    """Rows whose lengths are a random permutation of 0..width-1, each with
+    a few entries at most 4 columns left of its leading one, and now and
+    then a row dependent on the one before."""
+    rows = []
+    for length in draw(st.permutations(range(draw(st.integers(1, 14))))):
+        entries = {length: draw(_SMALL.filter(bool))}
+        for col in draw(st.lists(st.integers(max(length - 4, 0), length),
+                                 max_size=3 if length else 0)):
+            entries.setdefault(col, draw(_SMALL))
+        rows.append(FiniteRow(entries.items()))
+        if draw(st.integers(0, 9)) == 0:
+            rows.append(rows[-1].combine((), draw(_SMALL.filter(bool))))
+    return rows
+
+
 def random_regular_source(rng, order, horizon, shape):
     """A random regular-order source of the given shape with rational
     coefficients, defined for rows 0..horizon-1."""
@@ -124,7 +153,7 @@ def random_scalar(rng, span=9, max_den=4):
 def dense_rank(rows, width):
     """Rank of a dense rational matrix by plain forward elimination;
     independent of the streaming engine."""
-    m = [[Fraction(v) for v in r.to_dense(width)] for r in rows]
+    m = [dense(r, width) for r in rows]
     rank = 0
     for col in range(width):
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)

@@ -17,7 +17,7 @@ from rowfinite import (EliminationState, FiniteRow, InconsistentSystemError,
                        fundamental_set, general_prefix, general_solution,
                        hess_spec_from_source, inaccessible_lengths, run)
 from rowfinite.checks import left_association
-from conftest import (LowerHessenberg, hess_det, naive_det,
+from conftest import (LowerHessenberg, dense, hess_det, naive_det,
                       random_explicit_rows, random_regular_source,
                       random_scalar, source_rows)
 
@@ -37,7 +37,7 @@ def criterion(number, name, budget=None):
 
 
 def dense_str(row, width):
-    return [str(v) for v in row.to_dense(width)]
+    return [str(v) for v in dense(row, width)]
 
 
 EX2_QHF = [

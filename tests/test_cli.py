@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +18,7 @@ from rowfinite import (FiniteRow, build_family, cli, format_scalar,
                        general_prefix, hess_spec_from_source, run, solver)
 from rowfinite.cli import main
 from rowfinite.sources import MAX_COLUMN
+from conftest import dense, shuffled_length_rows
 
 
 def run_cli(capsys, *argv):
@@ -85,10 +90,10 @@ class TestReduce:
 
     def test_dense_formats_match_the_fraction_renderer(self, capsys, monkeypatch,
                                                        tmp_path):
-        # the cells as built before: every cell a Fraction through to_dense
+        # the cells as built before: every cell a Fraction of the dense row
         def cells(rows):
             width = max(r.length + 1 for r in rows)
-            return [[format_scalar(v) for v in r.to_dense(width)] for r in rows]
+            return [[format_scalar(v) for v in dense(r, width)] for r in rows]
 
         def old_csv(rows):
             return "\n".join(",".join(line) for line in cells(rows))
@@ -164,13 +169,32 @@ class TestReduce:
         assert json.loads(out)["w_set"] == [1]
 
     @pytest.mark.parametrize("family", ["example2", "example3"])
-    @pytest.mark.parametrize("horizon", [1, 12])
+    @pytest.mark.parametrize("horizon", [1, 12, 48])
     def test_json_bytes_match_the_generic_encoder(self, capsys, family, horizon):
         code, out, _ = run_cli(capsys, "reduce", "--family", family,
                                "--horizon", str(horizon))
         assert code == 0
         state = run(build_family({"family": family}), horizon)
         assert out == json.dumps(reduce_payload(state, horizon), indent=2) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_length_rows())
+    def test_streamed_json_matches_the_generic_encoder(self, rows):
+        # rows in random length order: cross-clears and shifts make
+        # transform rows final late, so the stream writes them out of step
+        # with the pushes
+        obj = {"rows": [[[c, format_scalar(v)] for c, v in r.items()] for r in rows]}
+        horizon = str(len(rows))
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = os.path.join(tmp, "m.json")
+            with open(spec, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            with contextlib.redirect_stdout(out):
+                assert main(["reduce", "--spec", spec, "--horizon", horizon]) == 0
+        state = run(build_family({"family": "explicit", **obj}), len(rows))
+        expected = json.dumps(reduce_payload(state, len(rows)), indent=2) + "\n"
+        assert out.getvalue() == expected
 
     @pytest.mark.parametrize("horizon", [1, 3])
     def test_json_bytes_with_empty_rows_and_sets(self, capsys, tmp_path, horizon):
@@ -269,7 +293,8 @@ class TestSolve:
         assert out.strip() == "0,0,0,0,0,0"
         code, out, err = run_cli(capsys, *args, "--g=0")
         assert code == 2 and not out
-        assert "row has length 1 but only 1 column entries were supplied" in err
+        assert err == ("error: forcing prefix has 1 terms counted from g_0; "
+                       "the requested output needs 4\n")
 
     def test_free_at_accessible_index_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--family", "example2",
@@ -440,6 +465,28 @@ class TestHess:
             "command": "hess", "index": 1,
             "terms": terms_payload([1, 3, 7, 15, 0], 0),
             "elimination_match": False}))
+
+    def test_order_zero_cross_check_match(self, capsys, tmp_path):
+        # N = 0: band 0, so each term reads only its own forcing value
+        spec = tmp_path / "diag.json"
+        spec.write_text(json.dumps({"family": "n_order", "N": 0, "a": "n+1"}))
+        code, out, _ = run_cli(capsys, "hess", "--spec", str(spec), "--terms", "4",
+                               "--g", "1,4,9,16", "--format", "csv",
+                               "--verify-against-elimination")
+        assert code == 0
+        assert out == "1,2,3,4\nMATCH\n"
+
+    @pytest.mark.parametrize("command,terms", [("solve", "7"), ("hess", "6")])
+    def test_short_forcing_message(self, capsys, tmp_path, command, terms):
+        # both commands count from g_0 what --g gives and what the terms
+        # read; solve's terms start at y_-1, hess's at y_0
+        spec = tmp_path / "rec.json"
+        spec.write_text(json.dumps({"family": "ascending", "N": 1, "a": "j + 1"}))
+        args = (command, "--spec", str(spec), "--terms", terms, "--format", "csv")
+        assert run_cli(capsys, *args, "--g", "1,2") == (
+            2, "", "error: forcing prefix has 2 terms counted from g_0; "
+                   "the requested output needs 6\n")
+        assert run_cli(capsys, *args, "--g", "1,2,3,4,5,6")[0] == 0
 
     def test_irregular_spec_rejected(self, capsys):
         code, _, err = run_cli(capsys, "hess", "--family", "example2",
@@ -802,6 +849,18 @@ class TestConsoleScript:
         with subprocess.Popen(cmd, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True) as proc:
             assert proc.stdout.readline().startswith("reduced prefix")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in err
+
+    def test_closed_stdout_mid_json_exits_141(self):
+        # the document is written a row at a time: a write fails partway
+        cmd = [sys.executable, "-m", "rowfinite", "reduce", "--family",
+               "example2", "--horizon", "300"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.readline() == "{\n"
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=120) == 141

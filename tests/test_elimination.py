@@ -11,7 +11,7 @@ from rowfinite import (EliminationState, EngineError, FiniteRow, ZERO_ROW,
 from rowfinite.elimination import PushLog
 from rowfinite.checks import left_association
 from conftest import (dense_rank, push_checked, random_explicit_rows,
-                      random_regular_source, source_rows)
+                      random_regular_source, shuffled_length_rows, source_rows)
 
 
 def null_basis(st):
@@ -482,6 +482,15 @@ class TestCheckInvariants:
         with pytest.raises(EngineError, match=message):
             check_invariants(st)
 
+    def test_equal_pivot_lengths_fail(self):
+        # two rows of length 1 each indexed as a pivot: the lengths are not
+        # strictly increasing, and that check fires before any other
+        st = EliminationState()
+        st.h_rows = [row(0, 1), row(1, 1)]
+        st.j_set, st.mu = [0, 1], [1, 1]
+        with pytest.raises(EngineError, match="pivot lengths are not strictly increasing"):
+            check_invariants(st)
+
     def test_zero_pivot_row_fails(self):
         st = example2_state()
         st.h_rows[3] = ZERO_ROW
@@ -531,26 +540,6 @@ class ScanAllState(EliminationState):
                 log.cross.append((pos, -c))
                 changed.append(pos)
         return changed
-
-
-_SMALL = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
-
-
-@st.composite
-def shuffled_length_rows(draw):
-    """Rows whose lengths are a random permutation of 0..width-1, each with
-    a few entries at most 4 columns left of its leading one, and now and
-    then a row dependent on the one before."""
-    rows = []
-    for length in draw(st.permutations(range(draw(st.integers(1, 14))))):
-        entries = {length: draw(_SMALL.filter(bool))}
-        for col in draw(st.lists(st.integers(max(length - 4, 0), length),
-                                 max_size=3 if length else 0)):
-            entries.setdefault(col, draw(_SMALL))
-        rows.append(FiniteRow(entries.items()))
-        if draw(st.integers(0, 9)) == 0:
-            rows.append(rows[-1].combine((), draw(_SMALL.filter(bool))))
-    return rows
 
 
 def trace(st):
@@ -697,7 +686,53 @@ def shuffled_explicit_rows(seed, width):
     return rows
 
 
+class Tracked:
+    """A replayed value that counts how many of its kind are alive."""
+    live = 0
+
+    def __init__(self, row):
+        self.row = row
+        Tracked.live += 1
+
+    def __del__(self):
+        Tracked.live -= 1
+
+
+def tracked_replay(st):
+    """The rows ``st.replay`` yields, and the most replayed values alive at
+    a yield, the yielded one included."""
+    def combine(x, terms, c):
+        return Tracked(x.row.combine([(m, y.row) for m, y in terms], c))
+
+    rows, most = [], 0
+    for value in st.replay(lambda k: Tracked(FiniteRow([(k, 1)])), combine):
+        most = max(most, Tracked.live)
+        rows.append(value.row)
+    return rows, most
+
+
 class TestTransformReplay:
+    @pytest.mark.parametrize("horizon", [60, 200])
+    def test_replay_keeps_two_rows_live_on_example2(self, horizon):
+        # every push of example2 appends and is final at once, and only the
+        # last two rows are read by a later push's clearing
+        st = run(build_family({"family": "example2"}), horizon)
+        rows, most = tracked_replay(st)
+        assert rows == chained_q_rows(st)
+        assert most == 2 and Tracked.live == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(shuffled_length_rows(), st.integers(0, 30))
+    def test_q_rows_read_again_after_more_pushes(self, rows, cut):
+        state = EliminationState()
+        for r in rows[:cut]:
+            state.push_row(r)
+        assert state.q_rows == chained_q_rows(state)
+        for r in rows[cut:]:
+            state.push_row(r)
+        assert state.q_rows == chained_q_rows(state)
+        assert state.q_rows is state.q_rows   # kept until the next push
+
     @pytest.mark.parametrize("family, horizon", [("example2", 60), ("example3", 48)])
     def test_q_rows_match_the_chained_replay_on_builtins(self, family, horizon):
         st = run(build_family({"family": family}), horizon)

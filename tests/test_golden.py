@@ -103,6 +103,8 @@ CASES = {
     "exit2-horizon-zero": "reduce --family example2 --horizon 0",
     "exit2-vanishing-trailing": "solve --spec {dir}/vanishing.json --terms 6",
     "exit2-usage": "reduce --family example2 --terms 3",
+    "exit2-short-forcing-solve": "solve --family example3 --horizon 10 --terms 10 --g 1,0",
+    "exit2-short-forcing-hess": "hess --spec {dir}/ascending.json --terms 6 --g 1",
     "exit3-division-by-zero": "solve --spec {dir}/div_zero.json --terms 6",
     "exit3-cospi2-half": "reduce --spec {dir}/cospi2_half.json --horizon 4",
     "exit3-j-unset": "fundamental --spec {dir}/uses_j.json --terms 3",

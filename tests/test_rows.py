@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rowfinite import (FiniteRow, ShortColumnError, ZERO_ROW, ZeroRowError,
                        as_scalar, format_scalar, parse_scalar)
+from conftest import dense
 
 
 def row(*dense):
@@ -77,12 +78,8 @@ class TestConstruction:
         assert FiniteRow([(4, 1), (0, 2)]).support == (0, 4)
 
     def test_dense_round_trip(self):
-        dense = [Fraction(0), Fraction(3), Fraction(-1, 2)]
-        assert FiniteRow(enumerate(dense)).to_dense() == dense
-
-    def test_to_dense_width_guard(self):
-        with pytest.raises(ValueError):
-            row(1, 2).to_dense(1)
+        values = [Fraction(0), Fraction(3), Fraction(-1, 2)]
+        assert dense(FiniteRow(enumerate(values))) == values
 
 
 class TestAxpy:
@@ -127,7 +124,7 @@ multipliers = st.one_of(small_scalars, st.integers(-20, 20).map(Fraction))
 def dense_combine(r, terms, c):
     """``c * (r + sum(m * s))`` on dense Fraction lists, as a FiniteRow."""
     width = max([r.length] + [s.length for _, s in terms]) + 1
-    acc = r.to_dense(width)
+    acc = dense(r, width)
     for m, s in terms:
         for col, v in s.items():
             acc[col] += m * v
@@ -211,7 +208,7 @@ class TestProperties:
         # equality compares the stored integer pairs, so this also checks
         # that they come out in lowest terms
         width = max(r.length, s.length) + 1
-        expected = [x + c * y for x, y in zip(r.to_dense(width), s.to_dense(width))]
+        expected = [x + c * y for x, y in zip(dense(r, width), dense(s, width))]
         assert r.combine([(c, s)]) == FiniteRow(enumerate(expected))
 
     @given(finite_rows, multipliers)

@@ -11,6 +11,7 @@ from rowfinite import (AccessibleIndexError, EliminationState,
                        build_family, frechet_distance, fundamental_set,
                        general_solution, inaccessible_lengths, run)
 from rowfinite.checks import left_association
+from rowfinite.rows import short_forcing
 from conftest import naive_det, random_explicit_rows, random_regular_source, random_scalar
 
 
@@ -434,14 +435,21 @@ def _outcome(fn, *args):
 
 def _particular_from_rows(state, q_rows, g, terms):
     """The particular solution from eagerly built transform rows: the
-    reference the replay on the forcing column replaces."""
-    violated = [w for w in state.w_set if q_rows[w].dot_prefix(g) != 0]
-    if violated:
-        raise InconsistentSystemError(violated)
-    out = [Fraction(0)] * terms
-    for pos, length in zip(state.j_set, state.mu):
-        if length < terms:
-            out[length] = q_rows[pos].dot_prefix(g)
+    reference the replay on the forcing column replaces.  A short ``g``
+    reports how many terms the rows read reach, counted from g_0."""
+    read = state.w_set + [pos for pos, length in zip(state.j_set, state.mu)
+                          if length < terms]
+    needed = max((q_rows[n].length + 1 for n in read), default=0)
+    try:
+        violated = [w for w in state.w_set if q_rows[w].dot_prefix(g) != 0]
+        if violated:
+            raise InconsistentSystemError(violated)
+        out = [Fraction(0)] * terms
+        for pos, length in zip(state.j_set, state.mu):
+            if length < terms:
+                out[length] = q_rows[pos].dot_prefix(g)
+    except ShortColumnError:
+        raise short_forcing(len(g), needed) from None
     return out
 
 
@@ -464,7 +472,7 @@ class TestTransformReplay:
             st.push_row(r)
             fresh.push_row(r)
             if rng.random() < 0.3:
-                assert len(st.q_rows) == st.k   # resumes from this step later
+                assert len(st.q_rows) == st.k   # built again after later pushes
         q_rows = st.q_rows
         assert q_rows == fresh.q_rows
         assert st.q_lengths() == [q.length for q in st.q_rows]
