@@ -8,8 +8,8 @@ from .sources import (CoeffExpr, EquationSpec, EvalError, ExprSyntaxError,
                       load_equation, parse_coeff_expr)
 from .elimination import EliminationState, EngineError, check_invariants, run
 from .solver import (AccessibleIndexError, FundamentalSet, InaccessibleLengths,
-                     InconsistentSystemError, frechet_distance,
-                     fundamental_set, general_solution, inaccessible_lengths)
+                     InconsistentSystemError, fundamental_set,
+                     general_solution, inaccessible_lengths)
 from .hessenberg import HessSpec, general_prefix, hess_spec_from_source
 
 __version__ = "0.1.0"
@@ -22,8 +22,8 @@ __all__ = [
     "parse_coeff_expr",
     "EliminationState", "EngineError", "check_invariants", "run",
     "AccessibleIndexError", "FundamentalSet", "InaccessibleLengths",
-    "InconsistentSystemError", "frechet_distance", "fundamental_set",
-    "general_solution", "inaccessible_lengths",
+    "InconsistentSystemError", "fundamental_set", "general_solution",
+    "inaccessible_lengths",
     "HessSpec", "general_prefix", "hess_spec_from_source",
     "__version__",
 ]

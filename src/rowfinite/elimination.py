@@ -232,11 +232,11 @@ class EliminationState:
         combined with the clearing terms and the inverse scale, and each
         cross-cleared position is combined with one term of that value.
         A multiplier ``m`` is an ``int`` or a ``Fraction`` (see :class:`PushLog`).
-        A push that writes position n puts its own row, of length k, at or
-        below n, so n is final after push ``max(q_lengths()[:n + 1])``; then
-        only clearing reads it, and its value is dropped once yielded and read.
+        Position n is yielded after push ``stable_since()[n]``, the last
+        push that wrote a position at or below n; then only clearing reads
+        it, and its value is dropped once yielded and read.
         """
-        final = self.q_lengths()
+        final = self.stable_since()
         last_read = {pos: k for k, log in enumerate(self._log) for pos, _ in log.clear}
         column: List[Optional[T]] = []
         done = 0
@@ -269,22 +269,12 @@ class EliminationState:
             self._q_rows = list(self.transform_rows())
         return self._q_rows
 
-    def q_lengths(self) -> List[int]:
-        """The length of each transform row, folded out of the log without
-        building ``Q``: the rightmost entry of a transform row never
-        cancels, so the length of ``q_rows[n]`` is the last push that wrote
-        position n, by a cross-clear or by placement."""
-        lengths: List[int] = []
-        for k, log in enumerate(self._log):
-            for pos, _ in log.cross:
-                lengths[pos] = k
-            _place(lengths, log.targets, k)
-        return lengths
-
     def stable_since(self) -> List[int]:
         """Per prefix index n, the last push that changed rows 0..n (creation
         counts): push k changes no row below ``targets[0]``, as it
-        cross-clears only rows that its placement shifts."""
+        cross-clears only rows that its placement shifts.  It is also the
+        greatest length of ``q_rows[0..n]``, as the rightmost entry of a
+        transform row is the last push that wrote its position."""
         since = list(range(self.k))
         for k, log in enumerate(self._log):
             since[log.targets[0]] = k

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence, Tuple, Union
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
-_SCALAR_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?\Z")
+_SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?\Z")
 
 
 class ZeroRowError(ValueError):
@@ -54,7 +54,8 @@ def short_forcing(given: int, needed: int) -> ShortColumnError:
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` (sign on the numerator, q > 0) exactly."""
+    """Parse ``"p"`` or ``"p/q"`` (sign on the numerator, q > 0, ASCII
+    digits only) exactly."""
     s = text.strip()
     if not _SCALAR_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")

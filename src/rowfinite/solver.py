@@ -6,8 +6,9 @@ horizon is the set of *inaccessible* columns, which index the free constants
 of the homogeneous solution space.  One routine, :func:`general_solution`,
 reads every solution off the reduced rows and is the one reader of the
 transformed forcing ``Q . g``: it replays ``g`` through the elimination log,
-and a nonzero value at a zero row raises :class:`InconsistentSystemError`
-with those rows in ``violated``.  A particular solution is
+reads how many forcing terms it needs off ``stable_since()``, and a nonzero
+value at a zero row raises :class:`InconsistentSystemError` with those rows
+in ``violated``.  A particular solution is
 ``general_solution(state, g, {}, terms)``, a homogeneous one
 ``general_solution(state, None, free, terms)``, and the fundamental sequence
 of an inaccessible column s the case of constant 1 at s (0 at the other free
@@ -23,6 +24,7 @@ sources where lengths only ever grow.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -122,22 +124,6 @@ def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Di
     return out
 
 
-def _transformed(state: EliminationState,
-                 g: Sequence[ScalarLike]) -> Tuple[List[Scalar], List[int]]:
-    """Entry n of the first list is q_rows[n] . g, from the elimination log
-    replayed on the forcing values (Q itself is not built); the second list
-    holds the length of each q_rows[n]: q_rows[n] . g reads g_0..g_length.
-
-    Forcing values past the supplied prefix are taken as 0: they reach only
-    the positions whose transform row is longer than the prefix, which are
-    checked before read.
-    """
-    column = [as_scalar(v) for v in g]
-    values = list(state.replay(
-        lambda k: column[k] if k < len(column) else Fraction(0), _combine))
-    return values, state.q_lengths()
-
-
 def _combine(x: Scalar, terms: List[Tuple[int | Scalar, Scalar]],
              c: Optional[Scalar]) -> Scalar:
     """``c * (x + sum(m * y for m, y in terms))`` on scalars; None for c is 1."""
@@ -167,10 +153,18 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
     pivot_pos = dict(zip(state.mu, state.j_set))
     forcing = [Fraction(0)] * state.k
     if g is not None:
-        forcing, lengths = _transformed(state, g)
-        read = state.w_set + [pivot_pos[m] for m in range(terms) if m in pivot_pos]
-        needed = 1 + max((lengths[n] for n in read), default=-1)
-        if any(lengths[w] >= len(g) for w in state.w_set):
+        # forcing values past the supplied prefix are taken as 0: they reach
+        # only the positions whose transform row is longer, checked below
+        column = [as_scalar(v) for v in g]
+        forcing = list(state.replay(
+            lambda k: column[k] if k < len(column) else Fraction(0), _combine))
+        # q_rows[n] . g reads g_0..g_length: a zero row w has length w, and
+        # the longest transform row at or below position n has stable_since[n]
+        rank = bisect_left(state.mu, terms)
+        last_zero = state.w_set[-1] if state.w_set else -1
+        needed = 1 + max(last_zero,
+                         state.stable_since()[state.j_set[rank - 1]] if rank else -1)
+        if last_zero >= len(g):
             raise short_forcing(len(g), needed)
         violated = [w for w in state.w_set if forcing[w] != 0]
         if violated:
@@ -192,23 +186,3 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
                 total -= to_fraction(num, den) * c
         out.append(total)
     return out
-
-
-def frechet_distance(x: Sequence[ScalarLike], y: Sequence[ScalarLike],
-                     horizon: int) -> Tuple[Scalar, Scalar]:
-    """Partial sum of the coordinatewise sequence metric over indices below
-    the horizon, plus the exact bound on the dropped tail.
-
-    The weight of index i is 2^-i and each summand is |d|/(1+|d|) < 1, so the
-    tail from the horizon onward is strictly below 2^(1-horizon).
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if len(x) < horizon or len(y) < horizon:
-        raise ValueError(f"both prefixes must carry at least {horizon} terms")
-    total = Fraction(0)
-    for i in range(horizon):
-        d = abs(as_scalar(x[i]) - as_scalar(y[i]))
-        if d:
-            total += Fraction(1, 2 ** i) * d / (1 + d)
-    return total, Fraction(2, 2 ** horizon)

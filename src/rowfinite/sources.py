@@ -414,12 +414,19 @@ class RowSource:
             raise EvalError(f"row {n}: {exc}") from exc
 
 
+def _array(value, what: str):
+    """``value`` when it is a JSON array, or a tuple from library callers."""
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{what} must be an array, got {value!r}")
+    return value
+
+
 def _parse_row_entries(data) -> FiniteRow:
     if isinstance(data, FiniteRow):
         return data
     entries = []
     last = -1
-    for item in data:
+    for item in _array(data, "a row"):
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise SpecError(f"row entry must be a [column, value] pair, got {item!r}")
         col, value = item
@@ -472,7 +479,7 @@ def build_family(spec: Mapping) -> RowSource:
         raise SpecError("descriptor has no 'family'")
 
     if family == "explicit":
-        rows = [_parse_row_entries(r) for r in _require(spec, "rows", family)]
+        rows = [_parse_row_entries(r) for r in _array(_require(spec, "rows", family), "'rows'")]
         return RowSource(rows.__getitem__, row_count=len(rows))
 
     if family == "first_order":
@@ -527,16 +534,16 @@ def equation_from_obj(obj) -> EquationSpec:
     source = build_family(obj)
     g = None
     if obj.get("g") is not None:
-        g = tuple(as_scalar(v) for v in obj["g"])
+        g = tuple(as_scalar(v) for v in _array(obj["g"], "'g'"))
     expect_h = expect_q = None
     expect = obj.get("expect")
     if expect is not None:
         if not isinstance(expect, dict):
             raise SpecError("'expect' must be an object with 'h' and/or 'q'")
         if "h" in expect:
-            expect_h = tuple(_parse_row_entries(r) for r in expect["h"])
+            expect_h = tuple(_parse_row_entries(r) for r in _array(expect["h"], "'expect.h'"))
         if "q" in expect:
-            expect_q = tuple(_parse_row_entries(r) for r in expect["q"])
+            expect_q = tuple(_parse_row_entries(r) for r in _array(expect["q"], "'expect.q'"))
     return EquationSpec(source, g, expect_h, expect_q)
 
 

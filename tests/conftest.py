@@ -150,6 +150,25 @@ def random_scalar(rng, span=9, max_den=4):
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
+def frechet_distance(x, y, horizon):
+    """Partial sum of the coordinatewise sequence metric over indices below
+    the horizon, plus the exact bound on the dropped tail.
+
+    The weight of index i is 2^-i and each summand is |d|/(1+|d|) < 1, so the
+    tail from the horizon onward is strictly below 2^(1-horizon).
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if len(x) < horizon or len(y) < horizon:
+        raise ValueError(f"both prefixes must carry at least {horizon} terms")
+    total = Fraction(0)
+    for i in range(horizon):
+        d = abs(as_scalar(x[i]) - as_scalar(y[i]))
+        if d:
+            total += Fraction(1, 2 ** i) * d / (1 + d)
+    return total, Fraction(2, 2 ** horizon)
+
+
 def dense_rank(rows, width):
     """Rank of a dense rational matrix by plain forward elimination;
     independent of the streaming engine."""

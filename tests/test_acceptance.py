@@ -13,12 +13,12 @@ from fractions import Fraction
 import pytest
 
 from rowfinite import (EliminationState, FiniteRow, InconsistentSystemError,
-                       build_family, check_invariants, frechet_distance,
-                       fundamental_set, general_prefix, general_solution,
-                       hess_spec_from_source, inaccessible_lengths, run)
+                       build_family, check_invariants, fundamental_set,
+                       general_prefix, general_solution, hess_spec_from_source,
+                       inaccessible_lengths, run)
 from rowfinite.checks import left_association
-from conftest import (LowerHessenberg, dense, hess_det, naive_det,
-                      random_explicit_rows, random_regular_source,
+from conftest import (LowerHessenberg, dense, frechet_distance, hess_det,
+                      naive_det, random_explicit_rows, random_regular_source,
                       random_scalar, source_rows)
 
 

@@ -657,6 +657,16 @@ class TestUsageAndErrors:
          "row entry must be a [column, value] pair, got [0, '1', 2]"),
         ({"rows": [[[0, "1"]]], "expect": 5},
          "'expect' must be an object with 'h' and/or 'q'"),
+        ({"family": "first_order", "a": "2", "g": "10"},
+         "'g' must be an array, got '10'"),
+        ({"family": "first_order", "a": "2", "g": {"1": 0, "2": 0}},
+         "'g' must be an array, got {'1': 0, '2': 0}"),
+        ({"rows": "ab"}, "'rows' must be an array, got 'ab'"),
+        ({"rows": ["", [[0, 1]]]}, "a row must be an array, got ''"),
+        ({"rows": [[[0, "1"]]], "expect": {"h": "", "q": ""}},
+         "'expect.h' must be an array, got ''"),
+        ({"rows": [[[0, "1"]]], "expect": {"q": {"0": 1}}},
+         "'expect.q' must be an array, got {'0': 1}"),
     ])
     def test_malformed_spec_value_exits_2(self, capsys, tmp_path, obj, message):
         spec = tmp_path / "bad.json"
@@ -709,6 +719,13 @@ class TestUsageAndErrors:
                                  "--free=x", "--g=z")
         assert code == 2 and not out
         assert message in err
+
+    def test_non_ascii_digit_in_a_spec_value_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "digit.json"
+        spec.write_text(json.dumps({"rows": [[[0, "1/1\u0660"]]]}))
+        code, out, err = run_cli(capsys, "reduce", "--spec", str(spec))
+        assert code == 2 and not out
+        assert "not a rational literal: '1/1\u0660'" in err
 
     def test_boolean_column_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "bool.json"
@@ -786,6 +803,8 @@ class TestUsageAndErrors:
     @pytest.mark.parametrize("flag,message", [
         ("--free=0=1,0=5", "index 0 twice"),
         ("--g=1,,3", "not a rational literal: ''"),
+        ("--g=\u0663,0", "not a rational literal: '\u0663'"),
+        ("--free=0=\u0663", "not a rational literal: '\u0663'"),
     ])
     def test_solve_parses_flags_before_the_elimination(self, capsys, tmp_path,
                                                        flag, message):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -752,6 +753,39 @@ class TestTransformReplay:
         for r in rows:
             st.push_row(r)
         assert st.q_rows == chained_q_rows(st)
+
+
+class TestTransformLengths:
+    """The replay's schedule and the solver's forcing count read the
+    transform-row lengths off ``stable_since``; the chained replay is the
+    reference for those lengths."""
+
+    def test_stable_since_is_the_longest_transform_row_so_far(self):
+        seen = {"shift": False, "cross": False, "zero": False}
+
+        @settings(max_examples=120, deadline=None)
+        @given(st.integers(0, 2 ** 32), st.sampled_from(["explicit", "n_order", "ascending"]))
+        def check(seed, shape):
+            rng = random.Random(seed)
+            if shape == "explicit":
+                rows = random_explicit_rows(rng, max_rows=14, max_len=9)
+            else:
+                horizon = rng.randint(1, 10)
+                src = random_regular_source(rng, order=rng.randint(1, 3),
+                                            horizon=horizon, shape=shape)
+                rows = source_rows(src, horizon)
+            state = EliminationState(certified=shape != "explicit")
+            for r in rows:
+                state.push_row(r)
+                lengths = [q.length for q in chained_q_rows(state)]
+                assert state.stable_since() == list(accumulate(lengths, max))
+                assert [lengths[w] for w in state.w_set] == state.w_set
+            seen["shift"] |= any(len(log.targets) > 1 for log in state._log)
+            seen["cross"] |= any(log.cross for log in state._log)
+            seen["zero"] |= bool(state.w_set)
+
+        check()
+        assert all(seen.values())
 
 
 def solutions(st, rows, seed):

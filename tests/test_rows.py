@@ -30,7 +30,8 @@ class TestScalarText:
         assert format_scalar(Fraction(-1, 2)) == "-1/2"
         assert parse_scalar("6/4") == Fraction(3, 2)
 
-    @pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "a", "", "1 / 2", "0x3"])
+    @pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "a", "", "1 / 2", "0x3",
+                                     "\u0663", "1/1\u0660"])
     def test_rejects_non_rational_literals(self, bad):
         with pytest.raises(ValueError):
             parse_scalar(bad)

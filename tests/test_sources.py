@@ -139,6 +139,12 @@ class TestDescriptorsAndFiles:
         assert eq.source.row_at(0) == FiniteRow([(0, 2), (1, 1)])
         assert eq.g is None
 
+    def test_library_rows_and_tuples_accepted(self):
+        eq = equation_from_obj({"rows": (row(1), ((0, 1), (1, "1/2"))), "g": (1, "2"),
+                                "expect": {"h": (row(1),), "q": [FiniteRow([(0, 1)])]}})
+        assert eq.source.row_at(1) == FiniteRow([(0, 1), (1, Fraction(1, 2))])
+        assert eq.g == (1, 2) and eq.expect_h == (row(1),)
+
     def test_forcing_terms_parsed(self):
         eq = equation_from_obj({"family": "example3", "g": ["1", "-1/2"]})
         assert eq.g == (Fraction(1), Fraction(-1, 2))
