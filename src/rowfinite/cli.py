@@ -48,7 +48,7 @@ EXIT_INCONSISTENT = 4
 EXIT_PIPE = 141
 
 
-_FREE_INDEX = re.compile(r"[+-]?[0-9]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")   # ASCII digits: int() takes other scripts' too
 _Lines = Callable[[], Iterable[str]]   # a renderer of one output format
 
 
@@ -61,13 +61,20 @@ def _parse_free(text: Optional[str]) -> Dict[int, Fraction]:
         if "=" not in chunk:
             raise SpecError(f"--free expects i=p/q pairs, got {chunk!r}")
         key, _, value = chunk.partition("=")
-        if not _FREE_INDEX.fullmatch(key.strip()):
+        if not _INTEGER.fullmatch(key.strip()):
             raise SpecError(f"--free index must be an integer, got {key!r}")
         idx = int(key)
         if idx in out:
             raise SpecError(f"--free assigns index {idx} twice")
         out[idx] = parse_scalar(value)
     return out
+
+
+def _flag_int(text: str) -> int:
+    """The value of an integer flag, by the rule of a ``--free`` index."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"expected an integer of ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _forcing(args, eq: EquationSpec) -> Optional[List[Fraction]]:
@@ -307,18 +314,18 @@ def cmd_verify(args) -> int:
 _FLAGS = {
     "--spec": {"help": "equation-spec or explicit-matrix JSON file"},
     "--family": {"help": "builtin family name (e.g. example2, example3)"},
-    "--horizon": {"type": int, "default": None,
+    "--horizon": {"type": _flag_int, "default": None,
                   "help": "number of rows to consume (default: max(terms, 1); "
                           "10 for reduce and verify)"},
-    "--terms": {"type": int, "default": 10, "help": "number of solution terms to emit"},
+    "--terms": {"type": _flag_int, "default": 10, "help": "number of solution terms to emit"},
     "--free": {"help": "free constants, e.g. 0=1,4=-2/3; a value that "
                        "starts with - needs the = form, e.g. --free=-1=2"},
     "--g": {"help": "forcing prefix, e.g. 1,0,1/2; a value that starts "
                     "with - needs the = form, e.g. --g=-1,0,0"},
     "--format": {"choices": ("json", "csv", "pretty"), "default": "json"},
-    "--first-index": {"type": int, "default": None,
+    "--first-index": {"type": _flag_int, "default": None,
                       "help": "display offset (default 0, or -N for regular order)"},
-    "--seed": {"type": int, "default": 0, "help": "seed for random checks"},
+    "--seed": {"type": _flag_int, "default": 0, "help": "seed for random checks"},
     "--verify-against-elimination": {"action": "store_true"},
 }
 

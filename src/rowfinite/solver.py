@@ -4,15 +4,17 @@ Everything here reads off an :class:`~rowfinite.elimination.EliminationState`.
 The pivot lengths mu are the *accessible* columns; the complement below a
 horizon is the set of *inaccessible* columns, which index the free constants
 of the homogeneous solution space.  One routine, :func:`general_solution`,
-reads every solution off the reduced rows and is the one reader of the
-transformed forcing ``Q . g``: it replays ``g`` through the elimination log,
-reads how many forcing terms it needs off ``stable_since()``, and a nonzero
-value at a zero row raises :class:`InconsistentSystemError` with those rows
-in ``violated``.  A particular solution is
-``general_solution(state, g, {}, terms)``, a homogeneous one
-``general_solution(state, None, free, terms)``, and the fundamental sequence
-of an inaccessible column s the case of constant 1 at s (0 at the other free
-columns) and no forcing.  The number of inaccessible
+reads a solution for given forcing and free constants off the reduced rows
+and is the one reader of the transformed forcing ``Q . g``: it replays ``g``
+through the elimination log, reads how many forcing terms it needs off
+``stable_since()``, and a nonzero value at a zero row raises
+:class:`InconsistentSystemError` with those rows in ``violated``.  A
+particular solution is ``general_solution(state, g, {}, terms)``, a
+homogeneous one ``general_solution(state, None, free, terms)``.  The
+fundamental sequence of an inaccessible column s is the homogeneous solution
+with constant 1 at s and 0 at the other free columns;
+:func:`fundamental_set` reads every one of them in a single pass over the
+pivot rows of ``H``.  The number of inaccessible
 columns below a horizon, the deficiency, is
 ``len(inaccessible_lengths(state, horizon).values)``.
 
@@ -99,13 +101,20 @@ def inaccessible_lengths(state: EliminationState, horizon: int) -> InaccessibleL
 
 def fundamental_set(state: EliminationState, horizon: int, terms: int) -> FundamentalSet:
     """The homogeneous solution with constant 1 at s and 0 at every other
-    inaccessible column, per inaccessible column s below the horizon."""
+    inaccessible column, per inaccessible column s below the horizon.  Its
+    term at the pivot column m of row pos is ``-H[pos][s]``: the row is zero
+    at every other pivot column, so one pass over the pivot rows below
+    ``terms`` reads every sequence."""
     found = inaccessible_lengths(state, horizon)
     _check_terms(state, terms)
-    sequences = {s: tuple(general_solution(state, None, {s: 1}, terms))
+    sequences = {s: ([Fraction(0)] * s + [Fraction(1)] + [Fraction(0)] * terms)[:terms]
                  for s in found.values}
-    kind = "finite" if found.complete else "schauder_prefix"
-    return FundamentalSet(basis_kind=kind, sequences=sequences)
+    for m, pos in zip(state.mu[:bisect_left(state.mu, terms)], state.j_set):
+        for col, num, den in state.h_rows[pos].int_items():
+            if col in sequences:
+                sequences[col][m] = -to_fraction(num, den)
+    return FundamentalSet("finite" if found.complete else "schauder_prefix",
+                          {s: tuple(seq) for s, seq in sequences.items()})
 
 
 def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Dict[int, Scalar]:

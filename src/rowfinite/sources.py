@@ -62,10 +62,11 @@ is a level), and the exponents along any path of nested powers multiply to at
 most ``MAX_EXPONENT``, so ``(n^10)^100`` is accepted and ``(n^10)^101`` is not;
 anything beyond is an :class:`ExprSyntaxError`.
 
-Each expression is compiled once, when it is parsed, into nested closures
-that compute over ``int`` and turn into a ``Fraction`` only where a division
-occurs.  Rows are built from the closures' ``int`` or ``Fraction`` values
-as they are; :meth:`CoeffExpr.evaluate` is the ``Fraction`` API.
+Each expression is compiled once, when it is parsed, into one Python
+function of ``(n, j)`` that computes over ``int`` and turns into a
+``Fraction`` only where a division occurs.  Rows are built from its ``int``
+or ``Fraction`` values as they are; :meth:`CoeffExpr.evaluate` is the
+``Fraction`` API.
 Evaluation raises :class:`EvalError` on a zero denominator (tested before
 the numerator is evaluated), on a non-integer ``cospi2`` argument, and on
 ``j`` where no column index applies.
@@ -73,6 +74,7 @@ the numerator is evaluated), on a non-integer ``cospi2`` argument, and on
 
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,9 +138,10 @@ def _tokenize(text: str):
 
 
 # Bounds that keep parsing and evaluation finite.  The parser uses up to eight
-# stack frames per level and a compiled expression one, so MAX_DEPTH levels
-# (50 x 8 = 400 parser frames) stay far below Python's default recursion
-# limit of 1000; MAX_EXPONENT bounds the degree a power can reach, exponents
+# stack frames per level, so MAX_DEPTH levels (50 x 8 = 400 parser frames)
+# stay far below Python's default recursion limit of 1000; a compiled
+# expression evaluates in one frame, and a helper's on an error, at any
+# depth.  MAX_EXPONENT bounds the degree a power can reach, exponents
 # of nested powers multiplied; MAX_ORDER bounds the order N of the n_order
 # and ascending families, whose rows hold N+1 entries or more; MAX_COLUMN
 # bounds a column in an explicit or ``expect`` row, since checks and dense
@@ -280,60 +283,70 @@ def _power(node) -> int:
 _COSPI2 = (1, 0, -1, 0)
 
 
-def _compile(node) -> Callable[[int, Optional[int]], int | Fraction]:
-    """Turn a parse tree into nested closures of ``(n, j)``.  Values stay
-    ``int`` until a division makes them a ``Fraction``; a division evaluates
-    its denominator first, so its zero test fires before any error of its
-    numerator."""
-    op = node[0]
-    if op == "num":
-        value = node[1]
-        return lambda n, j: value
-    if op == "n":
-        return lambda n, j: n
-    if op == "j":
-        def column(n, j):
-            if j is None:
-                raise EvalError("expression uses 'j' but no column index applies here")
-            return j
-        return column
-    if op == "neg":
-        arg = _compile(node[1])
-        return lambda n, j: -arg(n, j)
-    if op == "pow":
-        base, exponent = _compile(node[1]), node[2]
-        return lambda n, j: base(n, j) ** exponent
-    if op == "cospi2":
-        arg = _compile(node[1])
+def _raise(message: str):
+    raise EvalError(message)
 
-        def cospi2(n, j):
-            m = arg(n, j)
-            if type(m) is not int:
-                if m.denominator != 1:
-                    raise EvalError(f"cospi2 needs an integer argument, got {m}")
-                m = m.numerator
-            return _COSPI2[m % 4]
-        return cospi2
-    lhs, rhs = _compile(node[1]), _compile(node[2])
-    if op == "add":
-        return lambda n, j: lhs(n, j) + rhs(n, j)
-    if op == "sub":
-        return lambda n, j: lhs(n, j) - rhs(n, j)
-    if op == "mul":
-        return lambda n, j: lhs(n, j) * rhs(n, j)
-    if op == "div":
-        def div(n, j):
-            denom = rhs(n, j)
-            if denom == 0:
-                raise EvalError("division by zero")
-            return Fraction(lhs(n, j), denom)
-        return div
-    raise AssertionError(f"unknown node {node!r}")
+
+def _cospi2(m: Fraction) -> int:
+    """``cospi2`` of a ``Fraction``; compiled code looks an ``int`` up itself."""
+    if m.denominator != 1:
+        raise EvalError(f"cospi2 needs an integer argument, got {m}")
+    return _COSPI2[m.numerator % 4]
+
+
+_GLOBALS = {"Fraction": Fraction, "_COSPI2": _COSPI2, "_raise": _raise, "_cospi2": _cospi2}
+_BINARY = {"add": ast.Add, "sub": ast.Sub, "mul": ast.Mult, "pow": ast.Pow}
+
+
+def _compile(root) -> Callable[[int, Optional[int]], int | Fraction]:
+    """Turn a parse tree into one Python function of ``(n, j)``, compiled from
+    an ``ast`` tree, so no literal or name passes through text.  Values stay
+    ``int`` until a division makes them a ``Fraction``.  A division binds its
+    denominator in the test of a conditional expression, so its zero test
+    fires before its numerator is evaluated; only a failing test calls a helper."""
+    def at(cls, *fields):   # compile() needs a position on each node
+        return cls(*fields, lineno=1, col_offset=0)
+
+    def name(ident: str, ctx=ast.Load):
+        return at(ast.Name, ident, ctx())
+
+    def call(fn: str, *args):
+        return at(ast.Call, name(fn), list(args), [])
+
+    def build(node):
+        op = node[0]
+        if op == "num":
+            return at(ast.Constant, node[1])
+        if op == "n":
+            return name("n")
+        if op == "j":   # j if j is not None else _raise(...)
+            message = "expression uses 'j' but no column index applies here"
+            test = at(ast.Compare, name("j"), [ast.IsNot()], [at(ast.Constant, None)])
+            return at(ast.IfExp, test, name("j"), call("_raise", at(ast.Constant, message)))
+        if op == "neg":
+            return at(ast.UnaryOp, ast.USub(), build(node[1]))
+        if op in _BINARY:   # a power's exponent is an int, not a node
+            rhs = at(ast.Constant, node[2]) if op == "pow" else build(node[2])
+            return at(ast.BinOp, build(node[1]), _BINARY[op](), rhs)
+        t = f"t{id(node)}"   # a local of its own for each division and cospi2 call
+        bind = at(ast.NamedExpr, name(t, ast.Store), build(node[1 if op == "cospi2" else 2]))
+        if op == "cospi2":   # _COSPI2[t % 4] if type(t := m) is int else _cospi2(t)
+            index = at(ast.BinOp, name(t), ast.Mod(), at(ast.Constant, 4))
+            return at(ast.IfExp, at(ast.Compare, call("type", bind), [ast.Is()], [name("int")]),
+                      at(ast.Subscript, name("_COSPI2"), index, ast.Load()),
+                      call("_cospi2", name(t)))
+        # op == "div": Fraction(lhs, t) if (t := rhs) else _raise(...)
+        return at(ast.IfExp, bind, call("Fraction", build(node[1]), name(t)),
+                  call("_raise", at(ast.Constant, "division by zero")))
+
+    params = ast.arguments([], [at(ast.arg, "n"), at(ast.arg, "j")], None, [], [], None, [])
+    code = compile(ast.Expression(at(ast.Lambda, params, build(root))), "<coefficient>", "eval")
+    return eval(code, _GLOBALS)
 
 
 class CoeffExpr:
     """A parsed coefficient expression over the variables n and j, compiled
-    once into closures (see :func:`_compile`)."""
+    once into a function (see :func:`_compile`)."""
 
     __slots__ = ("text", "_fn")
 

@@ -816,6 +816,23 @@ class TestUsageAndErrors:
         assert code == 2 and not out
         assert message in err
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--horizon", "reduce --family example2 --horizon \u0663 --format csv"),
+        ("--terms", "solve --family example2 --horizon 8 --terms \u0664 --free 0=0,1=1,3=0"),
+        ("--first-index", "fundamental --family example2 --terms 4 --first-index \u0663"),
+        ("--seed", "verify --family example2 --seed \u0663"),
+    ], ids=["horizon", "terms", "first-index", "seed"])
+    def test_integer_flag_takes_ascii_digits_only(self, capsys, flag, argv):
+        # int() reads ARABIC-INDIC DIGIT THREE as 3; a --free index does not
+        words = argv.split()
+        with pytest.raises(SystemExit) as info:
+            main(words)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and not out
+        value = words[words.index(flag) + 1]
+        assert err.endswith(f"error: argument {flag}: expected an integer of "
+                            f"ASCII digits, got {value!r}\n")
+
     @pytest.mark.parametrize("family", ["n_order", "ascending"])
     @pytest.mark.parametrize("command", ["solve", "hess"])
     def test_huge_order_exits_2(self, capsys, tmp_path, family, command):

@@ -7,56 +7,11 @@ from hypothesis import strategies as st
 from rowfinite import (EvalError, ExprSyntaxError, FiniteRow, SpecError,
                        build_family, parse_coeff_expr)
 from rowfinite.sources import MAX_DEPTH, MAX_EXPONENT, _Parser
+from expr_limits import CASES as LIMIT_CASES, check, outcome, reference_eval
 
 
 def ev(text, n, j=None):
     return parse_coeff_expr(text).evaluate(n, j)
-
-
-_COSPI2 = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))
-
-
-def reference_eval(node, n, j):
-    """Tree walk over Fractions: the reference the compiled closures of
-    ``CoeffExpr.evaluate`` must reproduce, values and errors alike."""
-    op = node[0]
-    if op == "num":
-        return Fraction(node[1])
-    if op == "n":
-        return Fraction(n)
-    if op == "j":
-        if j is None:
-            raise EvalError("expression uses 'j' but no column index applies here")
-        return Fraction(j)
-    if op == "neg":
-        return -reference_eval(node[1], n, j)
-    if op == "add":
-        return reference_eval(node[1], n, j) + reference_eval(node[2], n, j)
-    if op == "sub":
-        return reference_eval(node[1], n, j) - reference_eval(node[2], n, j)
-    if op == "mul":
-        return reference_eval(node[1], n, j) * reference_eval(node[2], n, j)
-    if op == "div":
-        denom = reference_eval(node[2], n, j)
-        if denom == 0:
-            raise EvalError("division by zero")
-        return reference_eval(node[1], n, j) / denom
-    if op == "pow":
-        return reference_eval(node[1], n, j) ** node[2]
-    if op == "cospi2":
-        arg = reference_eval(node[1], n, j)
-        if arg.denominator != 1:
-            raise EvalError(f"cospi2 needs an integer argument, got {arg}")
-        return _COSPI2[int(arg) % 4]
-    raise AssertionError(f"unknown node {node!r}")
-
-
-def outcome(fn):
-    """The value of ``fn()``, or the message of the EvalError it raises."""
-    try:
-        return fn()
-    except EvalError as exc:
-        return ("EvalError", str(exc))
 
 
 # random expression texts over n, j, + - * / ^, unary minus and cospi2;
@@ -185,6 +140,10 @@ class TestSyntaxErrors:
         assert ev("+".join(["n"] * MAX_DEPTH), 3) == 3 * MAX_DEPTH
         assert ev(f"1^{MAX_EXPONENT}", 0) == 1
         assert ev("(n^10)^100", 2) == 2 ** 1000
+        # chains of divisions, cospi2 calls and powers MAX_DEPTH levels deep,
+        # the longest literal and the largest exponent, against the tree walk
+        for name in LIMIT_CASES:
+            check(name)
 
     @pytest.mark.parametrize("text,offset", [
         ("n + \u0663", 4),          # ARABIC-INDIC DIGIT THREE: a digit, not 0-9
@@ -290,7 +249,7 @@ def through_evaluate(text, takes_j):
        st.one_of(_texts, _zero_divisions), _texts, st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=12))
 def test_rows_from_closure_values_match_rows_from_evaluate(family, a, b, order, n):
-    # row builders take the compiled closures' int or Fraction values
+    # row builders take the compiled code's int or Fraction values
     # unboxed; rows and error texts must be those built from Fractions
     try:
         parse_coeff_expr(a), parse_coeff_expr(b)

@@ -77,6 +77,10 @@ CASES = {
     "fundamental-example2-pretty": "fundamental --family example2 --terms 8 --format pretty",
     "fundamental-example3-csv": "fundamental --family example3 --terms 12 --format csv",
     "fundamental-example3-json": "fundamental --family example3 --terms 20",
+    # a sequence of an inaccessible column at or past --terms prints as zeros
+    "fundamental-example3-terms-below-horizon-csv":
+        "fundamental --family example3 --horizon 16 --terms 6 --format csv",
+    "fundamental-example2-terms-past-horizon": "fundamental --family example2 --horizon 4 --terms 6",
     "fundamental-second_order": "fundamental --spec {dir}/second_order.json --terms 8",
     "fundamental-ascending-pretty":
         "fundamental --spec {dir}/ascending.json --terms 6 --format pretty --first-index 0",
@@ -103,6 +107,7 @@ CASES = {
     "exit2-horizon-zero": "reduce --family example2 --horizon 0",
     "exit2-vanishing-trailing": "solve --spec {dir}/vanishing.json --terms 6",
     "exit2-usage": "reduce --family example2 --terms 3",
+    "exit2-other-script-digit-flag": "reduce --family example2 --horizon \u0663 --format csv",
     "exit2-short-forcing-solve": "solve --family example3 --horizon 10 --terms 10 --g 1,0",
     "exit2-short-forcing-hess": "hess --spec {dir}/ascending.json --terms 6 --g 1",
     "exit3-division-by-zero": "solve --spec {dir}/div_zero.json --terms 6",

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from rowfinite import (AccessibleIndexError, EliminationState,
@@ -133,6 +133,38 @@ class TestFundamentalSet:
                 cols.append([Fraction(1 if r == n else 0) for r in range(size)])
         dense = [[cols[c][r] for c in range(size)] for r in range(size)]
         assert naive_det(dense) == 1
+
+    @settings(max_examples=120, deadline=None)
+    @given(hs.integers(0, 2 ** 32), hs.sampled_from(["explicit", "example3"]),
+           hs.sampled_from(["below", "at", "past"]))
+    def test_matches_one_general_solution_per_column(self, seed, shape, terms_vs_horizon):
+        # the oracle is the definition: the homogeneous solution with
+        # constant 1 at s and no other free constant; explicit rows bring
+        # zero rows, placement shifts and cross-clears
+        rng = random.Random(seed)
+        if shape == "explicit":
+            st = EliminationState(False)
+            for row in random_explicit_rows(rng, max_rows=14, max_len=9):
+                st.push_row(row)
+        else:
+            st = ex3_state(rng.randint(1, 30))
+        top = st.greatest_length + 1
+        if terms_vs_horizon == "below":
+            assume(top >= 2)
+            horizon = rng.randint(2, top)
+            terms = rng.randint(1, horizon - 1)
+        elif terms_vs_horizon == "at":
+            assume(top >= 1)
+            horizon = terms = rng.randint(1, top)
+        else:
+            assume(top >= 1)
+            horizon = rng.randint(0, top - 1)
+            terms = rng.randint(horizon + 1, top)
+        fs = fundamental_set(st, horizon, terms)
+        assert list(fs.sequences) == list(inaccessible_lengths(st, horizon).values)
+        for s, seq in fs.sequences.items():
+            assert seq == tuple(general_solution(st, None, {s: 1}, terms))
+            assert all(type(v) is Fraction for v in seq)
 
 
 class TestHomogeneousGeneral:
