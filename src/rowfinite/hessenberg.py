@@ -121,8 +121,8 @@ def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
     multiplies is nonzero.  Values and the band skip entries, not rows:
     where no product reads row k (every minor it would multiply vanishes,
     or lies outside the band), row k is still read once, before its forcing
-    term, so that its errors fire as they do on the elimination path, which
-    reads every row before it reads the forcing; a short forcing fails there."""
+    term, and rows past a short forcing prefix are read before it is reported,
+    so that errors fire as on the elimination path, which reads every row first."""
     if len(spec.init) != spec.index:
         raise ValueError(f"expected {spec.index} initial values, got {len(spec.init)}")
     coeff, index, band = spec.coeff, spec.index, spec.band
@@ -142,6 +142,8 @@ def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
         if not read:
             coeff(k, index + k - 1)
         if spec.forcing_terms is not None and k >= spec.forcing_terms:
+            for later in range(k + 1, count):
+                coeff(later, index + later - 1)
             raise short_forcing(spec.forcing_terms, count)
         value += spec.forcing(k)
         for i, y0 in init:

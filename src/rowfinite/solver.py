@@ -101,10 +101,10 @@ def inaccessible_lengths(state: EliminationState, horizon: int) -> InaccessibleL
 
 def fundamental_set(state: EliminationState, horizon: int, terms: int) -> FundamentalSet:
     """The homogeneous solution with constant 1 at s and 0 at every other
-    inaccessible column, per inaccessible column s below the horizon.  Its
-    term at the pivot column m of row pos is ``-H[pos][s]``: the row is zero
-    at every other pivot column, so one pass over the pivot rows below
-    ``terms`` reads every sequence."""
+    inaccessible column, per inaccessible column s below the horizon; where
+    s >= terms, that 1 lies past the prefix, which is then zero.  Pivot row
+    pos is zero at every pivot column but its own, m, so one pass over the
+    pivot rows below ``terms`` reads every sequence: term m is ``-H[pos][s]``."""
     found = inaccessible_lengths(state, horizon)
     _check_terms(state, terms)
     sequences = {s: ([Fraction(0)] * s + [Fraction(1)] + [Fraction(0)] * terms)[:terms]

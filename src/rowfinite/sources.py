@@ -64,9 +64,10 @@ anything beyond is an :class:`ExprSyntaxError`.
 
 Each expression is compiled once, when it is parsed, into one Python
 function of ``(n, j)`` that computes over ``int`` and turns into a
-``Fraction`` only where a division occurs.  Rows are built from its ``int``
-or ``Fraction`` values as they are; :meth:`CoeffExpr.evaluate` is the
-``Fraction`` API.
+``Fraction`` only where a division occurs; its source text comes from fixed
+templates, one per kind of node, and holds no input text, only the ``repr``
+of the parsed integers.  Rows are built from its ``int`` or ``Fraction``
+values as they are; :meth:`CoeffExpr.evaluate` is the ``Fraction`` API.
 Evaluation raises :class:`EvalError` on a zero denominator (tested before
 the numerator is evaluated), on a non-integer ``cospi2`` argument, and on
 ``j`` where no column index applies.
@@ -74,10 +75,10 @@ the numerator is evaluated), on a non-integer ``cospi2`` argument, and on
 
 from __future__ import annotations
 
-import ast
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Mapping, Optional, Tuple
 
 from .rows import FiniteRow, Scalar, as_scalar
@@ -141,11 +142,13 @@ def _tokenize(text: str):
 # stack frames per level, so MAX_DEPTH levels (50 x 8 = 400 parser frames)
 # stay far below Python's default recursion limit of 1000; a compiled
 # expression evaluates in one frame, and a helper's on an error, at any
-# depth.  MAX_EXPONENT bounds the degree a power can reach, exponents
-# of nested powers multiplied; MAX_ORDER bounds the order N of the n_order
-# and ascending families, whose rows hold N+1 entries or more; MAX_COLUMN
-# bounds a column in an explicit or ``expect`` row, since checks and dense
-# output grow with the width.
+# depth.  Its generated text nests at most two brackets per level, so 100 at
+# MAX_DEPTH, half of the 200 that CPython's parser allows.  MAX_EXPONENT
+# bounds the degree a power can reach, exponents of nested powers
+# multiplied; MAX_ORDER bounds the order N of the n_order and ascending
+# families, whose rows hold N+1 entries or more; MAX_COLUMN bounds a column
+# in an explicit or ``expect`` row, since checks and dense output grow with
+# the width.
 MAX_DEPTH = 50
 MAX_EXPONENT = 1000
 MAX_ORDER = 10_000
@@ -295,53 +298,36 @@ def _cospi2(m: Fraction) -> int:
 
 
 _GLOBALS = {"Fraction": Fraction, "_COSPI2": _COSPI2, "_raise": _raise, "_cospi2": _cospi2}
-_BINARY = {"add": ast.Add, "sub": ast.Sub, "mul": ast.Mult, "pow": ast.Pow}
+_J_UNSET = "expression uses 'j' but no column index applies here"
+# The text of each kind of node.  {0} and {1} stand for its operands' text (an
+# int operand, a literal or an exponent, as its repr) and {t} for a local of
+# the node's own, which a division binds to its denominator and a cospi2 call
+# to its argument.
+_TEXT = {
+    "num": "{0}", "n": "n", "neg": "(-{0})",
+    "add": "({0} + {1})", "sub": "({0} - {1})", "mul": "({0} * {1})", "pow": "({0} ** {1})",
+    "j": f"(j if j is not None else _raise({_J_UNSET!r}))",
+    "div": "(Fraction({0}, {t}) if ({t} := {1}) else _raise('division by zero'))",
+    "cospi2": "(_COSPI2[{t} % 4] if type({t} := {0}) is int else _cospi2({t}))",
+}
 
 
 def _compile(root) -> Callable[[int, Optional[int]], int | Fraction]:
     """Turn a parse tree into one Python function of ``(n, j)``, compiled from
-    an ``ast`` tree, so no literal or name passes through text.  Values stay
-    ``int`` until a division makes them a ``Fraction``.  A division binds its
-    denominator in the test of a conditional expression, so its zero test
-    fires before its numerator is evaluated; only a failing test calls a helper."""
-    def at(cls, *fields):   # compile() needs a position on each node
-        return cls(*fields, lineno=1, col_offset=0)
+    generated text.  The text is fully parenthesized and built only from the
+    templates of ``_TEXT``, the names ``n``, ``j`` and ``_t<k>``, and the
+    ``repr`` of the ``int`` literals and exponents the parser produced, so no
+    input text reaches ``compile()``.  Values stay ``int`` until a division
+    makes them a ``Fraction``.  A division binds its denominator in the test
+    of a conditional expression, so its zero test fires before its numerator
+    is evaluated; only a failing test calls a helper."""
+    temps = count()
 
-    def name(ident: str, ctx=ast.Load):
-        return at(ast.Name, ident, ctx())
+    def text(node) -> str:
+        operands = [repr(x) if type(x) is int else text(x) for x in node[1:]]
+        return _TEXT[node[0]].format(*operands, t=f"_t{next(temps)}")
 
-    def call(fn: str, *args):
-        return at(ast.Call, name(fn), list(args), [])
-
-    def build(node):
-        op = node[0]
-        if op == "num":
-            return at(ast.Constant, node[1])
-        if op == "n":
-            return name("n")
-        if op == "j":   # j if j is not None else _raise(...)
-            message = "expression uses 'j' but no column index applies here"
-            test = at(ast.Compare, name("j"), [ast.IsNot()], [at(ast.Constant, None)])
-            return at(ast.IfExp, test, name("j"), call("_raise", at(ast.Constant, message)))
-        if op == "neg":
-            return at(ast.UnaryOp, ast.USub(), build(node[1]))
-        if op in _BINARY:   # a power's exponent is an int, not a node
-            rhs = at(ast.Constant, node[2]) if op == "pow" else build(node[2])
-            return at(ast.BinOp, build(node[1]), _BINARY[op](), rhs)
-        t = f"t{id(node)}"   # a local of its own for each division and cospi2 call
-        bind = at(ast.NamedExpr, name(t, ast.Store), build(node[1 if op == "cospi2" else 2]))
-        if op == "cospi2":   # _COSPI2[t % 4] if type(t := m) is int else _cospi2(t)
-            index = at(ast.BinOp, name(t), ast.Mod(), at(ast.Constant, 4))
-            return at(ast.IfExp, at(ast.Compare, call("type", bind), [ast.Is()], [name("int")]),
-                      at(ast.Subscript, name("_COSPI2"), index, ast.Load()),
-                      call("_cospi2", name(t)))
-        # op == "div": Fraction(lhs, t) if (t := rhs) else _raise(...)
-        return at(ast.IfExp, bind, call("Fraction", build(node[1]), name(t)),
-                  call("_raise", at(ast.Constant, "division by zero")))
-
-    params = ast.arguments([], [at(ast.arg, "n"), at(ast.arg, "j")], None, [], [], None, [])
-    code = compile(ast.Expression(at(ast.Lambda, params, build(root))), "<coefficient>", "eval")
-    return eval(code, _GLOBALS)
+    return eval(compile(f"lambda n, j: {text(root)}", "<coefficient>", "eval"), _GLOBALS)
 
 
 class CoeffExpr:

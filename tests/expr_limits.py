@@ -4,13 +4,14 @@ their compiled code and through a tree walk over ``Fraction``s.
 Each case is the deepest accepted chain of one construct (``MAX_DEPTH``
 levels), the longest integer literal ``int()`` accepts, or the largest
 exponent (``MAX_EXPONENT``).  The compiled evaluation must give the tree
-walk's value, or its ``EvalError`` message, at every probe.  Stdlib only, so
-it also runs without pytest, on each supported Python, with warnings as
-errors:
+walk's value, or its ``EvalError`` message, at every probe, and its code
+must read and bind only its own names.  Stdlib only, so it also runs
+without pytest, on each supported Python, with warnings as errors:
 
     PYTHONPATH=src python -W error tests/expr_limits.py
 """
 
+import re
 import sys
 from fractions import Fraction
 
@@ -53,6 +54,18 @@ def reference_eval(node, n, j):
             raise EvalError(f"cospi2 needs an integer argument, got {arg}")
         return _COSPI2[int(arg) % 4]
     raise AssertionError(f"unknown node {node!r}")
+
+
+# the globals compiled code may read: the helpers it is evaluated against
+_OWN_GLOBALS = {"Fraction", "_COSPI2", "_raise", "_cospi2", "type", "int"}
+
+
+def own_names(expr) -> bool:
+    """Whether the compiled code of ``expr`` reads no global but its
+    helpers' and binds no local but ``n``, ``j`` and ``_t<digits>``."""
+    code = expr._fn.__code__
+    return (set(code.co_names) <= _OWN_GLOBALS and code.co_varnames[:2] == ("n", "j")
+            and all(re.fullmatch(r"_t[0-9]+", name) for name in code.co_varnames[2:]))
 
 
 def outcome(fn):
@@ -99,6 +112,7 @@ def check(name: str) -> None:
     if levels is not None:
         assert depth(text) == levels, (name, depth(text), levels)
     expr = parse_coeff_expr(text)
+    assert own_names(expr), (name, expr._fn.__code__.co_names, expr._fn.__code__.co_varnames)
     tree = _Parser(text).parse()
     for n, j in probes:
         got = outcome(lambda: expr.evaluate(n, j))

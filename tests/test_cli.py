@@ -421,11 +421,12 @@ class TestHess:
         assert code == 0
         assert out.strip().endswith("MATCH")
 
-    @pytest.mark.parametrize("forcing", [(), ("--g=0,0",), ("--g=1,0",)])
+    @pytest.mark.parametrize("forcing", [(), ("--g=0,0",), ("--g=1,0",), ("--g=0",)])
     def test_every_row_is_read_before_its_forcing_term(self, capsys, tmp_path,
                                                        forcing):
         # row 2 fails to evaluate; as in solve, that error wins whether the
         # terms so far are 0 or not, and before --g=0,0 runs short at term 2
+        # or --g=0 at term 1, a row before the failing one
         spec = tmp_path / "div.json"
         spec.write_text(json.dumps({"family": "first_order", "a": "1/(n - 2)"}))
         args = ("--spec", str(spec), "--terms", "5", "--format", "csv", *forcing)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from rowfinite import (EvalError, ExprSyntaxError, FiniteRow, SpecError,
                        build_family, parse_coeff_expr)
 from rowfinite.sources import MAX_DEPTH, MAX_EXPONENT, _Parser
-from expr_limits import CASES as LIMIT_CASES, check, outcome, reference_eval
+from expr_limits import CASES as LIMIT_CASES, check, outcome, own_names, reference_eval
 
 
 def ev(text, n, j=None):
@@ -209,6 +209,7 @@ def test_compiled_evaluation_matches_the_tree_walk(text, n, j):
         expr = parse_coeff_expr(text)
     except ExprSyntaxError:   # a draw past MAX_DEPTH or MAX_EXPONENT
         assume(False)
+    assert own_names(expr)
     tree = _Parser(text).parse()
     got = outcome(lambda: expr.evaluate(n, j))
     assert got == outcome(lambda: reference_eval(tree, n, j))

@@ -44,6 +44,7 @@ SPECS = {
                    "expect": {"q": [[[1, "1"]]], "h": [[[1, "1"]]]}},
     "bad_expr": {"family": "first_order", "a": "n + * 2"},
     "div_zero": {"family": "first_order", "a": "1/(n - 3)"},
+    "div_zero_late": {"family": "first_order", "a": "1/(n - 5)"},
     "cospi2_half": {"family": "n_order", "N": 1, "a": "cospi2(n/2) + 2"},
     "uses_j": {"family": "first_order", "a": "j"},
     "vanishing": {"family": "n_order", "N": 1, "a": "n - 3"},
@@ -111,6 +112,9 @@ CASES = {
     "exit2-short-forcing-solve": "solve --family example3 --horizon 10 --terms 10 --g 1,0",
     "exit2-short-forcing-hess": "hess --spec {dir}/ascending.json --terms 6 --g 1",
     "exit3-division-by-zero": "solve --spec {dir}/div_zero.json --terms 6",
+    # row 5 fails past the short forcing prefix; as in solve, the row wins
+    "exit3-division-by-zero-past-short-forcing-hess":
+        "hess --spec {dir}/div_zero_late.json --terms 8 --g 1,1,1 --format csv",
     "exit3-cospi2-half": "reduce --spec {dir}/cospi2_half.json --horizon 4",
     "exit3-j-unset": "fundamental --spec {dir}/uses_j.json --terms 3",
     "exit4-inconsistent": "solve --family example3 --terms 12 --g 0,0,0,0,0,0,1,0,0,0,0,0",
