@@ -22,8 +22,10 @@ the minor of order k+1 and m[k][0] its first-column entry, it reads
     y_k = m[k][0] - sum_{j=1..k} m[k][j] y_{j-1},
 
 which evaluates every leading principal determinant in one pass, so asking
-for a whole prefix costs the same as asking for its last term.  Below the
-superdiagonal, row k can be nonzero only in the first column and in the columns
+for a whole prefix costs the same as asking for its last term.  Each y_k is
+summed on one integer pair (``rows.sum_products``, the loop of
+``FiniteRow.dot_prefix``) and normalized once.  Below the superdiagonal, row
+k can be nonzero only in the first column and in the columns
 j >= k - band + 1 (``HessSpec.band``, copied from the source's ``band`` tag:
 1, 2 and N for the first-order, second-order and n_order families), so the
 pass reads O(count * band) coefficients; without a band (``ascending`` and
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .rows import Scalar, ScalarLike, as_scalar, short_forcing
+from .rows import Scalar, ScalarLike, as_scalar, short_forcing, sum_products
 from .sources import RowSource, SpecError
 
 
@@ -126,28 +128,23 @@ def general_prefix(spec: HessSpec, count: int) -> List[Scalar]:
     if len(spec.init) != spec.index:
         raise ValueError(f"expected {spec.index} initial values, got {len(spec.init)}")
     coeff, index, band = spec.coeff, spec.index, spec.band
-    init = [(i, y0) for i, y0 in enumerate(spec.init) if y0]
+    init = [(i, -y0.numerator, y0.denominator) for i, y0 in enumerate(spec.init) if y0]
     ys: List[Scalar] = []   # ys[j - 1] is y_{j-1} = (-1)^(j-1) d_{j-1}
+    minus: List[Tuple[int, int]] = []   # minus[j - 1] is -y_{j-1} as an integer pair
     for k in range(count):
         low = 1 if band is None else max(1, k - band + 1)
-        value = Fraction(0)
-        read = False
-        for j in range(k, low - 1, -1):
-            prev = ys[j - 1]
-            if prev:
-                read = True
-                m = coeff(k, index + j - 1)
-                if m:
-                    value -= m * prev
-        if not read:
+        live = [j for j in range(k, low - 1, -1) if minus[j - 1][0]]
+        tn, td = sum_products((*minus[j - 1], coeff(k, index + j - 1)) for j in live)
+        if not live:
             coeff(k, index + k - 1)
         if spec.forcing_terms is not None and k >= spec.forcing_terms:
             for later in range(k + 1, count):
                 coeff(later, index + later - 1)
             raise short_forcing(spec.forcing_terms, count)
-        value += spec.forcing(k)
-        for i, y0 in init:
-            if band is None or i >= k + index - band:
-                value -= coeff(k, i) * y0
-        ys.append(value)
+        tn, td = sum_products([(1, 1, spec.forcing(k))], tn, td)
+        tn, td = sum_products(((yn, yd, coeff(k, i)) for i, yn, yd in init
+                               if band is None or i >= k + index - band), tn, td)
+        y = Fraction(tn, td)
+        ys.append(y)
+        minus.append((-y.numerator, y.denominator))
     return ys

@@ -142,6 +142,30 @@ def _add(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
     return t // g2, s * (bd // g2)
 
 
+def sum_products(terms: Iterable[Tuple[int, int, ScalarLike]],
+                 tn: int = 0, td: int = 1) -> Tuple[int, int]:
+    """``tn/td + sum(num/den * v for num, den, v in terms)`` as one integer
+    pair, not in lowest terms: products are summed with denominators meeting
+    through their gcd, so the caller normalises once.  A value ``v`` that is
+    neither ``int`` nor ``Fraction`` goes through :func:`as_scalar`."""
+    for num, den, v in terms:
+        if type(v) is not Fraction and type(v) is not int:
+            v = as_scalar(v)
+        vn = v.numerator
+        if not vn:
+            continue
+        pn = num * vn
+        pd = den * v.denominator
+        if pd == td:
+            tn += pn
+        else:
+            g = gcd(td, pd)
+            pd //= g
+            tn = tn * pd + pn * (td // g)
+            td *= pd
+    return tn, td
+
+
 class FiniteRow:
     """Immutable sparse row of exact rationals, ordered by column."""
 
@@ -295,31 +319,15 @@ class FiniteRow:
     def dot_prefix(self, column: Sequence[ScalarLike]) -> Fraction:
         """Exact inner product against a column prefix covering the support.
 
-        Summed on the stored integer pairs, with denominators meeting
-        through their gcd; only the result is a normalised ``Fraction``."""
+        Summed on the stored integer pairs by :func:`sum_products`; only
+        the result is a normalised ``Fraction``."""
         if self.length >= len(column):
             raise ShortColumnError(
                 f"row has length {self.length} but only {len(column)} column "
                 f"entries were supplied"
             )
-        tn, td = 0, 1
-        for col, num, den in self._entries:
-            v = column[col]
-            if type(v) is not Fraction and type(v) is not int:
-                v = as_scalar(v)
-            vn = v.numerator
-            if not vn:
-                continue
-            pn = num * vn
-            pd = den * v.denominator
-            if pd == td:
-                tn += pn
-            else:
-                g = gcd(td, pd)
-                pd //= g
-                tn = tn * pd + pn * (td // g)
-                td *= pd
-        return Fraction(tn, td)
+        return Fraction(*sum_products((num, den, column[col])
+                                      for col, num, den in self._entries))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteRow):

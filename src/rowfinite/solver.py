@@ -6,11 +6,14 @@ horizon is the set of *inaccessible* columns, which index the free constants
 of the homogeneous solution space.  One routine, :func:`general_solution`,
 reads a solution for given forcing and free constants off the reduced rows
 and is the one reader of the transformed forcing ``Q . g``: it replays ``g``
-through the elimination log, reads how many forcing terms it needs off
-``stable_since()``, and a nonzero value at a zero row raises
-:class:`InconsistentSystemError` with those rows in ``violated``.  A
-particular solution is ``general_solution(state, g, {}, terms)``, a
-homogeneous one ``general_solution(state, None, free, terms)``.  The
+through the elimination log as a one-column matrix with
+``FiniteRow.combine``, the kernel that builds ``Q``, reads how many forcing
+terms it needs off ``stable_since()``, and a nonzero value at a zero row
+raises :class:`InconsistentSystemError` with those rows in ``violated``.
+Each term at a pivot column is then one ``dot_prefix`` of the pivot row
+against the free constants.  A particular solution is
+``general_solution(state, g, {}, terms)``, a homogeneous one
+``general_solution(state, None, free, terms)``.  The
 fundamental sequence of an inaccessible column s is the homogeneous solution
 with constant 1 at s and 0 at the other free columns;
 :func:`fundamental_set` reads every one of them in a single pass over the
@@ -32,7 +35,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .elimination import EliminationState
-from .rows import Scalar, ScalarLike, as_scalar, short_forcing, to_fraction
+from .rows import (ZERO_ROW, FiniteRow, Scalar, ScalarLike, as_scalar,
+                   short_forcing, to_fraction)
 from .sources import SpecError
 
 
@@ -121,7 +125,7 @@ def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Di
     pivot = set(state.mu)
     out: Dict[int, Scalar] = {}
     for key, value in free.items():
-        if not isinstance(key, int) or key < 0:
+        if not isinstance(key, int) or isinstance(key, bool) or key < 0:
             raise SpecError(f"free-constant index must be a nonnegative integer, got {key!r}")
         if key in pivot:
             raise AccessibleIndexError(key)
@@ -133,14 +137,6 @@ def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Di
     return out
 
 
-def _combine(x: Scalar, terms: List[Tuple[int | Scalar, Scalar]],
-             c: Optional[Scalar]) -> Scalar:
-    """``c * (x + sum(m * y for m, y in terms))`` on scalars; None for c is 1."""
-    for m, y in terms:
-        x += y * m   # not m * y: an int m would detour through Fraction.__rmul__
-    return x if c is None else x * c
-
-
 def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
                      free: Mapping[int, ScalarLike], terms: int) -> List[Scalar]:
     """Solution prefix for forcing ``g`` (``None`` means homogeneous) and the
@@ -148,9 +144,9 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
 
     Term m is the free constant at an inaccessible column (0 when unset).  At
     a pivot column it is the transformed forcing value of that pivot row (0
-    when ``g`` is None) minus the weighted sum of the row's earlier entries;
-    the row is zero at every other pivot column, so only the free constants
-    contribute to that sum.
+    when ``g`` is None) minus the row's ``dot_prefix`` against the free
+    constants, 0 at every pivot column: the row is zero at every other pivot
+    column, so only the free constants, all left of m, contribute to it.
 
     Checks, in this order: ``terms``; the free constants; that ``g`` covers
     the transform rows at the zero rows; consistency; that ``g`` covers the
@@ -162,11 +158,7 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
     pivot_pos = dict(zip(state.mu, state.j_set))
     forcing = [Fraction(0)] * state.k
     if g is not None:
-        # forcing values past the supplied prefix are taken as 0: they reach
-        # only the positions whose transform row is longer, checked below
-        column = [as_scalar(v) for v in g]
-        forcing = list(state.replay(
-            lambda k: column[k] if k < len(column) else Fraction(0), _combine))
+        forcing = _replayed(state, g)
         # q_rows[n] . g reads g_0..g_length: a zero row w has length w, and
         # the longest transform row at or below position n has stable_since[n]
         rank = bisect_left(state.mu, terms)
@@ -180,18 +172,28 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
             raise InconsistentSystemError(violated)
         if needed > len(g):
             raise short_forcing(len(g), needed)
+    values = [Fraction(0)] * terms
+    for col, c in constants.items():
+        if col < terms:
+            values[col] = c
     out: List[Scalar] = []
     for m in range(terms):
         pos = pivot_pos.get(m)
         if pos is None:
-            out.append(constants.get(m, Fraction(0)))
-            continue
-        total = forcing[pos]
-        for col, num, den in state.h_rows[pos].int_items():
-            if col >= m:
-                break
-            c = constants.get(col)
-            if c:
-                total -= to_fraction(num, den) * c
-        out.append(total)
+            out.append(values[m])
+        elif constants:
+            out.append(forcing[pos] - state.h_rows[pos].dot_prefix(values))
+        else:
+            out.append(forcing[pos])
     return out
+
+
+def _replayed(state: EliminationState, g: Sequence[ScalarLike]) -> List[Scalar]:
+    """``q_rows[n] . g`` at every position n: the log replayed on the forcing
+    as a one-column matrix, whose row k is ``(0, g[k])``, by
+    ``FiniteRow.combine``.  Terms past the prefix are taken as 0; they reach
+    only the positions whose transform row is longer, which the caller checks."""
+    units = [FiniteRow._raw([(0, v.numerator, v.denominator)]) if v else ZERO_ROW
+             for v in map(as_scalar, g)]
+    return [value.get(0) for value in state.replay(
+        lambda k: units[k] if k < len(units) else ZERO_ROW, FiniteRow.combine)]

@@ -218,6 +218,40 @@ class TestTwoPathIdentity:
         assert general_prefix(spec, 8) == expected
 
 
+class TestIntegerPairTerms:
+    def test_integer_coefficients_match_the_cofactor_oracle(self, rng):
+        # no band, nonzero initial values, and a coeff that returns int:
+        # term k is (-1)^k times the leading minor of order k+1
+        for _ in range(20):
+            index, count = rng.randint(1, 3), rng.randint(1, 6)
+            table = {(n, j): rng.randint(-4, 4)
+                     for n in range(count) for j in range(n + index)}
+            g = [random_scalar(rng) for _ in range(count)]
+            init = tuple(random_scalar(rng) or Fraction(1) for _ in range(index))
+            spec = HessSpec(index=index, coeff=lambda n, j: table[n, j],
+                            forcing=g.__getitem__, init=init)
+            first = [g[r] - sum(table[r, i] * y0 for i, y0 in enumerate(init))
+                     for r in range(count)]
+            band = [[table[r, index + c - 1] for c in range(1, r + 1)]
+                    for r in range(count)]
+            matrix = LowerHessenberg(first, band).to_dense()
+            terms = general_prefix(spec, count)
+            for k, term in enumerate(terms):
+                minor = [row[:k + 1] for row in matrix[:k + 1]]
+                assert term == (-1) ** k * naive_det(minor)
+                assert type(term) is Fraction
+
+    @pytest.mark.parametrize("coeff,forcing", [
+        (lambda n, j: 2, lambda n: 0.5),
+        (lambda n, j: 2.0, lambda n: 0),
+        (lambda n, j: True, lambda n: 1),
+    ], ids=["float-forcing", "float-coeff", "bool-coeff"])
+    def test_inexact_values_rejected(self, coeff, forcing):
+        spec = HessSpec(index=1, coeff=coeff, forcing=forcing, init=[1])
+        with pytest.raises(TypeError, match="as an exact rational$"):
+            general_prefix(spec, 3)
+
+
 class TestEliminationEquivalence:
     def test_closed_forms_match_elimination(self, rng):
         for shape in ("n_order", "ascending"):

@@ -11,8 +11,9 @@ from rowfinite import (AccessibleIndexError, EliminationState,
                        build_family, fundamental_set, general_solution,
                        inaccessible_lengths, run)
 from rowfinite.checks import left_association
-from rowfinite.rows import short_forcing
-from conftest import (frechet_distance, naive_det, random_explicit_rows,
+from rowfinite.rows import FiniteRow, short_forcing
+from rowfinite.solver import _replayed
+from conftest import (dense, frechet_distance, naive_det, random_explicit_rows,
                       random_regular_source, random_scalar)
 
 
@@ -368,9 +369,13 @@ class TestGeneralSolution:
      "terms must be positive"),
     (lambda st: general_solution(st, None, {"0": 1}, 3), SpecError,
      "free-constant index must be a nonnegative integer, got '0'"),
+    # a bool is an int, but True is not column 1
+    (lambda st: general_solution(st, None, {True: 5}, 4), SpecError,
+     "free-constant index must be a nonnegative integer, got True"),
     (lambda st: frechet_distance([1], [1], -1), ValueError,
      "horizon must be nonnegative"),
-], ids=["inaccessible-horizon", "terms", "free-key", "frechet-horizon"])
+], ids=["inaccessible-horizon", "terms", "free-key", "free-key-bool",
+        "frechet-horizon"])
 def test_argument_checks(call, error, message):
     with pytest.raises(error) as info:
         call(ex2_state())
@@ -459,6 +464,39 @@ class TestRandomExplicitSystems:
             sol = general_solution(st, g, free, width)
             for r, target in zip(rows, g):
                 assert r.dot_prefix(sol) == target
+
+    @settings(max_examples=80, deadline=None)
+    @given(hs.integers(0, 2 ** 32))
+    def test_replayed_forcing_matches_the_transform_rows(self, seed):
+        # the independent oracle is Q itself, materialized and applied row
+        # by row; forcing terms past a short prefix count as 0
+        rng = random.Random(seed)
+        rows = random_explicit_rows(rng, max_rows=14, max_len=9)
+        rows.insert(rng.randint(0, len(rows)), FiniteRow())
+        st = run(build_family({"family": "explicit", "rows": rows}), len(rows))
+        g = [random_scalar(rng) if rng.random() < 0.7 else Fraction(0)
+             for _ in range(rng.randint(0, st.k))]
+        padded = g + [Fraction(0)] * (st.k - len(g))
+        assert _replayed(st, g) == [q.dot_prefix(padded) for q in st.q_rows]
+
+    def test_free_constants_inside_pivot_rows_and_past_the_terms(self, rng):
+        # example3's pivot rows are dense, so they hold entries at the free
+        # columns 0, 4 and 8; column 12 lies past the 10 terms asked for
+        st = ex3_state()
+        terms = 10
+        free = {s: random_scalar(rng) or Fraction(1) for s in (0, 4, 8, 12)}
+        assert any(st.h_rows[pos].get(s)
+                   for pos, m in zip(st.j_set, st.mu) for s in (0, 4, 8) if s < m)
+        src = build_family({"family": "example3"})
+        probe = [random_scalar(rng) for _ in range(st.greatest_length + 1)]
+        g = [src.row_at(n).dot_prefix(probe) for n in range(st.k)]
+        sol = general_solution(st, g, free, terms)
+        assert sol == general_solution(st, g, free, st.greatest_length + 1)[:terms]
+        assert sol[:9:4] == [free[0], free[4], free[8]]
+        for n in range(st.k):
+            row = src.row_at(n)
+            if row.length < terms:
+                assert sum(a * y for a, y in zip(dense(row, terms), sol)) == g[n]
 
 
 def _outcome(fn, *args):
