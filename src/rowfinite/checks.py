@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import elimination
 from . import hessenberg as hb
@@ -22,25 +22,26 @@ from .rows import FiniteRow, ScalarLike, ZERO_ROW
 from .sources import EquationSpec, RowSource, SpecError
 
 
-def transforms_reproduce(rows: Sequence[FiniteRow], q_rows: Sequence[FiniteRow],
+def transforms_reproduce(rows: Sequence[FiniteRow], transforms: Iterable[FiniteRow],
                          h_rows: Sequence[FiniteRow]) -> bool:
-    """True iff ``q_rows[n] . A == h_rows[n]`` for every n, where row m of A
-    is ``rows[m]``; a transform row that reaches past ``rows`` fails."""
-    if len(q_rows) != len(h_rows):
-        return False
-    for q_row, h_row in zip(q_rows, h_rows):
-        if q_row.length >= len(rows):
+    """True iff ``transforms``, read once, are as many as ``h_rows`` and the
+    n-th times A is ``h_rows[n]``, where row m of A is ``rows[m]``; a
+    transform row that reaches past ``rows`` fails."""
+    transforms = iter(transforms)
+    for h_row in h_rows:
+        q_row = next(transforms, None)
+        if q_row is None or q_row.length >= len(rows):
             return False
         if ZERO_ROW.combine([(c, rows[m]) for m, c in q_row.items()]) != h_row:
             return False
-    return True
+    return next(transforms, None) is None
 
 
 def left_association(state: elimination.EliminationState,
                      rows: Sequence[FiniteRow]) -> bool:
-    """True iff q_rows[n] . A == h_rows[n] exactly for every consumed n,
-    where ``rows`` are the consumed source rows."""
-    return transforms_reproduce(rows, state.q_rows, state.h_rows)
+    """True iff Q[n] . A == h_rows[n] exactly for every consumed n, where
+    ``rows`` are the consumed source rows; ``Q`` is replayed, not held."""
+    return transforms_reproduce(rows, state.transform_rows(), state.h_rows)
 
 
 def expected_pair_check(eq: EquationSpec,

@@ -12,7 +12,7 @@ Exit codes: 0 ok, 1 verification failure, 2 spec or usage error,
 3 evaluation error, 4 inconsistent system, 141 (128 + SIGPIPE) stdout closed
 before the output was written, as by ``| head``.  Output is printed as it is
 rendered: ``reduce`` JSON and csv a row at a time, a transform row once final;
-``--format pretty`` builds all of ``Q`` first, for its column widths.
+``--format pretty`` replays ``Q`` twice: for its column widths, then to print.
 
 All rationals are printed as ``p`` or ``p/q``.  The JSON output of ``reduce``
 uses the explicit-matrix key ``rows`` for the reduced prefix, so it can be
@@ -173,10 +173,9 @@ def _reduce_json(state: EliminationState, horizon: int) -> Iterator[str]:
                 "}")
 
 
-def _dense_cells(rows: Sequence[FiniteRow]) -> Iterator[List[str]]:
-    """Each of the rows (one at least) as printed cells, padded with zeros to
-    one width; one row at a time, so a dense format holds one row's cells."""
-    width = max(row.length + 1 for row in rows)
+def _dense_cells(rows: Iterable[FiniteRow], width: int) -> Iterator[List[str]]:
+    """Each of the rows as printed cells, padded with zeros to ``width``; one
+    row at a time, so a dense format holds one row's cells."""
     for row in rows:
         cells = ["0"] * width
         for col, num, den in row.int_items():
@@ -185,7 +184,8 @@ def _dense_cells(rows: Sequence[FiniteRow]) -> Iterator[List[str]]:
 
 
 def _rows_csv(rows: Sequence[FiniteRow]) -> Iterator[str]:
-    return (",".join(line) for line in _dense_cells(rows))
+    width = max(row.length + 1 for row in rows)
+    return (",".join(line) for line in _dense_cells(rows, width))
 
 
 def _seq_csv(values: Sequence[Fraction]) -> str:
@@ -201,23 +201,25 @@ def _emit(args, json_lines: _Lines, csv_lines: _Lines, pretty_lines: _Lines) -> 
         print(piece)
 
 
-def _pretty_rows(rows: Sequence[FiniteRow]) -> Iterator[str]:
-    """Dense rows right-aligned per column; the widths come from the stored
-    entries (a zero cell is one character), so cells are built a row at a time."""
-    col_w = [1] * max(row.length + 1 for row in rows)
-    for row in rows:
+def _pretty_rows(rows: Callable[[], Iterable[FiniteRow]]) -> Iterator[str]:
+    """Dense rows (one at least) right-aligned per column.  ``rows()`` is read
+    twice: first for the widths, from the stored entries (a zero cell is one
+    character), then to print, so the rows are never held at once."""
+    col_w: List[int] = []
+    for row in rows():
+        col_w.extend([1] * (row.length + 1 - len(col_w)))
         for col, num, den in row.int_items():
             col_w[col] = max(col_w[col], len(format_ratio(num, den)))
     return ("  ".join(cell.rjust(w) for cell, w in zip(line, col_w))
-            for line in _dense_cells(rows))
+            for line in _dense_cells(rows(), len(col_w)))
 
 
 def _reduce_pretty(state: EliminationState) -> Iterator[str]:
-    """The ``reduce`` pretty text, a line at a time."""
+    """The ``reduce`` pretty text, a line at a time; ``Q`` is replayed twice."""
     yield f"reduced prefix (mode {_mode(state)}):"
-    yield from _pretty_rows(state.h_rows)
+    yield from _pretty_rows(lambda: state.h_rows)
     yield "transform rows:"
-    yield from _pretty_rows(state.q_rows)
+    yield from _pretty_rows(state.transform_rows)
     yield f"j_set={state.j_set} w_set={state.w_set} mu={state.mu}"
     yield f"stable_since={state.stable_since()}"
 

@@ -9,10 +9,10 @@ where they were produced.  Alongside the reduced rows it keeps a log:
 per push, the elementary operations that push applied (the clearing
 multipliers, the inverse scale, the cross-clearing multipliers and the
 placement targets).  Replaying the log on the identity rows gives the
-transform rows, ``q_rows[n] . A == h_rows[n]`` entrywise for every consumed
+transform rows, ``Q[n] . A == h_rows[n]`` entrywise for every consumed
 ``n``.  The replay yields each row once no later push writes it and drops it
-once no later push reads it, so ``reduce`` writes ``Q`` without holding it
-(two rows live on ``example2``); ``q_rows`` is the whole list, built on read.
+once no later push reads it, so every reader of ``Q`` streams it without
+holding it (two rows live on ``example2``).
 Replaying the log on a forcing column gives the transformed forcing ``Q . g``.
 :func:`check_invariants` judges the engine state; ``Q . A == H`` against
 the source rows is checked in :mod:`rowfinite.checks`.
@@ -92,9 +92,8 @@ class EliminationState:
     Attributes
     ----------
     certified      : the source is lower echelon, so every prefix is final.
-    h_rows         : reduced rows.
-    q_rows         : matching transform rows, index-aligned with h_rows;
-                     replayed from the log when read (see the property).
+    h_rows         : reduced rows; the matching transform rows are not kept
+                     but replayed from the log (:meth:`transform_rows`).
     j_set, w_set   : positions of nonzero and of zero rows (both increasing).
     mu             : lengths of the nonzero rows in position order; strictly
                      increasing at all times.
@@ -110,7 +109,6 @@ class EliminationState:
         self.w_set: List[int] = []
         self.mu: List[int] = []
         self._log: List[PushLog] = []
-        self._q_rows: List[FiniteRow] = []
         self._holders: Optional[Dict[int, Set[int]]] = None
 
     @property
@@ -263,17 +261,16 @@ class EliminationState:
 
     @property
     def q_rows(self) -> List[FiniteRow]:
-        """Transform rows, ``q_rows[n] . A == h_rows[n]``: the list of
-        :meth:`transform_rows`, built on read and kept until the next push."""
-        if len(self._q_rows) != self.k:
-            self._q_rows = list(self.transform_rows())
-        return self._q_rows
+        """The list of :meth:`transform_rows`, replayed on every read.  No
+        module of rowfinite reads it; it goes once the benchmark tracer
+        (``perfbench/tracing.py``) reads the replay instead."""
+        return list(self.transform_rows())
 
     def stable_since(self) -> List[int]:
         """Per prefix index n, the last push that changed rows 0..n (creation
         counts): push k changes no row below ``targets[0]``, as it
         cross-clears only rows that its placement shifts.  It is also the
-        greatest length of ``q_rows[0..n]``, as the rightmost entry of a
+        greatest length of transform rows 0..n, as the rightmost entry of a
         transform row is the last push that wrote its position."""
         since = list(range(self.k))
         for k, log in enumerate(self._log):
@@ -346,7 +343,7 @@ def check_invariants(state: EliminationState) -> None:
         live = {col: lengths for col, lengths in state._holders.items() if lengths}
         if live != _column_holders(state):
             raise EngineError("the column index does not match the stored rows")
-    for n, q in enumerate(state.q_rows):
+    for n, q in enumerate(state.transform_rows()):
         if q.is_zero:
             raise EngineError(f"transform row {n} is zero")
         if q.length >= k:

@@ -159,7 +159,7 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
     forcing = [Fraction(0)] * state.k
     if g is not None:
         forcing = _replayed(state, g)
-        # q_rows[n] . g reads g_0..g_length: a zero row w has length w, and
+        # Q[n] . g reads g_0..g_length: a zero row w has length w, and
         # the longest transform row at or below position n has stable_since[n]
         rank = bisect_left(state.mu, terms)
         last_zero = state.w_set[-1] if state.w_set else -1
@@ -189,7 +189,7 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
 
 
 def _replayed(state: EliminationState, g: Sequence[ScalarLike]) -> List[Scalar]:
-    """``q_rows[n] . g`` at every position n: the log replayed on the forcing
+    """``Q[n] . g`` at every position n: the log replayed on the forcing
     as a one-column matrix, whose row k is ``(0, g[k])``, by
     ``FiniteRow.combine``.  Terms past the prefix are taken as 0; they reach
     only the positions whose transform row is longer, which the caller checks."""

@@ -194,6 +194,19 @@ def push_checked(state, row):
     check_invariants(state)
 
 
+def corrupt_transform_row(state, n, corrupt):
+    """Make ``state.transform_rows()`` yield ``corrupt(row)`` in place of
+    transform row n, on this instance only: ``Q`` is replayed from the log,
+    not stored, so a fault in it is injected into the replay."""
+    replay = state.transform_rows
+
+    def transform_rows():
+        for m, q in enumerate(replay()):
+            yield corrupt(q) if m == n else q
+
+    state.transform_rows = transform_rows
+
+
 def source_rows(source, k):
     """Rows 0..k-1 of a source: the consumed rows the checks read."""
     return [source.row_at(n) for n in range(k)]

@@ -96,11 +96,12 @@ def test_criterion_2_cosine_equation_reduction():
         src = build_family({"family": "example3"})
         state = run(src, 12)
         assert [dense_str(r, 14) for r in state.h_rows] == EX3_QHF
-        assert [dense_str(r, 12) for r in state.q_rows] == EX3_Q
+        q_rows = state.q_rows
+        assert [dense_str(r, 12) for r in q_rows] == EX3_Q
         assert state.stable_since()[:3] == [2, 2, 2]
         assert state.stable_since()[3:] == list(range(3, 12))
         assert state.w_set == [6, 10]
-        assert [state.q_rows[w] for w in state.w_set] == [
+        assert [q_rows[w] for w in state.w_set] == [
             FiniteRow([(3, 1), (4, -1), (5, -1), (6, 1)]),
             FiniteRow([(7, 1), (8, -1), (9, -1), (10, 1)]),
         ]

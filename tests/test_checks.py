@@ -6,7 +6,7 @@ import pytest
 from rowfinite import (EliminationState, EquationSpec, FiniteRow, SpecError,
                        build_family, run)
 from rowfinite.checks import expected_pair_check, run_checks
-from conftest import source_rows
+from conftest import corrupt_transform_row, source_rows
 
 
 def checked(eq, state, seed=0):
@@ -53,7 +53,7 @@ def test_corrupted_reduced_entry_fails_residual(showcase, seed):
 def test_corrupted_transform_entry_fails_left_association(showcase):
     # the solvers replay the log, not Q, so only Q . A == H can see this
     eq, state = showcase
-    state.q_rows[5] = state.q_rows[5].combine((), 2)
+    corrupt_transform_row(state, 5, lambda q: q.combine((), 2))
     assert checked(eq, state) == {"left-association": False,
                                   "qhf-postulates": True, "residual": True}
 
@@ -83,7 +83,7 @@ def test_expectation_is_read_against_the_consumed_rows_only(showcase):
     eq, state = showcase
     rows = source_rows(eq.source, state.k)
     within = EquationSpec(eq.source, expect_h=tuple(state.h_rows),
-                          expect_q=tuple(state.q_rows))
+                          expect_q=tuple(state.transform_rows()))
     assert expected_pair_check(within, rows) is True
     far = EquationSpec(eq.source, expect_h=(FiniteRow([]),),
                        expect_q=(FiniteRow([(8, 1)]),))
@@ -95,7 +95,7 @@ def test_corrupted_pivot_row_fails_qhf_postulates(showcase):
     # H and Q scaled alike, so Q . A == H still holds
     eq, state = showcase
     state.h_rows[7] = state.h_rows[7].combine((), 2)
-    state.q_rows[7] = state.q_rows[7].combine((), 2)
+    corrupt_transform_row(state, 7, lambda q: q.combine((), 2))
     results = checked(eq, state)
     assert results["left-association"] is True
     assert results["qhf-postulates"] is False
@@ -104,11 +104,12 @@ def test_corrupted_pivot_row_fails_qhf_postulates(showcase):
 def test_expectation_is_reported_on_its_own_line(showcase):
     eq, state = showcase
     intact = EquationSpec(eq.source, expect_h=tuple(state.h_rows),
-                          expect_q=tuple(state.q_rows))
+                          expect_q=tuple(state.transform_rows()))
     assert run_checks(intact, state, 0)[:2] == [("left-association", True),
                                                 ("expected-pair", True)]
     wrong = EquationSpec(eq.source, expect_h=tuple(state.h_rows),
-                         expect_q=tuple(q.combine((), 2) for q in state.q_rows))
+                         expect_q=tuple(q.combine((), 2)
+                                        for q in state.transform_rows()))
     assert checked(wrong, state) == {"left-association": True,
                                      "expected-pair": False,
                                      "qhf-postulates": True, "residual": True}

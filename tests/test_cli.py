@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowfinite import (FiniteRow, build_family, cli, format_scalar,
-                       general_prefix, hess_spec_from_source, run, solver)
+from rowfinite import (EliminationState, FiniteRow, build_family, cli,
+                       format_scalar, general_prefix, hess_spec_from_source,
+                       run, solver)
 from rowfinite.cli import main
 from rowfinite.sources import MAX_COLUMN
-from conftest import dense, shuffled_length_rows
+from conftest import corrupt_transform_row, dense, shuffled_length_rows
 
 
 def run_cli(capsys, *argv):
@@ -122,7 +123,8 @@ class TestReduce:
                 new = run_cli(capsys, *argv)
                 with monkeypatch.context() as m:   # each text printed as one piece
                     m.setattr(cli, "_rows_csv", lambda rows: [old_csv(rows)])
-                    m.setattr(cli, "_pretty_rows", lambda rows: [old_pretty(rows)])
+                    m.setattr(cli, "_pretty_rows",
+                              lambda rows: [old_pretty(list(rows()))])
                     assert run_cli(capsys, *argv) == new
         assert seen_gap
 
@@ -157,6 +159,27 @@ class TestReduce:
         code, out, _ = run_cli(capsys, "reduce", "--family", "example3",
                                "--horizon", "4", "--format", "pretty")
         assert code == 0 and "j_set" in out
+
+    @pytest.mark.parametrize("argv", [("reduce", "--format", "pretty"),
+                                      ("reduce",), ("verify",)])
+    def test_q_is_replayed_and_never_listed(self, capsys, monkeypatch, argv):
+        # pretty reads Q for its column widths and then to print; verify
+        # for left-association and then for the transform-row invariants
+        replays = []
+        replay = EliminationState.transform_rows
+
+        def counted(state):
+            replays.append(state.k)
+            return replay(state)
+
+        def listed(state):
+            raise AssertionError("all of Q held at once")
+
+        monkeypatch.setattr(EliminationState, "transform_rows", counted)
+        monkeypatch.setattr(EliminationState, "q_rows", property(listed))
+        code, _, _ = run_cli(capsys, *argv, "--family", "example2", "--horizon", "8")
+        assert code == 0
+        assert replays == [8] * (1 if argv == ("reduce",) else 2)
 
     def test_json_renders_no_text_matrices(self, capsys, monkeypatch):
         def unused(rows):
@@ -519,7 +542,7 @@ class TestVerify:
             state = run(source, horizon)
             pos = state.j_set[-1]
             state.h_rows[pos] = state.h_rows[pos].combine((), 2)
-            state.q_rows[pos] = state.q_rows[pos].combine((), 2)
+            corrupt_transform_row(state, pos, lambda q: q.combine((), 2))
             return state
         monkeypatch.setattr(cli, "run", corrupted_run)
         code, out, _ = run_cli(capsys, "verify", "--family", "example3",

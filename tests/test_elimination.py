@@ -11,14 +11,16 @@ from rowfinite import (EliminationState, EngineError, FiniteRow, ZERO_ROW,
                        build_family, check_invariants, run, solver)
 from rowfinite.elimination import PushLog
 from rowfinite.checks import left_association
-from conftest import (dense_rank, push_checked, random_explicit_rows,
-                      random_regular_source, shuffled_length_rows, source_rows)
+from conftest import (corrupt_transform_row, dense_rank, push_checked,
+                      random_explicit_rows, random_regular_source,
+                      shuffled_length_rows, source_rows)
 
 
 def null_basis(st):
     """Transform rows at the zero-row positions: each annihilates every
     consumed row."""
-    return [st.q_rows[w] for w in st.w_set]
+    q_rows = st.q_rows
+    return [q_rows[w] for w in st.w_set]
 
 
 def row(*dense):
@@ -173,12 +175,14 @@ class TestInsertWithPermutation:
         frozen = {}
         for n in range(12):
             st.push_row(src.row_at(n))
+            q_rows = st.q_rows
             for w in st.w_set:
-                frozen.setdefault(w, st.q_rows[w])
+                frozen.setdefault(w, q_rows[w])
         assert st.w_set == [6, 10]
+        q_rows = st.q_rows
         for w, q_row in frozen.items():
             assert st.h_rows[w].is_zero
-            assert st.q_rows[w] == q_row
+            assert q_rows[w] == q_row
 
     def test_first_row_zero(self):
         st = EliminationState()
@@ -329,16 +333,21 @@ class TestLeftAssociation:
     def test_detects_corrupted_transform_row(self):
         src = ex3()
         st = run(src, 12)
-        st.q_rows[5] = st.q_rows[5].combine((), 2)
+        corrupt_transform_row(st, 5, lambda q: q.combine((), 2))
         assert not left_association(st, source_rows(src, 12))
+        # a replay that yields one row too few or one too many fails too
+        intact = run(src, 12)
+        q_rows = intact.q_rows
+        for replay in (q_rows[:-1], q_rows + [q_rows[-1]]):
+            intact.transform_rows = lambda: iter(replay)
+            assert not left_association(intact, source_rows(src, 12))
 
 
 class TestRegularOrderTransform:
     def test_transform_is_unit_lower_triangular_after_scaling(self, rng):
         src = random_regular_source(rng, order=3, horizon=10, shape="n_order")
         st = run(src, 10)
-        for n in range(10):
-            q = st.q_rows[n]
+        for n, q in enumerate(st.q_rows):
             assert q.length == n
             lead = src.row_at(n).get(n + 3)
             assert q.get(n) == 1 / lead
@@ -450,11 +459,11 @@ def entry_in_other_pivot_column(st):
 
 
 def transform_row_is_zero(st):
-    st.q_rows[2] = ZERO_ROW
+    corrupt_transform_row(st, 2, lambda q: ZERO_ROW)
 
 
 def transform_row_reaches_past_k(st):
-    st.q_rows[2] = st.q_rows[2].combine([(1, FiniteRow([(st.k, 1)]))])
+    corrupt_transform_row(st, 2, lambda q: q.combine([(1, FiniteRow([(st.k, 1)]))]))
 
 
 class TestCheckInvariants:
@@ -732,7 +741,6 @@ class TestTransformReplay:
         for r in rows[cut:]:
             state.push_row(r)
         assert state.q_rows == chained_q_rows(state)
-        assert state.q_rows is state.q_rows   # kept until the next push
 
     @pytest.mark.parametrize("family, horizon", [("example2", 60), ("example3", 48)])
     def test_q_rows_match_the_chained_replay_on_builtins(self, family, horizon):
