@@ -67,7 +67,8 @@ def closed_form_matches(state: elimination.EliminationState,
                         closed: List[Fraction]) -> bool:
     """True iff the closed-form terms y_0.. equal those the elimination path
     assembles for the same forcing ``g`` (None: homogeneous) and initial
-    values ``init`` (one per order) of a regular-order source."""
+    values ``init`` (one per order) of a regular-order source: one point of
+    the two affine maps that :func:`hessenberg_cross_check` compares."""
     order = len(init)
     assembled = solver.general_solution(
         state, g, dict(enumerate(init)), order + len(closed))
@@ -81,19 +82,18 @@ def _random_scalar(rng: random.Random) -> Fraction:
 def residual_check(state: elimination.EliminationState,
                    rows: Sequence[FiniteRow], rng: random.Random) -> bool:
     """Solve A . y = g for a forcing consistent by construction (g = A . y
-    for a random y prefix) and random free constants, then check the
-    residual of every consumed row in ``rows`` is exactly zero (each is
-    shorter than ``width``: its rightmost column is a pivot length)."""
+    for a random y prefix) and random free constants at the inaccessible
+    columns below ``width`` (:func:`solver.inaccessible_lengths`), then
+    check the residual of every consumed row in ``rows`` is exactly zero
+    (each is shorter than ``width``: its rightmost column is a pivot
+    length)."""
     width = state.greatest_length + 1
     if width == 0:
         return True
     probe = [_random_scalar(rng) for _ in range(width)]
     g = [row.dot_prefix(probe) for row in rows]
-    free = {}
-    pivot = set(state.mu)
-    for s in range(width):
-        if s not in pivot:
-            free[s] = _random_scalar(rng)
+    free = {s: _random_scalar(rng)
+            for s in solver.inaccessible_lengths(state, width).values}
     try:
         sol = solver.general_solution(state, g, free, width)
     except solver.InconsistentSystemError:
@@ -103,13 +103,19 @@ def residual_check(state: elimination.EliminationState,
 
 def hessenberg_cross_check(state: elimination.EliminationState,
                            source: RowSource, rng: random.Random) -> bool:
-    """Compare the closed form with the elimination path on random forcing
-    terms and initial values (regular-order sources only)."""
+    """Compare the closed form with the elimination path as affine maps of
+    the N initial values of a regular-order source: on the particular
+    solution (zero initial values, a random forcing) and on each of the N
+    fundamental sequences (a unit vector, no forcing).  Both paths are
+    affine in the initial values, so agreement on these N + 1 cases is
+    agreement on every choice of them."""
     order = source.regular_order_index
     g = [_random_scalar(rng) for _ in range(state.k)]
-    init = [_random_scalar(rng) for _ in range(order)]
-    spec = hb.hess_spec_from_source(source, g, init)
-    return closed_form_matches(state, g, init, hb.general_prefix(spec, state.k))
+    cases = [(g, [0] * order)] + [(None, [int(i == s) for i in range(order)])
+                                  for s in range(order)]
+    return all(closed_form_matches(state, forcing, init, hb.general_prefix(
+                   hb.hess_spec_from_source(source, forcing, init), state.k))
+               for forcing, init in cases)
 
 
 def run_checks(eq: EquationSpec, state: elimination.EliminationState,

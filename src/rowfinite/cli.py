@@ -292,7 +292,8 @@ def cmd_hess(args) -> int:
     free = _parse_free(args.free)
     for key in free:
         if not 0 <= key < order:
-            raise SpecError(f"initial values live at indices 0..{order - 1}, got {key}")
+            raise SpecError(f"initial values live at indices 0..{order - 1}, got {key}" if order
+                            else f"an equation of order 0 takes no initial values, got {key}")
     init = [free.get(i, Fraction(0)) for i in range(order)]
     spec = hb.hess_spec_from_source(source, g, init)
     values = hb.general_prefix(spec, args.terms)

@@ -31,8 +31,8 @@ Each consumed row passes through three steps:
    strictly below the greatest existing pivot length, it is used as a pivot
    to zero the matching column of every stored row.  Only the rows that
    hold that column are visited, through a column index (the transpose of
-   the row lists, as in Gustavson, ACM TOMS 4(3), 1978) built on the first
-   cross-clear.  Row lengths are unchanged by this step.
+   the row lists, as in Gustavson, ACM TOMS 4(3), 1978) kept up to date
+   from the first push.  Row lengths are unchanged by this step.
 3. *Placement* -- the survivor is inserted so nonzero-row lengths stay
    strictly increasing; displaced nonzero rows shift to later nonzero slots
    while zero rows keep their exact indices.
@@ -98,8 +98,7 @@ class EliminationState:
     mu             : lengths of the nonzero rows in position order; strictly
                      increasing at all times.
     _holders       : column -> pivot lengths (never changed by placement)
-                     of the rows with an entry there; None until the first
-                     cross-clear.
+                     of the rows with an entry there.
     """
 
     def __init__(self, certified: bool = False):
@@ -109,7 +108,7 @@ class EliminationState:
         self.w_set: List[int] = []
         self.mu: List[int] = []
         self._log: List[PushLog] = []
-        self._holders: Optional[Dict[int, Set[int]]] = None
+        self._holders: Dict[int, Set[int]] = defaultdict(set)
 
     @property
     def k(self) -> int:
@@ -163,8 +162,6 @@ class EliminationState:
         if self.mu[bisect_left(self.mu, lg)] == lg:   # below mu[-1]: in range
             raise EngineError(f"pivot length {lg} collides with a stored pivot")
         holders = self._holders
-        if holders is None:
-            holders = self._holders = _column_holders(self)
         changed = []
         for length in sorted(holders.get(lg, ())):
             pos = self.j_set[bisect_left(self.mu, length)]
@@ -197,9 +194,8 @@ class EliminationState:
             targets = self.j_set[rank:] + [k]
             self.mu.insert(rank, g.length)
             self.j_set.append(k)
-            if self._holders is not None:
-                for col, _, _ in g.int_items():
-                    self._holders[col].add(g.length)
+            for col, _, _ in g.int_items():
+                self._holders[col].add(g.length)
         _place(self.h_rows, targets, g)
         log.targets = targets
 
@@ -290,7 +286,8 @@ def _place(rows: list, targets: List[int], survivor) -> None:
 
 def _column_holders(state: EliminationState) -> Dict[int, Set[int]]:
     """The column index of ``state`` scanned from its rows: column -> pivot
-    lengths of the nonzero rows with an entry there."""
+    lengths of the nonzero rows with an entry there; :func:`check_invariants`
+    holds the kept index against it."""
     holders: Dict[int, Set[int]] = defaultdict(set)
     for pos, length in zip(state.j_set, state.mu):
         for col, _, _ in state.h_rows[pos].int_items():
@@ -312,8 +309,8 @@ def run(source: RowSource, horizon: int) -> EliminationState:
 def check_invariants(state: EliminationState) -> None:
     """Raise EngineError unless the state satisfies every structural
     invariant: the quasi-Hermite postulates on nonzero rows, pinned zero
-    rows, coherent index sets, a column index (once built) that matches the
-    rows, and nonzero transform rows."""
+    rows, coherent index sets, a column index that matches the rows, and
+    nonzero transform rows."""
     k = state.k
     if sorted(state.j_set + state.w_set) != list(range(k)):
         raise EngineError("j_set and w_set do not partition the consumed range")
@@ -339,10 +336,9 @@ def check_invariants(state: EliminationState) -> None:
             if pos is not None and pos != m:
                 raise EngineError(f"row {m} has a nonzero entry in pivot column "
                                   f"{col} of row {pos}")
-    if state._holders is not None:
-        live = {col: lengths for col, lengths in state._holders.items() if lengths}
-        if live != _column_holders(state):
-            raise EngineError("the column index does not match the stored rows")
+    live = {col: lengths for col, lengths in state._holders.items() if lengths}
+    if live != _column_holders(state):
+        raise EngineError("the column index does not match the stored rows")
     for n, q in enumerate(state.transform_rows()):
         if q.is_zero:
             raise EngineError(f"transform row {n} is zero")

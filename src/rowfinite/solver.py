@@ -142,11 +142,12 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
     """Solution prefix for forcing ``g`` (``None`` means homogeneous) and the
     given free constants.
 
-    Term m is the free constant at an inaccessible column (0 when unset).  At
-    a pivot column it is the transformed forcing value of that pivot row (0
-    when ``g`` is None) minus the row's ``dot_prefix`` against the free
-    constants, 0 at every pivot column: the row is zero at every other pivot
-    column, so only the free constants, all left of m, contribute to it.
+    The terms start as the free constants (0 where unset); one walk over
+    the pivot rows below ``terms`` then overwrites each pivot column m with
+    the transformed forcing value of its row (0 when ``g`` is None) minus
+    the row's ``dot_prefix`` against the terms so far, whose entry at m is
+    still 0: the row is zero at every other pivot column, so only the free
+    constants, all left of m, contribute to it.
 
     Checks, in this order: ``terms``; the free constants; that ``g`` covers
     the transform rows at the zero rows; consistency; that ``g`` covers the
@@ -155,13 +156,12 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
     """
     _check_terms(state, terms)
     constants = _checked_free(state, free)
-    pivot_pos = dict(zip(state.mu, state.j_set))
+    rank = bisect_left(state.mu, terms)
     forcing = [Fraction(0)] * state.k
     if g is not None:
         forcing = _replayed(state, g)
         # Q[n] . g reads g_0..g_length: a zero row w has length w, and
         # the longest transform row at or below position n has stable_since[n]
-        rank = bisect_left(state.mu, terms)
         last_zero = state.w_set[-1] if state.w_set else -1
         needed = 1 + max(last_zero,
                          state.stable_since()[state.j_set[rank - 1]] if rank else -1)
@@ -172,19 +172,12 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
             raise InconsistentSystemError(violated)
         if needed > len(g):
             raise short_forcing(len(g), needed)
-    values = [Fraction(0)] * terms
+    out: List[Scalar] = [Fraction(0)] * terms
     for col, c in constants.items():
         if col < terms:
-            values[col] = c
-    out: List[Scalar] = []
-    for m in range(terms):
-        pos = pivot_pos.get(m)
-        if pos is None:
-            out.append(values[m])
-        elif constants:
-            out.append(forcing[pos] - state.h_rows[pos].dot_prefix(values))
-        else:
-            out.append(forcing[pos])
+            out[col] = c
+    for m, pos in zip(state.mu[:rank], state.j_set):
+        out[m] = forcing[pos] - state.h_rows[pos].dot_prefix(out) if constants else forcing[pos]
     return out
 
 

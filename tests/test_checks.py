@@ -1,11 +1,14 @@
 """Each check of ``verify`` passes on an intact run and fails on a run
 corrupted where that check looks."""
 
+import dataclasses
+
 import pytest
 
+from rowfinite import hessenberg as hb
 from rowfinite import (EliminationState, EquationSpec, FiniteRow, SpecError,
                        build_family, run)
-from rowfinite.checks import expected_pair_check, run_checks
+from rowfinite.checks import closed_form_matches, expected_pair_check, run_checks
 from conftest import corrupt_transform_row, source_rows
 
 
@@ -77,6 +80,26 @@ def test_corrupted_reduced_entry_fails_hessenberg_cross_check(regular):
     results = checked(eq, state)
     assert results["hessenberg-cross-check"] is False
     assert results["qhf-postulates"] is True
+
+
+def test_initial_values_dropped_without_forcing_fail_the_cross_check(regular,
+                                                                     monkeypatch):
+    # a closed form that folds the initial values in only when a forcing is
+    # given: right on any one forcing with initial values, wrong on every
+    # fundamental sequence
+    eq, state = regular
+    real = hb.general_prefix
+
+    def faulty(spec, count):
+        if spec.forcing_terms is None:
+            spec = dataclasses.replace(spec, init=(0,) * spec.index)
+        return real(spec, count)
+
+    monkeypatch.setattr(hb, "general_prefix", faulty)
+    g, init = [1, -2, 3, 0, 5, 1], [2, -1]
+    spec = hb.hess_spec_from_source(eq.source, g, init)
+    assert closed_form_matches(state, g, init, hb.general_prefix(spec, state.k))
+    assert checked(eq, state)["hessenberg-cross-check"] is False
 
 
 def test_expectation_is_read_against_the_consumed_rows_only(showcase):

@@ -457,15 +457,23 @@ class TestHess:
         solve = run_cli(capsys, "solve", *args)
         assert hess == solve == (3, "", "error: row 2: division by zero\n")
 
-    @pytest.mark.parametrize("free", ["1=1", "-1=1"])
-    def test_initial_value_outside_the_order_exits_2(self, capsys, tmp_path, free):
+    @pytest.mark.parametrize("family,free,message", [
+        pytest.param({"family": "first_order", "a": "n + 1"}, "1=1",
+                     "initial values live at indices 0..0, got 1", id="1=1"),
+        pytest.param({"family": "first_order", "a": "n + 1"}, "-1=1",
+                     "initial values live at indices 0..0, got -1", id="-1=1"),
+        pytest.param({"family": "n_order", "N": 0, "a": "1"}, "0=1",
+                     "an equation of order 0 takes no initial values, got 0",
+                     id="order-0"),
+    ])
+    def test_initial_value_outside_the_order_exits_2(self, capsys, tmp_path,
+                                                     family, free, message):
         spec = tmp_path / "rec.json"
-        spec.write_text(json.dumps({"family": "first_order", "a": "n + 1"}))
+        spec.write_text(json.dumps(family))
         code, out, err = run_cli(capsys, "hess", "--spec", str(spec),
                                  f"--free={free}")
         assert code == 2 and not out
-        assert err == (f"error: initial values live at indices 0..0, "
-                       f"got {free.split('=')[0]}\n")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("fmt,expected", [
         ("csv", "1,3,7,15,0\nMISMATCH\n"),

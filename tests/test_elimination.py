@@ -570,12 +570,11 @@ class TestRankCut:
         assert trace(fast) == trace(ref)
 
     def test_shorter_rows_are_not_visited(self, monkeypatch):
-        # the longest row first, so the column index is already built
         st = EliminationState()
         for r in (row(0, 0, 0, 2, 0, 0, 0, 1), row(1), row(0, 0, 1),
                   row(0, 0, 0, 0, 1)):
             st.push_row(r)
-        assert st.mu == [0, 2, 4, 7] and st._holders is not None
+        assert st.mu == [0, 2, 4, 7]
         read = []
         for name in ("get", "int_items", "combine"):
             method = getattr(FiniteRow, name)
@@ -587,17 +586,6 @@ class TestRankCut:
         # stored lengths 0, 2, 4, 7: only the row of length 7 holds column 3
         assert set(read) == {7}
         assert st.h_rows[3] == row(0, 0, 0, 0, 0, 0, 0, 1)
-
-
-def built_at(rows):
-    """Push ``rows`` with the invariants checked after every push; return
-    the number of pushes before the column index was built (None if never)."""
-    st, built = EliminationState(), None
-    for n, r in enumerate(rows):
-        push_checked(st, r)
-        if built is None and st._holders is not None:
-            built = n
-    return built
 
 
 class TestColumnIndex:
@@ -612,19 +600,6 @@ class TestColumnIndex:
         assert st.h_rows == [FiniteRow([(1, 1)]), FiniteRow([(2, 1)]), FiniteRow([(5, 1)])]
         assert st._log[1].cross == [(0, -1)] and st._log[2].cross == [(0, -1)]
 
-    def test_index_built_late_matches_the_rows(self, rng):
-        late = []
-
-        @settings(max_examples=100, deadline=None)
-        @given(shuffled_length_rows())
-        def check(rows):
-            late.append((built_at(rows) or 0) >= 2)
-
-        check()
-        for _ in range(30):
-            late.append((built_at(random_explicit_rows(rng, max_rows=25)) or 0) >= 2)
-        assert late.count(True) >= 10
-
     @pytest.mark.parametrize("plant", ["stale", "missing"])
     def test_planted_error_fails(self, plant):
         st = EliminationState()
@@ -638,11 +613,18 @@ class TestColumnIndex:
         with pytest.raises(EngineError, match="column index does not match"):
             check_invariants(st)
 
-    def test_not_built_without_a_cross_clear(self):
-        assert run(build_family({"family": "example2"}), 60)._holders is None
-        source = random_regular_source(random.Random(5), 2, 20, "n_order")
-        st = run(source, 20)
-        assert st.certified and st._holders is None
+    @pytest.mark.parametrize("spec", [
+        {"family": "example2"},
+        {"family": "n_order", "N": 3, "a": "n*j - j^2/(n+1) + 1"},
+    ], ids=["example2", "regular"])
+    def test_kept_on_sources_that_never_cross_clear(self, spec):
+        # Gauss-Jordan example2 and a certified lower-echelon source: the
+        # index is kept from the first push, and every push checks it
+        source = build_family(spec)
+        st = EliminationState(certified=source.regular_order_index is not None)
+        for r in source_rows(source, 40):
+            push_checked(st, r)
+        assert st._holders and not any(log.cross for log in st._log)
 
 
 def axpy(x, m, y):
