@@ -135,6 +135,6 @@ def run_checks(eq: EquationSpec, state: elimination.EliminationState,
         results.append(("qhf-postulates", False))
     results.append(("residual", residual_check(state, rows, rng)))
     if eq.source.regular_order_index is not None:
-        results.append(("hessenberg-cross-check",
-                        hessenberg_cross_check(state, eq.source, rng)))
+        held = RowSource(rows.__getitem__, eq.source.regular_order_index, band=eq.source.band)
+        results.append(("hessenberg-cross-check", hessenberg_cross_check(state, held, rng)))
     return results

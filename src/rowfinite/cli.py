@@ -29,6 +29,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -307,6 +308,8 @@ def cmd_hess(args) -> int:
 
 def cmd_verify(args) -> int:
     eq = _load_source(args)
+    rows = [eq.source.row_at(n) for n in range(args.horizon)]   # fetched once for all
+    eq = replace(eq, source=replace(eq.source, row_fn=rows.__getitem__))
     results = checks.run_checks(eq, run(eq.source, args.horizon), args.seed)
     print(f"seed {args.seed}")
     for name, passed in results:

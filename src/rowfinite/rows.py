@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence, Tuple, Union
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
-_SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?\Z")
+_SCALAR_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?\Z")
 
 
 class ZeroRowError(ValueError):
@@ -54,12 +54,14 @@ def short_forcing(given: int, needed: int) -> ShortColumnError:
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` (sign on the numerator, q > 0, ASCII
-    digits only) exactly."""
-    s = text.strip()
-    if not _SCALAR_RE.match(s):
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(s)
+    """Parse ``"p"`` or ``"p/q"`` exactly (see :func:`as_ratio`)."""
+    return to_fraction(*as_ratio(text))
+
+
+def reduced(num: int, den: int) -> Tuple[int, int]:
+    """``num/den`` (``den`` nonzero) in lowest terms, the sign on ``num``."""
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
 _CHUNK = 10 ** 600   # fewer digits than any int-to-str limit Python allows
@@ -95,14 +97,23 @@ def format_scalar(value: Fraction) -> str:
     return format_ratio(value.numerator, value.denominator)
 
 
-def as_scalar(value: ScalarLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+def as_ratio(value: ScalarLike) -> Tuple[int, int]:
+    """``value`` in lowest terms, a numerator and a positive denominator; a
+    ``str`` is ``"p"`` or ``"p/q"`` (sign on p, q > 0, ASCII digits only)."""
     if isinstance(value, str):
-        return parse_scalar(value)
+        match = _SCALAR_RE.match(value.strip())
+        if not match:
+            raise ValueError(f"not a rational literal: {value!r}")
+        return reduced(int(match[1]), int(match[2] or 1))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def as_scalar(value: ScalarLike) -> Fraction:
+    return value if isinstance(value, Fraction) else to_fraction(*as_ratio(value))
 
 
 def to_fraction(num: int, den: int) -> Fraction:
@@ -176,9 +187,9 @@ class FiniteRow:
         for col, value in entries:
             if not isinstance(col, int) or isinstance(col, bool) or col < 0:
                 raise ValueError(f"column must be a nonnegative integer, got {col!r}")
-            v = as_scalar(value)
-            if v:
-                cleaned.append((col, v.numerator, v.denominator))
+            num, den = as_ratio(value)
+            if num:
+                cleaned.append((col, num, den))
         cleaned.sort(key=lambda e: e[0])
         for a, b in zip(cleaned, cleaned[1:]):
             if a[0] == b[0]:
@@ -192,14 +203,6 @@ class FiniteRow:
         row = cls.__new__(cls)
         row._entries = tuple(entries)
         return row
-
-    @classmethod
-    def _from_sorted(cls, entries: Iterable[Tuple[int, Fraction | int]]) -> "FiniteRow":
-        """Row from ``(column, value)`` pairs in strictly increasing column
-        order, zeros dropped and nothing else checked: for sources whose
-        entries come out in order."""
-        return cls._raw([(col, v.numerator, v.denominator)
-                         for col, v in entries if v])
 
     @property
     def is_zero(self) -> bool:

@@ -63,14 +63,13 @@ most ``MAX_EXPONENT``, so ``(n^10)^100`` is accepted and ``(n^10)^101`` is not;
 anything beyond is an :class:`ExprSyntaxError`.
 
 Each expression is compiled once, when it is parsed, into one Python
-function of ``(n, j)`` that computes over ``int`` and turns into a
-``Fraction`` only where a division occurs; its source text comes from fixed
-templates, one per kind of node, and holds no input text, only the ``repr``
-of the parsed integers.  Rows are built from its ``int`` or ``Fraction``
-values as they are; :meth:`CoeffExpr.evaluate` is the ``Fraction`` API.
-Evaluation raises :class:`EvalError` on a zero denominator (tested before
-the numerator is evaluated), on a non-integer ``cospi2`` argument, and on
-``j`` where no column index applies.
+function of ``(n, j)`` from fixed templates that hold no input text, only
+the ``repr`` of the parsed integers.  It computes over ``int``, over integer
+pairs (numerator, denominator) above a division, and returns a pair reduced
+once: a row entry, built with no ``Fraction``; :meth:`CoeffExpr.evaluate` is
+the ``Fraction`` API.  Evaluation raises :class:`EvalError` on a zero
+denominator (tested before the numerator is evaluated), on a non-integer
+``cospi2`` argument, and on ``j`` where no column index applies.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Mapping, Optional, Tuple
 
-from .rows import FiniteRow, Scalar, as_scalar
+from .rows import FiniteRow, Scalar, as_ratio, as_scalar, format_ratio, reduced
 
 
 class SpecError(ValueError):
@@ -141,9 +140,9 @@ def _tokenize(text: str):
 # Bounds that keep parsing and evaluation finite.  The parser uses up to eight
 # stack frames per level, so MAX_DEPTH levels (50 x 8 = 400 parser frames)
 # stay far below Python's default recursion limit of 1000; a compiled
-# expression evaluates in one frame, and a helper's on an error, at any
-# depth.  Its generated text nests at most two brackets per level, so 100 at
-# MAX_DEPTH, half of the 200 that CPython's parser allows.  MAX_EXPONENT
+# expression evaluates in one frame, and a helper's, at any depth.  Its
+# generated text nests at most three brackets per level and one at the root,
+# so 151 at MAX_DEPTH, below the 200 that CPython's parser allows.  MAX_EXPONENT
 # bounds the degree a power can reach, exponents of nested powers
 # multiplied; MAX_ORDER bounds the order N of the n_order and ascending
 # families, whose rows hold N+1 entries or more; MAX_COLUMN bounds a column
@@ -290,44 +289,53 @@ def _raise(message: str):
     raise EvalError(message)
 
 
-def _cospi2(m: Fraction) -> int:
-    """``cospi2`` of a ``Fraction``; compiled code looks an ``int`` up itself."""
-    if m.denominator != 1:
-        raise EvalError(f"cospi2 needs an integer argument, got {m}")
-    return _COSPI2[m.numerator % 4]
-
-
-_GLOBALS = {"Fraction": Fraction, "_COSPI2": _COSPI2, "_raise": _raise, "_cospi2": _cospi2}
+_GLOBALS = {"_COSPI2": _COSPI2, "_raise": _raise, "_reduced": reduced, "_ratio": format_ratio,
+            "_pow": lambda pair, e: tuple(x ** e for x in reduced(*pair))}
 _J_UNSET = "expression uses 'j' but no column index applies here"
-# The text of each kind of node.  {0} and {1} stand for its operands' text (an
-# int operand, a literal or an exponent, as its repr) and {t} for a local of
-# the node's own, which a division binds to its denominator and a cospi2 call
-# to its argument.
+# The text of each kind of node, and with " p" of one with an operand that
+# computes a pair, its int operands written as (x, 1).  {0} and {1} stand for
+# the operands' text (an int operand, a literal or an exponent, as its repr),
+# {a} and {b} for locals bound to them, {t} for a divisor or a cospi2
+# argument.  A pair is never falsy, so a division of pairs binds its numerator
+# in its zero test.  A power reduces its base first, so MAX_EXPONENT bounds
+# its cost; the root returns a reduced pair.
 _TEXT = {
-    "num": "{0}", "n": "n", "neg": "(-{0})",
-    "add": "({0} + {1})", "sub": "({0} - {1})", "mul": "({0} * {1})", "pow": "({0} ** {1})",
-    "j": f"(j if j is not None else _raise({_J_UNSET!r}))",
-    "div": "(Fraction({0}, {t}) if ({t} := {1}) else _raise('division by zero'))",
-    "cospi2": "(_COSPI2[{t} % 4] if type({t} := {0}) is int else _cospi2({t}))",
+    "num": "{0}", "n": "n", "neg": "(-{0})", "add": "({0} + {1})", "sub": "({0} - {1})",
+    "mul": "({0} * {1})", "pow": "({0} ** {1})", "cospi2": "_COSPI2[{0} % 4]",
+    "j": f"(j if j is not None else _raise({_J_UNSET!r}))", "root": "({0}, 1)",
+    "div": "(({0}, {t}) if ({t} := {1}) else _raise('division by zero'))",
+    "add p": "(({a} := {0})[0] * ({b} := {1})[1] + {b}[0] * {a}[1], {a}[1] * {b}[1])",
+    "sub p": "(({a} := {0})[0] * ({b} := {1})[1] - {b}[0] * {a}[1], {a}[1] * {b}[1])",
+    "mul p": "(({a} := {0})[0] * ({b} := {1})[0], {a}[1] * {b}[1])",
+    "neg p": "(-({a} := {0})[0], {a}[1])", "pow p": "_pow({0}, {1})", "root p": "_reduced(*{0})",
+    "div p": "(({a}[0] * {t}[1], {a}[1] * {t}[0]) if ({t} := {1})[0] and ({a} := {0})"
+             " else _raise('division by zero'))",
+    "cospi2 p": "(_COSPI2[{t}[0] // {t}[1] % 4] if not ({t} := {0})[0] % {t}[1] else _raise("
+                "'cospi2 needs an integer argument, got ' + _ratio(*_reduced(*{t}))))",
 }
 
 
-def _compile(root) -> Callable[[int, Optional[int]], int | Fraction]:
+def _compile(root) -> Callable[[int, Optional[int]], Tuple[int, int]]:
     """Turn a parse tree into one Python function of ``(n, j)``, compiled from
     generated text.  The text is fully parenthesized and built only from the
     templates of ``_TEXT``, the names ``n``, ``j`` and ``_t<k>``, and the
     ``repr`` of the ``int`` literals and exponents the parser produced, so no
-    input text reaches ``compile()``.  Values stay ``int`` until a division
-    makes them a ``Fraction``.  A division binds its denominator in the test
-    of a conditional expression, so its zero test fires before its numerator
-    is evaluated; only a failing test calls a helper."""
+    input text reaches ``compile()``.  A division binds its denominator in
+    the test of a conditional expression, so its zero test fires before its
+    numerator is evaluated; only a failing test calls ``_raise``."""
     temps = count()
 
-    def text(node) -> str:
-        operands = [repr(x) if type(x) is int else text(x) for x in node[1:]]
-        return _TEXT[node[0]].format(*operands, t=f"_t{next(temps)}")
+    def text(node) -> Tuple[str, bool]:
+        """The text of ``node`` and whether it computes a pair."""
+        texts = [(repr(x), None) if type(x) is int else text(x) for x in node[1:]]
+        pair = any(p for _, p in texts)   # a literal's None is never promoted
+        texts = [f"({t}, 1)" if pair and p is False else t for t, p in texts]
+        names = {name: f"_t{next(temps)}" for name in "abt"}
+        return (_TEXT[node[0] + " p" * pair].format(*texts, **names),
+                node[0] == "div" or pair and node[0] != "cospi2")
 
-    return eval(compile(f"lambda n, j: {text(root)}", "<coefficient>", "eval"), _GLOBALS)
+    body, _ = text(("root", root))
+    return eval(compile(f"lambda n, j: {body}", "<coefficient>", "eval"), _GLOBALS)
 
 
 class CoeffExpr:
@@ -341,7 +349,7 @@ class CoeffExpr:
         self._fn = _compile(root)
 
     def evaluate(self, n: int, j: Optional[int] = None) -> Fraction:
-        return Fraction(self._fn(n, j))
+        return Fraction(*self._fn(n, j))
 
     def __repr__(self) -> str:
         return f"CoeffExpr({self.text!r})"
@@ -355,31 +363,31 @@ def parse_coeff_expr(text: str) -> CoeffExpr:
 # --- coefficient adapters --------------------------------------------------
 
 
-def _coeff(value, name: str, per_n: bool) -> Callable[[int, Optional[int]], int | Fraction]:
-    """Adapt a coefficient parameter to a function of ``(n, j)``.  A per-n
-    parameter may also be a list; it does not read the column, so an
-    expression sees ``j = None`` and a callable gets ``n`` alone."""
+def _coeff(value, name: str, per_n: bool) -> Callable[[int, Optional[int]], Tuple[int, int]]:
+    """Adapt a coefficient parameter to a function of ``(n, j)`` that returns a
+    reduced pair.  A per-n parameter may also be a list; it does not read the
+    column, so an expression sees ``j = None`` and a callable gets ``n`` alone."""
     if isinstance(value, str):
         value = parse_coeff_expr(value)
     if isinstance(value, CoeffExpr):
         fn = value._fn
         return (lambda n, j: fn(n, None)) if per_n else fn
     if isinstance(value, (int, Fraction)):
-        const = as_scalar(value)
+        const = as_ratio(value)
         return lambda n, j: const
     if per_n and isinstance(value, (list, tuple)):
-        vals = [as_scalar(v) for v in value]
+        vals = [as_ratio(v) for v in value]
 
-        def from_list(n: int, j: Optional[int]) -> Fraction:
+        def from_list(n: int, j: Optional[int]) -> Tuple[int, int]:
             if not 0 <= n < len(vals):
                 raise SpecError(f"parameter {name!r} has {len(vals)} values, row {n} requested")
             return vals[n]
 
         return from_list
     if callable(value) and per_n:
-        return lambda n, j: as_scalar(value(n))
+        return lambda n, j: as_ratio(value(n))
     if callable(value):
-        return lambda n, j: as_scalar(value(n, j))
+        return lambda n, j: as_ratio(value(n, j))
     raise SpecError(f"parameter {name!r} must be an expression, constant, "
                     f"{'list, ' if per_n else ''}or callable")
 
@@ -436,8 +444,9 @@ def _parse_row_entries(data) -> FiniteRow:
         if col <= last:
             raise SpecError(f"row columns must be strictly increasing, got {col} after {last}")
         last = col
-        entries.append((col, as_scalar(value)))
-    return FiniteRow._from_sorted(entries)
+        if (v := as_ratio(value))[0]:
+            entries.append((col, v[0], v[1]))
+    return FiniteRow._raw(entries)
 
 
 def _require(spec: Mapping, key: str, family: str):
@@ -452,20 +461,20 @@ _EX2 = tuple(parse_coeff_expr(text)._fn
 _EX3 = parse_coeff_expr("1 - cospi2(2*n - j)")._fn
 
 
-def _formula_source(family: str, order: int, a: Callable[[int, int], int | Fraction],
+def _formula_source(family: str, order: int, a: Callable[[int, int], Tuple[int, int]],
                     banded: bool, regular: bool) -> RowSource:
-    """The rows of a formula family: row n holds ``a(n, j)`` at columns
-    ``n..n+order`` if ``banded``, else ``0..n+order``.  The trailing
+    """The rows of a formula family: row n holds ``a(n, j)``, a reduced pair,
+    at columns ``n..n+order`` if ``banded``, else ``0..n+order``.  The trailing
     coefficient ``a(n, n+order)`` is evaluated first; a ``regular`` family
     claims it never vanishes, and only a regular banded family has a band."""
     def formula_row(n: int) -> FiniteRow:
-        lead = a(n, n + order)
-        if regular and lead == 0:
+        top = n + order
+        lead = a(n, top)
+        if regular and not lead[0]:
             raise SpecError(f"family {family!r} claims regular order {order} but the "
                             f"trailing coefficient vanishes at n={n}")
-        entries = [(j, a(n, j)) for j in range(n if banded else 0, n + order)]
-        entries.append((n + order, lead))
-        return FiniteRow._from_sorted(entries)
+        return FiniteRow._raw([(j, v[0], v[1]) for j in range(n if banded else 0, top + 1)
+                               if (v := a(n, j) if j < top else lead)[0]])
 
     return RowSource(formula_row, regular_order_index=order if regular else None,
                      band=order if regular and banded else None)
@@ -483,13 +492,13 @@ def build_family(spec: Mapping) -> RowSource:
 
     if family == "first_order":
         a = _coeff(_require(spec, "a", family), "a", per_n=True)
-        return _formula_source(family, 1, lambda n, j: -a(n, j) if j == n else 1,
-                               banded=True, regular=True)
+        return _formula_source(family, 1, lambda n, j: (-(v := a(n, j))[0], v[1]) if j == n
+                               else (1, 1), banded=True, regular=True)
 
     if family == "second_order":
         a, b = (_coeff(_require(spec, key, family), key, per_n=True) for key in "ab")
         return _formula_source(
-            family, 2, lambda n, j: a(n, j) if j == n else b(n, j) if j == n + 1 else 1,
+            family, 2, lambda n, j: a(n, j) if j == n else b(n, j) if j == n + 1 else (1, 1),
             banded=True, regular=True)
 
     if family in ("n_order", "ascending"):

@@ -57,7 +57,7 @@ def reference_eval(node, n, j):
 
 
 # the globals compiled code may read: the helpers it is evaluated against
-_OWN_GLOBALS = {"Fraction", "_COSPI2", "_raise", "_cospi2", "type", "int"}
+_OWN_GLOBALS = {"_COSPI2", "_raise", "_pow", "_ratio", "_reduced"}
 
 
 def own_names(expr) -> bool:
@@ -89,12 +89,18 @@ CASES = {
                                    [(3, 5), (0, 5), (4, None)]),
     "cospi2-chain": ("cospi2(" * (MAX_DEPTH - 2) + "n/2" + ")" * (MAX_DEPTH - 2),
                      MAX_DEPTH, [(4, None), (6, None), (3, None)]),
+    # each cospi2 call is an int operand of a sum of pairs, written as a pair
+    "cospi2-of-pairs-chain": ("1/n + cospi2(" * 24 + "2/n" + ")" * 24, MAX_DEPTH,
+                              [(1, None), (-1, None), (2, None), (0, None)]),
     "power-chain": ("(" * 23 + "(n-j)" + "^1)" * 22 + "^2)" + f"^{MAX_EXPONENT // 2}",
                     MAX_DEPTH, [(3, 1), (1, 3), (2, 2), (2, None)]),
     "longest-literal": ("9" * _LONGEST + " - n/" + "7" * _LONGEST, None,
                         [(2, None), (-5, None)]),
     "largest-exponent": (f"(n/2 - j)^{MAX_EXPONENT}", None,
                          [(3, 0), (4, 1), (4, 3), (1, None)]),
+    # a quotient not in lowest terms, reduced before it is raised
+    "largest-exponent-of-a-quotient": (f"(n*n/(n*n))^{MAX_EXPONENT}", None,
+                                       [(3, None), (-2, None), (0, None)]),
 }
 
 

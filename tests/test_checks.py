@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from rowfinite import cli
 from rowfinite import hessenberg as hb
 from rowfinite import (EliminationState, EquationSpec, FiniteRow, SpecError,
                        build_family, run)
@@ -136,3 +137,25 @@ def test_expectation_is_reported_on_its_own_line(showcase):
     assert checked(wrong, state) == {"left-association": True,
                                      "expected-pair": False,
                                      "qhf-postulates": True, "residual": True}
+
+
+def test_verify_fetches_each_consumed_row_once(monkeypatch, capsys):
+    # the elimination and every check, the N + 1 closed forms of the
+    # cross-check included, read the rows verify fetched
+    source = build_family({"family": "n_order", "N": 2, "a": "n*j - j^2/(n+1) + 1"})
+    fetched = []
+
+    def row_fn(n):
+        fetched.append(n)
+        return source.row_fn(n)
+
+    counted = dataclasses.replace(source, row_fn=row_fn)
+    monkeypatch.setattr(cli, "_load_source", lambda args: EquationSpec(counted))
+    assert cli.main(["verify", "--horizon", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS hessenberg-cross-check"
+    assert fetched == list(range(12))
+    # run_checks on its own fetches each consumed row once more
+    state = run(counted, 12)
+    fetched.clear()
+    assert all(passed for _, passed in run_checks(EquationSpec(counted), state, 0))
+    assert fetched == list(range(12))

@@ -250,8 +250,8 @@ def through_evaluate(text, takes_j):
        st.one_of(_texts, _zero_divisions), _texts, st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=12))
 def test_rows_from_closure_values_match_rows_from_evaluate(family, a, b, order, n):
-    # row builders take the compiled code's int or Fraction values
-    # unboxed; rows and error texts must be those built from Fractions
+    # row builders take the compiled code's integer pairs as they are;
+    # rows and error texts must be those built from Fractions
     try:
         parse_coeff_expr(a), parse_coeff_expr(b)
     except ExprSyntaxError:   # a draw past MAX_DEPTH or MAX_EXPONENT

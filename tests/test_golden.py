@@ -7,7 +7,8 @@ directory written as ``<dir>``; argparse's usage text above it varies
 between Python versions).  The
 invocations cover all five commands, every builtin family, every
 ``--format`` and the exit codes 1 to 4.  A change meant to alter an output
-re-records the digests and says which ones moved:
+re-records the digests, which prints each case whose digest moved, was added
+or was dropped:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -168,13 +169,47 @@ def test_output_matches_the_recorded_digest(name, spec_dir, recorded):
     assert observe(CASES[name], spec_dir) == recorded[name]
 
 
-def record() -> None:
+def changes(old: dict, new: dict) -> list:
+    """One line per case whose digest moved, was added or was dropped."""
+    return ([f"moved {name}" for name in sorted(old.keys() & new.keys())
+             if old[name] != new[name]]
+            + [f"added {name}" for name in sorted(new.keys() - old.keys())]
+            + [f"dropped {name}" for name in sorted(old.keys() - new.keys())])
+
+
+def record(path: str = DIGESTS) -> None:
+    """Re-record the digests at ``path`` and print which ones changed."""
     with tempfile.TemporaryDirectory() as spec_dir:
         write_specs(spec_dir)
         table = {name: observe(argv, spec_dir) for name, argv in sorted(CASES.items())}
-    with open(DIGESTS, "w", encoding="utf-8") as fh:
+    old = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            old = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    print("\n".join(changes(old, table)) or "no digest changed")
+
+
+def test_record_reports_each_case_that_changed(tmp_path, monkeypatch, capsys):
+    kept = ("exit2-unknown-family", "exit2-horizon-zero", "exit2-usage")
+    monkeypatch.setitem(globals(), "CASES", {name: CASES[name] for name in kept})
+    path = str(tmp_path / "digests.json")
+    record(path)
+    assert capsys.readouterr().out.splitlines() == [
+        "added exit2-horizon-zero", "added exit2-unknown-family", "added exit2-usage"]
+    with open(path, encoding="utf-8") as fh:
+        table = json.load(fh)
+    table["exit2-horizon-zero"]["code"] = 0
+    table["gone"] = table.pop("exit2-usage")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(table, fh)
+    record(path)
+    assert capsys.readouterr().out.splitlines() == [
+        "moved exit2-horizon-zero", "added exit2-usage", "dropped gone"]
+    record(path)
+    assert capsys.readouterr().out.splitlines() == ["no digest changed"]
 
 
 if __name__ == "__main__":

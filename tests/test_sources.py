@@ -1,12 +1,15 @@
+import fractions
 import json
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rowfinite import (EvalError, FiniteRow, SpecError, as_scalar, build_family,
-                       equation_from_obj, load_equation, parse_coeff_expr)
+from rowfinite import (EvalError, ExprSyntaxError, FiniteRow, SpecError, as_scalar,
+                       build_family, equation_from_obj, load_equation, parse_coeff_expr)
 from rowfinite.sources import CoeffExpr, RowSource
 
 
@@ -186,7 +189,7 @@ def reference_coeff_n(value, name):
     if isinstance(value, str):
         value = parse_coeff_expr(value)
     if isinstance(value, CoeffExpr):
-        return lambda n: value._fn(n, None)
+        return lambda n: value.evaluate(n)
     if isinstance(value, (int, Fraction)):
         const = as_scalar(value)
         return lambda n: const
@@ -208,7 +211,7 @@ def reference_coeff_nj(value, name):
     if isinstance(value, str):
         value = parse_coeff_expr(value)
     if isinstance(value, CoeffExpr):
-        return value._fn
+        return value.evaluate
     if isinstance(value, (int, Fraction)):
         const = as_scalar(value)
         return lambda n, j: const
@@ -217,21 +220,21 @@ def reference_coeff_nj(value, name):
     raise SpecError(f"parameter {name!r} must be an expression, constant, or callable")
 
 
-_REF_EX2 = tuple(parse_coeff_expr(text)._fn
+_REF_EX2 = tuple(parse_coeff_expr(text).evaluate
                  for text in ("2*n*(n+1)", "-(n^2 + 3*n - 2)", "n - 1"))
-_REF_EX3 = parse_coeff_expr("1 - cospi2(2*n - j)")._fn
+_REF_EX3 = parse_coeff_expr("1 - cospi2(2*n - j)").evaluate
 
 
 def reference_family(spec):
     family = spec["family"]
     if family == "first_order":
         a = reference_coeff_n(spec["a"], "a")
-        return RowSource(lambda n: FiniteRow._from_sorted([(n, -a(n)), (n + 1, 1)]),
+        return RowSource(lambda n: FiniteRow([(n, -a(n)), (n + 1, 1)]),
                          regular_order_index=1, band=1)
     if family == "second_order":
         a = reference_coeff_n(spec["a"], "a")
         b = reference_coeff_n(spec["b"], "b")
-        return RowSource(lambda n: FiniteRow._from_sorted(
+        return RowSource(lambda n: FiniteRow(
             [(n, a(n)), (n + 1, b(n)), (n + 2, 1)]), regular_order_index=2, band=2)
     if family in ("n_order", "ascending"):
         order = spec["N"]
@@ -249,15 +252,15 @@ def reference_family(spec):
                 )
             entries = [(j, a(n, j)) for j in range(lo_of(n), n + order)]
             entries.append((n + order, lead))
-            return FiniteRow._from_sorted(entries)
+            return FiniteRow(entries)
 
         return RowSource(regular_row, regular_order_index=order,
                          band=order if family == "n_order" else None)
     if family == "example2":
-        return RowSource(lambda n: FiniteRow._from_sorted(
+        return RowSource(lambda n: FiniteRow(
             [(n + i, fn(n, None)) for i, fn in enumerate(_REF_EX2)]))
     assert family == "example3"
-    return RowSource(lambda n: FiniteRow._from_sorted(
+    return RowSource(lambda n: FiniteRow(
         [(j, _REF_EX3(n, j)) for j in range(n + 3)]))
 
 
@@ -319,3 +322,114 @@ class TestFormulaBuilder:
     def test_rows_and_tags_match_the_old_closures(self, spec):
         assert (family_outcome(build_family, spec)
                 == family_outcome(reference_family, spec))
+
+
+# --- canonical triples: lowest terms, a positive denominator, no zero
+
+def canonical(row):
+    return all(num and den > 0 and gcd(num, den) == 1 for _, num, den in row.int_items())
+
+
+# quotients with negative denominators, not in lowest terms, and under
+# negation, powers and cospi2
+_QUOTIENT_TEXTS = st.recursive(
+    st.sampled_from(["n", "j", "2", "1/(1 - n)", "(j - n)/(n - 3)", "(2*n)/(4 - 2*j)"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        sub.map(lambda t: f"-({t})"),
+        st.tuples(sub, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        sub.map(lambda t: f"cospi2(({t})*(2 - 2*n)/(1 - n))"),   # an integer at n != 1
+    ),
+    max_leaves=4,
+)
+
+
+@given(st.sampled_from(["n_order", "ascending"]), _QUOTIENT_TEXTS,
+       st.integers(0, 2), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_formula_rows_are_canonical_and_match_rows_from_evaluate(family, text, order, n):
+    try:
+        expr = parse_coeff_expr(text)
+        values = [(j, expr.evaluate(n, j))
+                  for j in range(n if family == "n_order" else 0, n + order + 1)]
+    except (ExprSyntaxError, EvalError):
+        assume(False)
+    assume(values[-1][1] != 0)
+    row = build_family({"family": family, "N": order, "a": text}).row_at(n)
+    assert canonical(row)
+    assert row == FiniteRow(values)
+
+
+def _per_n_value(param, n):
+    if isinstance(param, list):
+        return as_scalar(param[n])
+    if callable(param):
+        return Fraction(param(n))
+    return parse_coeff_expr(param).evaluate(n)
+
+
+_PER_N = st.sampled_from([
+    ["4/6", "-0", "+3", Fraction(3, -9), 7, "-10/4"],
+    lambda n: Fraction(n - 2, 1 - 2 * n),
+    lambda n: 2 - n,
+    "1/(1 - n)", "-((n + 1)/(2 - 2*n))^2", "(n*n)/(n - 4)", "cospi2(2*n/(3 - n))",
+])
+
+
+@given(_PER_N, _PER_N, st.integers(0, 5))
+def test_per_n_rows_are_canonical_and_match_rows_from_evaluate(a, b, n):
+    try:
+        a_n, b_n = _per_n_value(a, n), _per_n_value(b, n)
+    except EvalError:
+        assume(False)
+    first = build_family({"family": "first_order", "a": a}).row_at(n)
+    second = build_family({"family": "second_order", "a": a, "b": b}).row_at(n)
+    assert canonical(first) and canonical(second)
+    assert first == FiniteRow([(n, -a_n), (n + 1, 1)])
+    assert second == FiniteRow([(n, a_n), (n + 1, b_n), (n + 2, 1)])
+
+
+@pytest.mark.parametrize("text", ["4/6", "-0", "+3", "007/14", "-10/4", " 5 "])
+def test_explicit_entries_are_canonical(text):
+    row = build_family({"family": "explicit", "rows": [[[0, text], [2, "1"]]]}).row_at(0)
+    assert canonical(row)
+    assert row == FiniteRow([(0, Fraction(text)), (2, 1)])
+
+
+def test_a_denominator_led_by_zero_is_no_literal():
+    # Fraction reads "007/014"; the rule "q > 0 starts with a nonzero digit"
+    # rejects it, as it always did
+    with pytest.raises(ValueError, match="not a rational literal: '007/014'"):
+        build_family({"family": "explicit", "rows": [[[0, "007/014"]]]})
+
+
+def fraction_calls(build):
+    """The functions of the ``fractions`` module that run while ``build()`` does."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        build()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_rows_are_built_without_a_fraction():
+    expr = parse_coeff_expr("n*j - j^2/(n+1) + 1 - cospi2(n/(n+1)*(n+1))")
+    assert "Fraction" not in expr._fn.__code__.co_names
+    assert Fraction not in expr._fn.__globals__.values()
+    specs = [{"family": "n_order", "N": 3, "a": expr.text},
+             {"family": "ascending", "N": 1, "a": "(j - 2*n)/(-1 - n) + 3"},
+             {"family": "first_order", "a": lambda n: n + 2},
+             {"family": "second_order", "a": ["1/2", -3, "4/6", "-0", 5],
+              "b": "-(n + 1)/2"},
+             {"family": "example2"}, {"family": "example3"}]
+    sources = [build_family(spec) for spec in specs]
+    assert fraction_calls(lambda: [src.row_at(n) for src in sources for n in range(5)]) == []
+    rows = [[[0, "4/6"], [3, "-2"], [4, "+0"]], [[1, 7], [2, "-10/4"]]]
+    assert fraction_calls(lambda: build_family({"family": "explicit", "rows": rows})) == []
