@@ -10,7 +10,7 @@ from .elimination import EliminationState, EngineError, check_invariants, run
 from .solver import (AccessibleIndexError, FundamentalSet, InaccessibleLengths,
                      InconsistentSystemError, fundamental_set,
                      general_solution, inaccessible_lengths)
-from .hessenberg import HessSpec, general_prefix, hess_spec_from_source
+from .hessenberg import general_prefix
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,6 @@ __all__ = [
     "AccessibleIndexError", "FundamentalSet", "InaccessibleLengths",
     "InconsistentSystemError", "fundamental_set", "general_solution",
     "inaccessible_lengths",
-    "HessSpec", "general_prefix", "hess_spec_from_source",
+    "general_prefix",
     "__version__",
 ]

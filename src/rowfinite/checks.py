@@ -113,8 +113,8 @@ def hessenberg_cross_check(state: elimination.EliminationState,
     g = [_random_scalar(rng) for _ in range(state.k)]
     cases = [(g, [0] * order)] + [(None, [int(i == s) for i in range(order)])
                                   for s in range(order)]
-    return all(closed_form_matches(state, forcing, init, hb.general_prefix(
-                   hb.hess_spec_from_source(source, forcing, init), state.k))
+    return all(closed_form_matches(state, forcing, init,
+                                   hb.general_prefix(source, forcing, init, state.k))
                for forcing, init in cases)
 
 
@@ -135,6 +135,6 @@ def run_checks(eq: EquationSpec, state: elimination.EliminationState,
         results.append(("qhf-postulates", False))
     results.append(("residual", residual_check(state, rows, rng)))
     if eq.source.regular_order_index is not None:
-        held = RowSource(rows.__getitem__, eq.source.regular_order_index, band=eq.source.band)
+        held = RowSource(rows.__getitem__, eq.source.regular_order_index)
         results.append(("hessenberg-cross-check", hessenberg_cross_check(state, held, rng)))
     return results

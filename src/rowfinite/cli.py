@@ -296,8 +296,7 @@ def cmd_hess(args) -> int:
             raise SpecError(f"initial values live at indices 0..{order - 1}, got {key}" if order
                             else f"an equation of order 0 takes no initial values, got {key}")
     init = [free.get(i, Fraction(0)) for i in range(order)]
-    spec = hb.hess_spec_from_source(source, g, init)
-    values = hb.general_prefix(spec, args.terms)
+    values = hb.general_prefix(source, g, init, args.terms)
 
     match = None
     if args.verify_against_elimination:

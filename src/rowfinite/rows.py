@@ -99,7 +99,8 @@ def format_scalar(value: Fraction) -> str:
 
 def as_ratio(value: ScalarLike) -> Tuple[int, int]:
     """``value`` in lowest terms, a numerator and a positive denominator; a
-    ``str`` is ``"p"`` or ``"p/q"`` (sign on p, q > 0, ASCII digits only)."""
+    ``str`` is ``"p"`` or ``"p/q"`` (sign on p, q > 0, ASCII digits only;
+    p may start with zeros, q may not: ``"007/14"`` is read, ``"1/02"`` not)."""
     if isinstance(value, str):
         match = _SCALAR_RE.match(value.strip())
         if not match:

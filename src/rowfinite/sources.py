@@ -38,11 +38,10 @@ The constant- and ascending-order families (``first_order``,
 N``: every trailing coefficient is nonzero, so their rows come in strictly
 increasing length order and the elimination of them is certified.  The
 regularity claim is checked lazily, row by row, because nonvanishing of an
-arbitrary coefficient expression for all n is not decidable up front.  The
-banded families (``first_order``, ``second_order``, ``n_order``) also carry
-``band``, the number of columns left of the trailing one that a row can
-occupy (1, 2 and N), so that the closed form in :mod:`rowfinite.hessenberg`
-skips the entries known to be zero.
+arbitrary coefficient expression for all n is not decidable up front.  Rows
+store only their nonzero entries, so whoever reads them (the elimination,
+the closed form in :mod:`rowfinite.hessenberg`) pays for N + 1 entries per
+row of a banded family and for n + N + 1 of ``ascending``.
 The order N of ``n_order`` and ``ascending`` is at most ``MAX_ORDER``, and
 a column of an ``explicit`` or ``expect`` row at most ``MAX_COLUMN``.
 
@@ -399,14 +398,13 @@ def _coeff(value, name: str, per_n: bool) -> Callable[[int, Optional[int]], Tupl
 class RowSource:
     """On-demand producer of the rows of a row-finite matrix.
 
-    ``band``, when set, says that row n has no entry left of column
-    ``n + regular_order_index - band``.
+    ``regular_order_index``, when set, is an order N such that row n ends
+    at column n + N; :func:`rowfinite.hessenberg.general_prefix` checks it.
     """
 
     row_fn: Callable[[int], FiniteRow]
     regular_order_index: Optional[int] = None
     row_count: Optional[int] = None
-    band: Optional[int] = None
 
     def row_at(self, n: int) -> FiniteRow:
         if not isinstance(n, int) or n < 0:
@@ -466,7 +464,7 @@ def _formula_source(family: str, order: int, a: Callable[[int, int], Tuple[int, 
     """The rows of a formula family: row n holds ``a(n, j)``, a reduced pair,
     at columns ``n..n+order`` if ``banded``, else ``0..n+order``.  The trailing
     coefficient ``a(n, n+order)`` is evaluated first; a ``regular`` family
-    claims it never vanishes, and only a regular banded family has a band."""
+    claims it never vanishes."""
     def formula_row(n: int) -> FiniteRow:
         top = n + order
         lead = a(n, top)
@@ -476,8 +474,7 @@ def _formula_source(family: str, order: int, a: Callable[[int, int], Tuple[int, 
         return FiniteRow._raw([(j, v[0], v[1]) for j in range(n if banded else 0, top + 1)
                                if (v := a(n, j) if j < top else lead)[0]])
 
-    return RowSource(formula_row, regular_order_index=order if regular else None,
-                     band=order if regular and banded else None)
+    return RowSource(formula_row, regular_order_index=order if regular else None)
 
 
 def build_family(spec: Mapping) -> RowSource:

@@ -6,7 +6,7 @@ from typing import Tuple
 import pytest
 from hypothesis import strategies as st
 
-from rowfinite import (FiniteRow, HessSpec, as_scalar, build_family,
+from rowfinite import (FiniteRow, RowSource, as_scalar, build_family,
                        check_invariants, general_prefix)
 
 
@@ -75,15 +75,17 @@ class LowerHessenberg:
 
 
 def hess_det(matrix):
-    """Determinant of ``matrix`` by the production recurrence: with index 0
-    and the band entries as coefficients, term n-1 of ``general_prefix`` is
-    (-1)^(n-1) times the leading principal minor of order n."""
+    """Determinant of ``matrix`` by the production recurrence: over the
+    order-0 source whose row r holds entry (r, c+1) at column c < r and 1 at
+    column r, with the first column as forcing, term n-1 of
+    ``general_prefix`` is (-1)^(n-1) times the leading principal minor of
+    order n."""
     n = matrix.order
     if n == 0:
         return Fraction(1)
-    spec = HessSpec(index=0, coeff=lambda r, c: matrix.entry(r, c + 1),
-                    forcing=lambda r: matrix.first_column[r])
-    last = general_prefix(spec, n)[-1]
+    source = RowSource(lambda r: FiniteRow(
+        [(c, matrix.entry(r, c + 1)) for c in range(r)] + [(r, 1)]), regular_order_index=0)
+    last = general_prefix(source, matrix.first_column, (), n)[-1]
     return -last if n % 2 == 0 else last
 
 

@@ -14,8 +14,8 @@ import pytest
 
 from rowfinite import (EliminationState, FiniteRow, InconsistentSystemError,
                        build_family, check_invariants, fundamental_set,
-                       general_prefix, general_solution, hess_spec_from_source,
-                       inaccessible_lengths, run)
+                       general_prefix, general_solution, inaccessible_lengths,
+                       run)
 from rowfinite.checks import left_association
 from conftest import (LowerHessenberg, dense, frechet_distance, hess_det,
                       naive_det, random_explicit_rows, random_regular_source,
@@ -153,23 +153,21 @@ def test_criterion_4_closed_form_oracle_equivalence():
             state = run(src, horizon)
             g = [random_scalar(rng) for _ in range(horizon)]
             init = [random_scalar(rng) for _ in range(order)]
-            spec = hess_spec_from_source(src, g, init)
 
             # fundamental: zero forcing, unit initial values
             fund = fundamental_set(state, order, order + horizon)
             for i in range(order):
                 unit = [Fraction(int(c == i)) for c in range(order)]
-                xi = general_prefix(hess_spec_from_source(src, None, unit), horizon)
+                xi = general_prefix(src, None, unit, horizon)
                 assert xi == list(fund.sequences[i][order:])
 
             # particular: zero initial values
             part = general_solution(state, g, {}, order + horizon)
             zeros = [Fraction(0)] * order
-            assert general_prefix(hess_spec_from_source(src, g, zeros),
-                                  horizon) == part[order:]
+            assert general_prefix(src, g, zeros, horizon) == part[order:]
 
             sol = general_solution(state, g, dict(enumerate(init)), order + horizon)
-            assert general_prefix(spec, horizon) == sol[order:]
+            assert general_prefix(src, g, init, horizon) == sol[order:]
             for n in range(horizon):
                 assert src.row_at(n).dot_prefix(sol) == g[n]
 
@@ -265,12 +263,10 @@ def test_criterion_8_closed_form_degenerations():
         for c0 in (Fraction(1), Fraction(-3, 2)):
             terms = general_solution(state, zeros, {0: c0}, 9)[1:]
             assert terms == [2 ** (n + 1) * c0 for n in range(8)]
-        spec = hess_spec_from_source(src, None, [Fraction(1)])
-        assert general_prefix(spec, 8) == [2 ** (n + 1) for n in range(8)]
+        assert general_prefix(src, None, [Fraction(1)], 8) == [2 ** (n + 1) for n in range(8)]
 
         ones = [Fraction(1)] * 8
         expected = [1, 3, 7, 15, 31]
         elimination_path = general_solution(state, ones, {0: 0}, 6)[1:]
         assert elimination_path == expected
-        spec = hess_spec_from_source(src, ones, [Fraction(0)])
-        assert general_prefix(spec, 5) == expected
+        assert general_prefix(src, ones, [Fraction(0)], 5) == expected

@@ -91,15 +91,12 @@ def test_initial_values_dropped_without_forcing_fail_the_cross_check(regular,
     eq, state = regular
     real = hb.general_prefix
 
-    def faulty(spec, count):
-        if spec.forcing_terms is None:
-            spec = dataclasses.replace(spec, init=(0,) * spec.index)
-        return real(spec, count)
+    def faulty(source, g, init, count):
+        return real(source, g, init if g is not None else (0,) * len(init), count)
 
     monkeypatch.setattr(hb, "general_prefix", faulty)
     g, init = [1, -2, 3, 0, 5, 1], [2, -1]
-    spec = hb.hess_spec_from_source(eq.source, g, init)
-    assert closed_form_matches(state, g, init, hb.general_prefix(spec, state.k))
+    assert closed_form_matches(state, g, init, hb.general_prefix(eq.source, g, init, state.k))
     assert checked(eq, state)["hessenberg-cross-check"] is False
 
 

@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rowfinite import (EliminationState, FiniteRow, build_family, cli,
-                       format_scalar, general_prefix, hess_spec_from_source,
-                       run, solver)
+                       format_scalar, general_prefix, run, solver)
 from rowfinite.cli import main
 from rowfinite.sources import MAX_COLUMN
 from conftest import corrupt_transform_row, dense, shuffled_length_rows
@@ -485,7 +484,7 @@ class TestHess:
         # a closed form that is wrong at its last term
         real = cli.hb.general_prefix
         monkeypatch.setattr(cli.hb, "general_prefix",
-                            lambda spec, count: real(spec, count)[:-1] + [0])
+                            lambda *args: real(*args)[:-1] + [0])
         spec = tmp_path / "rec.json"
         spec.write_text(json.dumps({"family": "first_order", "a": "2",
                                     "g": ["1"] * 8}))
@@ -499,7 +498,8 @@ class TestHess:
             "elimination_match": False}))
 
     def test_order_zero_cross_check_match(self, capsys, tmp_path):
-        # N = 0: band 0, so each term reads only its own forcing value
+        # N = 0: each row holds only its trailing entry, so each term reads
+        # only its own forcing value
         spec = tmp_path / "diag.json"
         spec.write_text(json.dumps({"family": "n_order", "N": 0, "a": "n+1"}))
         code, out, _ = run_cli(capsys, "hess", "--spec", str(spec), "--terms", "4",
@@ -1008,8 +1008,7 @@ class TestTermListJson:
         assert code == 0
         source = build_family(obj)
         g = [Fraction(v) for v in obj["g"]]
-        values = general_prefix(
-            hess_spec_from_source(source, g, [1, Fraction(-1, 2)]), 10)
+        values = general_prefix(source, g, [1, Fraction(-1, 2)], 10)
         payload = {"command": "hess", "index": 2,
                    "terms": terms_payload(values, 0)}
         if check:
@@ -1024,7 +1023,7 @@ class TestTermListJson:
         code, out, _ = run_cli(capsys, "hess", "--spec", str(spec), "--terms", "60",
                                "--free", "0=1")
         assert code == 0
-        values = general_prefix(hess_spec_from_source(build_family(obj), None, [1]), 60)
+        values = general_prefix(build_family(obj), None, [1], 60)
         assert len(format_scalar(values[-1])) > 4300
         assert out == generic_json({"command": "hess", "index": 1,
                                     "terms": terms_payload(values, 0)})

@@ -98,7 +98,7 @@ CASES = {
     "verify-example3": "verify --family example3 --horizon 12",
     "verify-second_order": "verify --spec {dir}/second_order.json --horizon 8",
     "verify-n_order": "verify --spec {dir}/n_order.json --horizon 6 --seed 7",
-    # no band: the cross-check's closed forms read every coefficient
+    # dense rows: the cross-check's closed forms read every coefficient
     "verify-ascending": "verify --spec {dir}/ascending.json --horizon 8",
     "verify-explicit": "verify --spec {dir}/explicit.json --horizon 5",
     "verify-expect-ok": "verify --spec {dir}/expect_ok.json --horizon 2",

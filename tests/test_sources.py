@@ -230,12 +230,12 @@ def reference_family(spec):
     if family == "first_order":
         a = reference_coeff_n(spec["a"], "a")
         return RowSource(lambda n: FiniteRow([(n, -a(n)), (n + 1, 1)]),
-                         regular_order_index=1, band=1)
+                         regular_order_index=1)
     if family == "second_order":
         a = reference_coeff_n(spec["a"], "a")
         b = reference_coeff_n(spec["b"], "b")
         return RowSource(lambda n: FiniteRow(
-            [(n, a(n)), (n + 1, b(n)), (n + 2, 1)]), regular_order_index=2, band=2)
+            [(n, a(n)), (n + 1, b(n)), (n + 2, 1)]), regular_order_index=2)
     if family in ("n_order", "ascending"):
         order = spec["N"]
         if not isinstance(order, int) or isinstance(order, bool) or order < 0:
@@ -254,8 +254,7 @@ def reference_family(spec):
             entries.append((n + order, lead))
             return FiniteRow(entries)
 
-        return RowSource(regular_row, regular_order_index=order,
-                         band=order if family == "n_order" else None)
+        return RowSource(regular_row, regular_order_index=order)
     if family == "example2":
         return RowSource(lambda n: FiniteRow(
             [(n + i, fn(n, None)) for i, fn in enumerate(_REF_EX2)]))
@@ -265,9 +264,9 @@ def reference_family(spec):
 
 
 def family_outcome(build, spec):
-    """The source's tags and rows 0..7 as integer triples, ended by the type
-    and message of the first error; or the error building it raises.  Any
-    exception counts: a callable parameter may raise anything."""
+    """The source's regular order and rows 0..7 as integer triples, ended
+    by the type and message of the first error; or the error building it
+    raises.  Any exception counts: a callable parameter may raise anything."""
     try:
         src = build(spec)
     except Exception as exc:
@@ -279,7 +278,7 @@ def family_outcome(build, spec):
         except Exception as exc:
             rows.append((type(exc), str(exc)))
             break
-    return src.regular_order_index, src.band, rows
+    return src.regular_order_index, rows
 
 
 def _from_text(text):
