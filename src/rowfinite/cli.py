@@ -25,6 +25,7 @@ rejected on reading (exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -296,6 +297,10 @@ def cmd_hess(args) -> int:
             raise SpecError(f"initial values live at indices 0..{order - 1}, got {key}" if order
                             else f"an equation of order 0 takes no initial values, got {key}")
     init = [free.get(i, Fraction(0)) for i in range(order)]
+    if args.verify_against_elimination:
+        # both paths read rows 0..terms-1: each is fetched once, the first
+        # time the closed form reads it, so its errors still fire in row order
+        source = replace(source, row_fn=functools.cache(source.row_fn))
     values = hb.general_prefix(source, g, init, args.terms)
 
     match = None

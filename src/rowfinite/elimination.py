@@ -25,8 +25,13 @@ Each consumed row passes through three steps:
    pivot column.  One pass over the incoming row's entries in increasing
    column order therefore clears it: at each pivot column, the pivot row
    is subtracted times the incoming row's own coefficient there.  The
-   survivor is then normalized so its rightmost coefficient is 1; its
-   length differs from every existing pivot length.
+   survivor is scaled so its rightmost coefficient is 1; its length
+   differs from every existing pivot length.  When the row's own length is
+   not a pivot length, every pivot row subtracted is shorter than the row,
+   so the survivor ends in the row's own rightmost coefficient: clearing
+   and scaling are then one ``FiniteRow.combine``, which normalizes each
+   entry once.  Otherwise the survivor is shorter, or zero, and is scaled
+   by its own rightmost coefficient after clearing.
 2. *Cross clearing* (the Jordan half) -- when the survivor's length falls
    strictly below the greatest existing pivot length, it is used as a pivot
    to zero the matching column of every stored row.  Only the rows that
@@ -129,11 +134,20 @@ class EliminationState:
         """
         mu = self.mu
         clear = []
+        at_pivot = True   # the zero row takes the branch that scales after
         for col, num, den in row.int_items():
             rank = bisect_left(mu, col)
-            if rank < len(mu) and mu[rank] == col:
+            at_pivot = rank < len(mu) and mu[rank] == col
+            if at_pivot:
                 clear.append((self.j_set[rank], -num if den == 1 else Fraction(-num, den)))
-        work = row.combine([(m, self.h_rows[pos]) for pos, m in clear])
+        terms = [(m, self.h_rows[pos]) for pos, m in clear]
+        if not at_pivot:
+            # every pivot row used is shorter than the row, so the survivor
+            # ends in the row's own last entry, num/den: clear and scale at once
+            inv = None if num == den else Fraction(den, num)
+            return row.combine(terms, inv), PushLog(clear, inv)
+        # the row ends at a pivot column: the survivor is shorter, or zero
+        work = row.combine(terms)
         inv = None
         if not work.is_zero:
             lead = work.leading

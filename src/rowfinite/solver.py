@@ -10,8 +10,9 @@ through the elimination log as a one-column matrix with
 ``FiniteRow.combine``, the kernel that builds ``Q``, reads how many forcing
 terms it needs off ``stable_since()``, and a nonzero value at a zero row
 raises :class:`InconsistentSystemError` with those rows in ``violated``.
-Each term at a pivot column is then one ``dot_prefix`` of the pivot row
-against the free constants.  A particular solution is
+Each term at a pivot column is then one integer pair
+(``rows.sum_products``): the transformed forcing value minus the pivot row
+against the free constants, normalized once.  A particular solution is
 ``general_solution(state, g, {}, terms)``, a homogeneous one
 ``general_solution(state, None, free, terms)``.  The
 fundamental sequence of an inaccessible column s is the homogeneous solution
@@ -36,7 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .elimination import EliminationState
 from .rows import (ZERO_ROW, FiniteRow, Scalar, ScalarLike, as_scalar,
-                   short_forcing, to_fraction)
+                   short_forcing, sum_products, to_fraction)
 from .sources import SpecError
 
 
@@ -145,9 +146,11 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
     The terms start as the free constants (0 where unset); one walk over
     the pivot rows below ``terms`` then overwrites each pivot column m with
     the transformed forcing value of its row (0 when ``g`` is None) minus
-    the row's ``dot_prefix`` against the terms so far, whose entry at m is
+    the row's inner product with the terms so far, whose entry at m is
     still 0: the row is zero at every other pivot column, so only the free
-    constants, all left of m, contribute to it.
+    constants, all left of m, contribute to it.  Each term is summed on one
+    integer pair, started from the forcing value's reduced pair, and
+    normalized once.
 
     Checks, in this order: ``terms``; the free constants; that ``g`` covers
     the transform rows at the zero rows; consistency; that ``g`` covers the
@@ -157,7 +160,7 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
     _check_terms(state, terms)
     constants = _checked_free(state, free)
     rank = bisect_left(state.mu, terms)
-    forcing = [Fraction(0)] * state.k
+    forcing = [(0, 1)] * state.k
     if g is not None:
         forcing = _replayed(state, g)
         # Q[n] . g reads g_0..g_length: a zero row w has length w, and
@@ -167,7 +170,7 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
                          state.stable_since()[state.j_set[rank - 1]] if rank else -1)
         if last_zero >= len(g):
             raise short_forcing(len(g), needed)
-        violated = [w for w in state.w_set if forcing[w] != 0]
+        violated = [w for w in state.w_set if forcing[w][0]]
         if violated:
             raise InconsistentSystemError(violated)
         if needed > len(g):
@@ -177,16 +180,21 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
         if col < terms:
             out[col] = c
     for m, pos in zip(state.mu[:rank], state.j_set):
-        out[m] = forcing[pos] - state.h_rows[pos].dot_prefix(out) if constants else forcing[pos]
+        entries = state.h_rows[pos].int_items() if constants else ()
+        tn, td = sum_products(((-num, den, out[col]) for col, num, den in entries),
+                              *forcing[pos])
+        out[m] = Fraction(tn, td)
     return out
 
 
-def _replayed(state: EliminationState, g: Sequence[ScalarLike]) -> List[Scalar]:
-    """``Q[n] . g`` at every position n: the log replayed on the forcing
-    as a one-column matrix, whose row k is ``(0, g[k])``, by
-    ``FiniteRow.combine``.  Terms past the prefix are taken as 0; they reach
-    only the positions whose transform row is longer, which the caller checks."""
+def _replayed(state: EliminationState, g: Sequence[ScalarLike]) -> List[Tuple[int, int]]:
+    """``Q[n] . g`` at every position n, as a numerator and a positive
+    denominator in lowest terms: the log replayed on the forcing as a
+    one-column matrix, whose row k is ``(0, g[k])``, by ``FiniteRow.combine``.
+    Terms past the prefix are taken as 0; they reach only the positions whose
+    transform row is longer, which the caller checks."""
     units = [FiniteRow._raw([(0, v.numerator, v.denominator)]) if v else ZERO_ROW
              for v in map(as_scalar, g)]
-    return [value.get(0) for value in state.replay(
-        lambda k: units[k] if k < len(units) else ZERO_ROW, FiniteRow.combine)]
+    return [next(((num, den) for _, num, den in value.int_items()), (0, 1))
+            for value in state.replay(
+                lambda k: units[k] if k < len(units) else ZERO_ROW, FiniteRow.combine)]

@@ -7,8 +7,8 @@ import pytest
 
 from rowfinite import cli
 from rowfinite import hessenberg as hb
-from rowfinite import (EliminationState, EquationSpec, FiniteRow, SpecError,
-                       build_family, run)
+from rowfinite import (EliminationState, EquationSpec, EvalError, FiniteRow,
+                       RowSource, SpecError, build_family, run)
 from rowfinite.checks import closed_form_matches, expected_pair_check, run_checks
 from conftest import corrupt_transform_row, source_rows
 
@@ -156,3 +156,37 @@ def test_verify_fetches_each_consumed_row_once(monkeypatch, capsys):
     fetched.clear()
     assert all(passed for _, passed in run_checks(EquationSpec(counted), state, 0))
     assert fetched == list(range(12))
+
+
+def test_hess_cross_check_fetches_each_row_once(monkeypatch, capsys):
+    # the closed form and the elimination it is checked against both read
+    # rows 0..terms-1
+    source = build_family({"family": "n_order", "N": 3, "a": "n*j - j^2/(n+1) + 1"})
+    fetched = []
+
+    def row_fn(n):
+        fetched.append(n)
+        return source.row_fn(n)
+
+    counted = dataclasses.replace(source, row_fn=row_fn)
+    monkeypatch.setattr(cli, "_load_source", lambda args: EquationSpec(counted))
+    assert cli.main(["hess", "--terms", "12", "--free", "0=1,2=-1/2", "--format", "csv",
+                     "--verify-against-elimination"]) == 0
+    assert capsys.readouterr().out.endswith("\nMATCH\n")
+    assert fetched == list(range(12))
+
+
+def test_hess_cross_check_reports_errors_in_row_order(monkeypatch, capsys):
+    # row 1 ends a column short and row 3 fails to evaluate: with the
+    # cross-check as without, row 1 is read first and its length reported
+    def row_fn(n):
+        if n == 3:
+            raise EvalError("division by zero")
+        return FiniteRow([(n, 1)] if n == 1 else [(n, 1), (n + 1, 2)])
+
+    source = RowSource(row_fn, regular_order_index=1)
+    monkeypatch.setattr(cli, "_load_source", lambda args: EquationSpec(source))
+    for flags in ((), ("--verify-against-elimination",)):
+        assert cli.main(["hess", "--terms", "5", *flags]) == 2
+        assert capsys.readouterr().err == ("error: row 1 of a source of regular order 1 "
+                                           "must end at column 2, not 1\n")

@@ -562,6 +562,14 @@ class TestRankCut:
     @given(shuffled_length_rows())
     @example([row(0, 0, 0, 1), row(1, 0, 0, 2), row(3, 1), row(0, 5, 0, 7, 1),
               row(1)])
+    # the reference scales after clearing; the engine clears and scales at
+    # once when the row's length is new: here, with a rightmost 2
+    @example([row(0, 1), row(3, 5, 2)])
+    # a row whose last column is a pivot: the survivor is shorter, scaled
+    # by its own rightmost 3, not the row's 2
+    @example([row(0, 1), row(3, 2)])
+    # a row whose last column is a pivot and that clears to zero: no scale
+    @example([row(0, 1), row(0, 2)])
     def test_same_log_and_rows_as_scanning_every_row(self, rows):
         fast, ref = EliminationState(), ScanAllState()
         for r in rows:

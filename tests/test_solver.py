@@ -469,7 +469,8 @@ class TestRandomExplicitSystems:
     @given(hs.integers(0, 2 ** 32))
     def test_replayed_forcing_matches_the_transform_rows(self, seed):
         # the independent oracle is Q itself, materialized and applied row
-        # by row; forcing terms past a short prefix count as 0
+        # by row; forcing terms past a short prefix count as 0.  Each value
+        # is a pair in lowest terms, as a Fraction's numerator and denominator
         rng = random.Random(seed)
         rows = random_explicit_rows(rng, max_rows=14, max_len=9)
         rows.insert(rng.randint(0, len(rows)), FiniteRow())
@@ -477,7 +478,8 @@ class TestRandomExplicitSystems:
         g = [random_scalar(rng) if rng.random() < 0.7 else Fraction(0)
              for _ in range(rng.randint(0, st.k))]
         padded = g + [Fraction(0)] * (st.k - len(g))
-        assert _replayed(st, g) == [q.dot_prefix(padded) for q in st.q_rows]
+        oracle = [q.dot_prefix(padded) for q in st.q_rows]
+        assert _replayed(st, g) == [(v.numerator, v.denominator) for v in oracle]
 
     def test_free_constants_inside_pivot_rows_and_past_the_terms(self, rng):
         # example3's pivot rows are dense, so they hold entries at the free
