@@ -5,21 +5,81 @@ exactly along an independent path and compares: transform rows against
 reduced rows (``Q . A == H``), assembled solutions against the equations
 they solve, and the Hessenberg closed form against the elimination path.
 The ``verify`` command runs them all through :func:`run_checks`, which
-fetches each consumed source row once for all of them; ``hess
---verify-against-elimination`` uses :func:`closed_form_matches` alone.
+fetches each consumed source row once for all of them and replays ``Q``
+once, judging ``Q . A == H`` and the transform-row postulates on the same
+pass; ``hess --verify-against-elimination`` uses
+:func:`closed_form_matches` alone.
+
+The product ``Q[n] . A`` is summed on the integer pairs of the rows, apart
+from the row arithmetic of :mod:`rowfinite.rows` that built ``Q``, so a
+fault in that kernel shows as a mismatch instead of repeating on both
+sides.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import elimination
 from . import hessenberg as hb
 from . import solver
-from .rows import FiniteRow, ScalarLike, ZERO_ROW
+from .rows import FiniteRow, ScalarLike
 from .sources import EquationSpec, RowSource, SpecError
+
+
+def _reproduces(rows: Sequence[FiniteRow], q_row: FiniteRow,
+                h_row: FiniteRow) -> bool:
+    """True iff ``q_row`` times A is ``h_row``, where row m of A is
+    ``rows[m]``; a transform row that reaches past ``rows`` fails.  Each
+    column is summed on an unreduced integer pair whose denominators meet
+    through their gcd, as :func:`rows.sum_products` sums one value, and
+    compared with ``h_row`` by cross-multiplication."""
+    if q_row.length >= len(rows):
+        return False
+    nums = {}
+    dens = {}
+    for m, qn, qd in q_row.int_items():
+        for col, an, ad in rows[m].int_items():
+            pn = qn * an
+            pd = qd * ad
+            td = dens.get(col)
+            if td is None:
+                nums[col] = pn
+                dens[col] = pd
+            elif td == pd:
+                nums[col] += pn
+            else:
+                g = gcd(td, pd)
+                pd //= g
+                nums[col] = nums[col] * pd + pn * (td // g)
+                dens[col] = td * pd
+    for col, hn, hd in h_row.int_items():
+        if col not in nums or nums.pop(col) * hd != hn * dens[col]:
+            return False
+    return not any(nums.values())
+
+
+def _verdicts(rows: Sequence[FiniteRow], transforms: Iterable[FiniteRow],
+              h_rows: Sequence[FiniteRow], postulated: bool) -> Tuple[bool, bool]:
+    """(reproduced, postulated) of ``transforms``, read once and only until
+    both are known.  Reproduced: they are as many as ``h_rows`` and the
+    n-th times A is ``h_rows[n]``, where row m of A is ``rows[m]``.
+    Postulated: ``postulated`` holds and no row has a
+    :func:`elimination.transform_row_fault` for ``len(h_rows)`` consumed
+    rows."""
+    k = len(h_rows)
+    reproduced = True
+    count = 0
+    for n, q_row in enumerate(transforms):
+        count = n + 1
+        reproduced = reproduced and n < k and _reproduces(rows, q_row, h_rows[n])
+        postulated = postulated and elimination.transform_row_fault(n, q_row, k) is None
+        if not (reproduced or postulated):
+            break
+    return reproduced and count == k, postulated
 
 
 def transforms_reproduce(rows: Sequence[FiniteRow], transforms: Iterable[FiniteRow],
@@ -27,14 +87,7 @@ def transforms_reproduce(rows: Sequence[FiniteRow], transforms: Iterable[FiniteR
     """True iff ``transforms``, read once, are as many as ``h_rows`` and the
     n-th times A is ``h_rows[n]``, where row m of A is ``rows[m]``; a
     transform row that reaches past ``rows`` fails."""
-    transforms = iter(transforms)
-    for h_row in h_rows:
-        q_row = next(transforms, None)
-        if q_row is None or q_row.length >= len(rows):
-            return False
-        if ZERO_ROW.combine([(c, rows[m]) for m, c in q_row.items()]) != h_row:
-            return False
-    return next(transforms, None) is None
+    return _verdicts(rows, transforms, h_rows, False)[0]
 
 
 def left_association(state: elimination.EliminationState,
@@ -125,14 +178,18 @@ def run_checks(eq: EquationSpec, state: elimination.EliminationState,
     rng = random.Random(seed)
     rows = [eq.source.row_at(n) for n in range(state.k)]
     expected = expected_pair_check(eq, rows)
-    results = [("left-association", left_association(state, rows))]
+    try:
+        elimination.check_invariants(state, transforms=False)
+        structural = True
+    except elimination.EngineError:
+        structural = False
+    # one replay of Q settles left-association and the transform rows
+    associated, postulated = _verdicts(rows, state.transform_rows(), state.h_rows,
+                                       structural)
+    results = [("left-association", associated)]
     if expected is not None:
         results.append(("expected-pair", expected))
-    try:
-        elimination.check_invariants(state)
-        results.append(("qhf-postulates", True))
-    except elimination.EngineError:
-        results.append(("qhf-postulates", False))
+    results.append(("qhf-postulates", postulated))
     results.append(("residual", residual_check(state, rows, rng)))
     if eq.source.regular_order_index is not None:
         held = RowSource(rows.__getitem__, eq.source.regular_order_index)

@@ -15,7 +15,8 @@ once no later push reads it, so every reader of ``Q`` streams it without
 holding it (two rows live on ``example2``).
 Replaying the log on a forcing column gives the transformed forcing ``Q . g``.
 :func:`check_invariants` judges the engine state; ``Q . A == H`` against
-the source rows is checked in :mod:`rowfinite.checks`.
+the source rows is checked in :mod:`rowfinite.checks`, on the same replay
+of ``Q`` that judges the transform rows there.
 
 Each consumed row passes through three steps:
 
@@ -320,11 +321,25 @@ def run(source: RowSource, horizon: int) -> EliminationState:
     return state
 
 
-def check_invariants(state: EliminationState) -> None:
+def transform_row_fault(n: int, q: FiniteRow, k: int) -> Optional[str]:
+    """What is wrong with transform row n, ``q``, of a state that has
+    consumed ``k`` rows, or None: a transform row is nonzero and reads
+    only consumed rows."""
+    if q.is_zero:
+        return f"transform row {n} is zero"
+    if q.length >= k:
+        return f"transform row {n} references unconsumed rows"
+    return None
+
+
+def check_invariants(state: EliminationState, transforms: bool = True) -> None:
     """Raise EngineError unless the state satisfies every structural
     invariant: the quasi-Hermite postulates on nonzero rows, pinned zero
-    rows, coherent index sets, a column index that matches the rows, and
-    nonzero transform rows."""
+    rows, coherent index sets, a column index that matches the rows, and,
+    unless ``transforms`` is False, nonzero transform rows that read only
+    consumed rows.  With ``transforms`` False ``Q`` is not replayed: the
+    caller judges each row with :func:`transform_row_fault` on a replay it
+    makes anyway, as ``checks.run_checks`` does."""
     k = state.k
     if sorted(state.j_set + state.w_set) != list(range(k)):
         raise EngineError("j_set and w_set do not partition the consumed range")
@@ -353,8 +368,8 @@ def check_invariants(state: EliminationState) -> None:
     live = {col: lengths for col, lengths in state._holders.items() if lengths}
     if live != _column_holders(state):
         raise EngineError("the column index does not match the stored rows")
-    for n, q in enumerate(state.transform_rows()):
-        if q.is_zero:
-            raise EngineError(f"transform row {n} is zero")
-        if q.length >= k:
-            raise EngineError(f"transform row {n} references unconsumed rows")
+    if transforms:
+        for n, q in enumerate(state.transform_rows()):
+            fault = transform_row_fault(n, q, k)
+            if fault is not None:
+                raise EngineError(fault)

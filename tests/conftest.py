@@ -191,6 +191,26 @@ def dense_rank(rows, width):
     return rank
 
 
+def dense_product_matches(rows, transforms, h_rows):
+    """``Q . A == H`` on dense ``Fraction`` lists alone, with no row
+    arithmetic of ``rowfinite.rows``: the oracle of
+    ``checks.transforms_reproduce``, with the same verdict on a transform
+    row that reads past ``rows`` or a count that differs from ``h_rows``."""
+    transforms = list(transforms)
+    if len(transforms) != len(h_rows):
+        return False
+    width = 1 + max((row.length for row in [*rows, *h_rows]), default=-1)
+    a = [dense(row, width) for row in rows]
+    for q, h in zip(transforms, h_rows):
+        if q.length >= len(rows):
+            return False
+        product = [sum((v * a[m][col] for m, v in q.items()), Fraction(0))
+                   for col in range(width)]
+        if product != dense(h, width):
+            return False
+    return True
+
+
 def push_checked(state, row):
     state.push_row(row)
     check_invariants(state)

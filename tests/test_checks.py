@@ -2,15 +2,19 @@
 corrupted where that check looks."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rowfinite import cli
+from rowfinite import checks, cli
 from rowfinite import hessenberg as hb
 from rowfinite import (EliminationState, EquationSpec, EvalError, FiniteRow,
                        RowSource, SpecError, build_family, run)
-from rowfinite.checks import closed_form_matches, expected_pair_check, run_checks
-from conftest import corrupt_transform_row, source_rows
+from rowfinite.checks import (closed_form_matches, expected_pair_check, run_checks,
+                              transforms_reproduce)
+from conftest import corrupt_transform_row, dense, dense_product_matches, source_rows
 
 
 def checked(eq, state, seed=0):
@@ -60,6 +64,117 @@ def test_corrupted_transform_entry_fails_left_association(showcase):
     corrupt_transform_row(state, 5, lambda q: q.combine((), 2))
     assert checked(eq, state) == {"left-association": False,
                                   "qhf-postulates": True, "residual": True}
+
+
+def test_zero_transform_row_at_a_zero_row_fails_only_qhf_postulates(showcase):
+    # H[w] is zero, so a zero Q[w] still gives Q[w] . A == H[w]
+    eq, state = showcase
+    corrupt_transform_row(state, state.w_set[0], lambda q: FiniteRow())
+    assert checked(eq, state) == {"left-association": True,
+                                  "qhf-postulates": False, "residual": True}
+
+
+def test_both_transform_verdicts_are_read_past_the_first_failure(showcase):
+    # left-association fails at Q[0] and the postulates only at a later
+    # zero Q[w]: the one replay runs on until both are known
+    eq, state = showcase
+    w = state.w_set[0]
+    assert w > 0 and not state.h_rows[0].is_zero
+    corrupt_transform_row(state, 0, lambda q: q.combine((), 2))
+    corrupt_transform_row(state, w, lambda q: FiniteRow())
+    assert checked(eq, state) == {"left-association": False,
+                                  "qhf-postulates": False, "residual": True}
+
+
+def test_run_checks_replays_q_once(showcase, regular, monkeypatch):
+    replays = []
+    replay = EliminationState.transform_rows
+
+    def counted(state):
+        replays.append(state.k)
+        return replay(state)
+
+    monkeypatch.setattr(EliminationState, "transform_rows", counted)
+    for eq, state in (showcase, regular):
+        replays.clear()
+        assert all(passed for _, passed in run_checks(eq, state, 0))
+        assert replays == [state.k]
+
+
+def test_product_check_does_not_run_the_kernel_it_checks(showcase, monkeypatch):
+    # a fault in the multi-term path of FiniteRow.combine, which the replay
+    # of Q runs, is not repeated by the product it is checked against
+    eq, state = showcase
+    real = FiniteRow.combine
+
+    def faulty(self, terms, c=None):
+        terms = list(terms)
+        out = real(self, terms, c)
+        if not terms or (c is None and len(terms) == 1) or out.is_zero:
+            return out
+        (col, value), *rest = out.items()
+        return FiniteRow([(col, value + 1), *rest])
+
+    monkeypatch.setattr(FiniteRow, "combine", faulty)
+    assert checked(eq, state)["left-association"] is False
+
+
+def test_product_check_runs_no_row_arithmetic(showcase, monkeypatch):
+    eq, state = showcase
+    rows, q_rows = source_rows(eq.source, state.k), list(state.transform_rows())
+
+    def unused(self, terms, c=None):
+        raise AssertionError("the product check ran FiniteRow.combine")
+
+    monkeypatch.setattr(FiniteRow, "combine", unused)
+    assert transforms_reproduce(rows, q_rows, state.h_rows)
+
+
+def test_checks_module_never_names_the_kernel():
+    assert "combine" not in Path(checks.__file__).read_text(encoding="utf-8")
+
+
+_WIDTH = 8
+_ENTRY = st.fractions(-5, 5, max_denominator=4)
+
+
+@st.composite
+def dependent_rows(draw):
+    """Rows of at most _WIDTH columns with non-integral entries, in any
+    length order, about half of them a combination of two earlier rows (so
+    zero rows and left null vectors occur); built on dense ``Fraction``
+    lists, not by row arithmetic."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = (dense(draw(st.sampled_from(rows)), _WIDTH) for _ in range(2))
+            x, y = draw(_ENTRY), draw(_ENTRY)
+            values = [x * u + y * v for u, v in zip(a, b)]
+        else:
+            values = draw(st.lists(st.one_of(st.just(0), _ENTRY), min_size=1, max_size=_WIDTH))
+        rows.append(FiniteRow(enumerate(values)))
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(dependent_rows(), st.data())
+def test_integer_product_check_agrees_with_a_dense_oracle(rows, data):
+    state = EliminationState()
+    for row in rows:
+        state.push_row(row)
+    h_rows, q_rows = state.h_rows, list(state.transform_rows())
+    assert transforms_reproduce(rows, q_rows, h_rows) is True
+    assert dense_product_matches(rows, q_rows, h_rows) is True
+    # one entry of one transform row changed: the product moves by a
+    # multiple of the source row at that column, unless that row is zero
+    n = data.draw(st.integers(0, len(q_rows) - 1))
+    col = data.draw(st.integers(0, len(rows) - 1))
+    entries = dict(q_rows[n].items())
+    entries[col] = entries.get(col, 0) + data.draw(_ENTRY.filter(bool))
+    changed = q_rows[:n] + [FiniteRow(entries.items())] + q_rows[n + 1:]
+    verdict = transforms_reproduce(rows, changed, h_rows)
+    assert verdict is dense_product_matches(rows, changed, h_rows)
+    assert verdict is rows[col].is_zero
 
 
 def test_uncertified_state_over_a_regular_source_runs_the_cross_check(regular):

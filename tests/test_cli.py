@@ -163,7 +163,8 @@ class TestReduce:
                                       ("reduce",), ("verify",)])
     def test_q_is_replayed_and_never_listed(self, capsys, monkeypatch, argv):
         # pretty reads Q for its column widths and then to print; verify
-        # for left-association and then for the transform-row invariants
+        # judges left-association and the transform-row invariants on one
+        # replay
         replays = []
         replay = EliminationState.transform_rows
 
@@ -178,7 +179,7 @@ class TestReduce:
         monkeypatch.setattr(EliminationState, "q_rows", property(listed))
         code, _, _ = run_cli(capsys, *argv, "--family", "example2", "--horizon", "8")
         assert code == 0
-        assert replays == [8] * (1 if argv == ("reduce",) else 2)
+        assert replays == [8] * (2 if argv == ("reduce", "--format", "pretty") else 1)
 
     def test_json_renders_no_text_matrices(self, capsys, monkeypatch):
         def unused(rows):
