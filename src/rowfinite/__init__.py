@@ -1,8 +1,8 @@
 """Exact-arithmetic reduction and solvers for row-finite infinite linear
 systems, including linear difference equations with variable coefficients."""
 
-from .rows import (FiniteRow, Scalar, ShortColumnError, ZERO_ROW, ZeroRowError,
-                   as_scalar, format_scalar, parse_scalar)
+from .rows import (FiniteRow, ShortColumnError, ZERO_ROW, ZeroRowError, as_scalar,
+                   format_scalar, parse_scalar)
 from .sources import (CoeffExpr, EquationSpec, EvalError, ExprSyntaxError,
                       RowSource, SpecError, build_family, equation_from_obj,
                       load_equation, parse_coeff_expr)
@@ -15,7 +15,7 @@ from .hessenberg import general_prefix
 __version__ = "0.1.0"
 
 __all__ = [
-    "FiniteRow", "Scalar", "ZERO_ROW", "ZeroRowError", "ShortColumnError",
+    "FiniteRow", "ZERO_ROW", "ZeroRowError", "ShortColumnError",
     "as_scalar", "format_scalar", "parse_scalar",
     "CoeffExpr", "EquationSpec", "EvalError", "ExprSyntaxError", "RowSource",
     "SpecError", "build_family", "equation_from_obj", "load_equation",

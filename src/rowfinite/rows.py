@@ -16,7 +16,8 @@ Rows are combined in one way, :meth:`FiniteRow.combine`, which builds
 numerator/denominator pairs per column (denominators grow only to their
 lcm) and reduces each surviving entry once, with one gcd, as in Bareiss's
 integer-preserving elimination (Math. Comp. 22, 1968), instead of
-renormalising the whole row after each pairwise step.  Results stay
+renormalising the whole row after each pairwise step.  A plain scale and a
+single-term merge follow the same rule on their own traversals.  Results stay
 canonical (equality and hashing compare the triples) and no ``Fraction``
 is built per entry; ``items``, ``get`` and ``leading`` build one on the way
 out (``get`` of an absent column returns one shared zero), and
@@ -32,7 +33,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 _SCALAR_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?\Z")
@@ -123,35 +123,6 @@ def to_fraction(num: int, den: int) -> Fraction:
 
 
 _ZERO = Fraction(0)
-
-
-def _mul(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
-    """``an/ad * bn/bd`` for factors in lowest terms, in lowest terms: only
-    the cross pairs can share a factor (as in ``Fraction.__mul__``)."""
-    g = gcd(an, bd)
-    if g > 1:
-        an //= g
-        bd //= g
-    g = gcd(bn, ad)
-    if g > 1:
-        bn //= g
-        ad //= g
-    return an * bn, ad * bd
-
-
-def _add(an: int, ad: int, bn: int, bd: int) -> Tuple[int, int]:
-    """``an/ad + bn/bd`` for terms in lowest terms, in lowest terms: only a
-    factor of gcd(ad, bd) can divide the new numerator (as in
-    ``Fraction.__add__``)."""
-    g = gcd(ad, bd)
-    if g == 1:
-        return an * bd + bn * ad, ad * bd
-    s = ad // g
-    t = an * (bd // g) + bn * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return t, s * bd
-    return t // g2, s * (bd // g2)
 
 
 def sum_products(terms: Iterable[Tuple[int, int, ScalarLike]],
@@ -246,11 +217,13 @@ class FiniteRow:
         ``c`` of None stands for 1.  Multipliers and ``c`` are ``Fraction``
         or ``int``.
 
-        The sum is accumulated per column over the lcm of the denominators
-        and each entry reduced once (see the module docstring).  A plain
-        scale (no terms), and a single term with no ``c``, which merges the
-        two rows in column order, use the cross-gcds of ``fractions``
-        instead: that is cheaper for the short rows they get."""
+        Every path follows one rule (see the module docstring): products
+        are formed as unreduced integer pairs, two pairs in one column meet
+        over the lcm of their denominators, a zero sum is dropped and each
+        stored entry is reduced once, with one gcd.  Only the traversal
+        depends on the input: a plain scale (no terms) maps the entries, a
+        single term with no ``c`` merges the two rows in column order, and
+        anything else accumulates per column in dicts."""
         if not isinstance(terms, list):
             terms = list(terms)
         if c is not None and not c:
@@ -259,8 +232,13 @@ class FiniteRow:
             if c is None:
                 return self
             cn, cd = c.numerator, c.denominator
-            return FiniteRow._raw([(col, *_mul(cn, cd, num, den))
-                                   for col, num, den in self._entries])
+            out = []
+            for col, num, den in self._entries:
+                num *= cn
+                den *= cd
+                g = gcd(num, den)
+                out.append((col, num // g, den // g))
+            return FiniteRow._raw(out)
         if c is None and len(terms) == 1:
             m, other = terms[0]
             if not m:
@@ -274,15 +252,25 @@ class FiniteRow:
                 while i < end and a[i][0] < col:
                     append(a[i])
                     i += 1
-                pn, pd = _mul(mn, md, bn, bd)
+                num = mn * bn
+                den = md * bd
                 if i < end and a[i][0] == col:
                     _, an, ad = a[i]
                     i += 1
-                    num, den = _add(an, ad, pn, pd)
-                    if num:
-                        append((col, num, den))
-                else:
-                    append((col, pn, pd))
+                    if ad == den:
+                        num += an
+                    else:
+                        g = gcd(ad, den)
+                        den //= g
+                        num = num * (ad // g) + an * den
+                        den *= ad
+                    if not num:
+                        continue
+                g = gcd(num, den)
+                if g != 1:
+                    num //= g
+                    den //= g
+                append((col, num, den))
             out.extend(a[i:])
             return FiniteRow._raw(out)
         nums = {col: num for col, num, _ in self._entries}

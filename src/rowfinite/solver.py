@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .elimination import EliminationState
-from .rows import (ZERO_ROW, FiniteRow, Scalar, ScalarLike, as_scalar,
+from .rows import (ZERO_ROW, FiniteRow, ScalarLike, as_scalar,
                    short_forcing, sum_products, to_fraction)
 from .sources import SpecError
 
@@ -72,7 +72,7 @@ class FundamentalSet:
     """
 
     basis_kind: str
-    sequences: Dict[int, Tuple[Scalar, ...]]
+    sequences: Dict[int, Tuple[Fraction, ...]]
 
 
 def _check_horizon(state: EliminationState, horizon: int) -> None:
@@ -122,9 +122,9 @@ def fundamental_set(state: EliminationState, horizon: int, terms: int) -> Fundam
                           {s: tuple(seq) for s, seq in sequences.items()})
 
 
-def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Dict[int, Scalar]:
+def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Dict[int, Fraction]:
     pivot = set(state.mu)
-    out: Dict[int, Scalar] = {}
+    out: Dict[int, Fraction] = {}
     for key, value in free.items():
         if not isinstance(key, int) or isinstance(key, bool) or key < 0:
             raise SpecError(f"free-constant index must be a nonnegative integer, got {key!r}")
@@ -139,7 +139,7 @@ def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Di
 
 
 def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
-                     free: Mapping[int, ScalarLike], terms: int) -> List[Scalar]:
+                     free: Mapping[int, ScalarLike], terms: int) -> List[Fraction]:
     """Solution prefix for forcing ``g`` (``None`` means homogeneous) and the
     given free constants.
 
@@ -175,7 +175,7 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
             raise InconsistentSystemError(violated)
         if needed > len(g):
             raise short_forcing(len(g), needed)
-    out: List[Scalar] = [Fraction(0)] * terms
+    out: List[Fraction] = [Fraction(0)] * terms
     for col, c in constants.items():
         if col < terms:
             out[col] = c

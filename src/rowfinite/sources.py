@@ -79,7 +79,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Mapping, Optional, Tuple
 
-from .rows import FiniteRow, Scalar, as_ratio, as_scalar, format_ratio, reduced
+from .rows import FiniteRow, as_ratio, as_scalar, format_ratio, reduced
 
 
 class SpecError(ValueError):
@@ -164,7 +164,6 @@ class _Parser:
     parser recurses further."""
 
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.level = 0   # groups, negations and cospi2 calls open at the cursor
@@ -526,7 +525,7 @@ class EquationSpec:
     optional expected reduction used by the verification command."""
 
     source: RowSource
-    g: Optional[Tuple[Scalar, ...]] = None
+    g: Optional[Tuple[Fraction, ...]] = None
     expect_h: Optional[Tuple[FiniteRow, ...]] = None
     expect_q: Optional[Tuple[FiniteRow, ...]] = None
 

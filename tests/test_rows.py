@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rowfinite import (FiniteRow, ShortColumnError, ZERO_ROW, ZeroRowError,
@@ -138,21 +138,44 @@ def dense_combine(r, terms, c):
 # range, so supports overlap, or a wide one, so they are often disjoint
 shared_fractions = st.builds(Fraction, st.integers(-30, 30),
                              st.sampled_from([1, 2, 3, 4, 6, 9, 12, 36]))
+# numerators and denominators of 100 to 300 bits, products of one or two
+# prime powers from a shared set, so that products and collisions need
+# reduction at that size
+big_parts = st.lists(st.sampled_from([2 ** 101, 3 ** 70, 5 ** 50, 7 ** 40, 11 ** 35]),
+                     min_size=1, max_size=2).map(prod)
+big_fractions = st.builds(lambda sign, num, den: Fraction(sign * num, den),
+                          st.sampled_from([1, -1, 5, -6]), big_parts, big_parts)
+combine_values = st.one_of(shared_fractions, big_fractions)
 combine_rows = st.builds(
     FiniteRow,
     st.lists(st.tuples(st.one_of(st.integers(0, 5), st.integers(0, 40)),
-                       shared_fractions),
+                       combine_values),
              max_size=7, unique_by=lambda e: e[0]),
 )
-combine_multipliers = st.one_of(st.just(0), st.integers(-6, 6), shared_fractions)
+combine_multipliers = st.one_of(st.just(0), st.integers(-6, 6), combine_values)
 combine_scales = st.one_of(st.none(), st.just(0), st.integers(-6, -1),
-                           st.just(Fraction(-5, 6)), shared_fractions)
+                           st.just(Fraction(-5, 6)), combine_values)
+
+# a single-term product that needs reduction, landing in an empty column
+PRODUCT_IN_EMPTY_COLUMN = (FiniteRow([(1, 1)]), Fraction(3, 4),
+                           FiniteRow([(0, Fraction(2, 9))]))
+# a collision over denominators 4 and 6: 1/4 + 3/6 = 9/12 = 3/4
+COLLISION_OVER_4_AND_6 = (FiniteRow([(0, Fraction(1, 4))]), Fraction(3, 2),
+                          FiniteRow([(0, Fraction(1, 3))]))
+# a collision over denominators 4 and 12 that cancels: 1/4 - 3/12 = 0
+COLLISION_TO_ZERO = (FiniteRow([(0, Fraction(1, 4)), (2, 1)]), Fraction(-3, 2),
+                     FiniteRow([(0, Fraction(1, 6))]))
+SCALED_ROW = FiniteRow([(0, Fraction(3, 5)), (4, Fraction(-2, 3))])
 
 
 class TestCombine:
     @given(combine_rows,
            st.lists(st.tuples(combine_multipliers, combine_rows), max_size=4),
            combine_scales)
+    @example(PRODUCT_IN_EMPTY_COLUMN[0], [PRODUCT_IN_EMPTY_COLUMN[1:]], None)
+    @example(COLLISION_OVER_4_AND_6[0], [COLLISION_OVER_4_AND_6[1:]], None)
+    @example(COLLISION_TO_ZERO[0], [COLLISION_TO_ZERO[1:]], None)
+    @example(SCALED_ROW, [], Fraction(-5, 6))
     def test_matches_dense_fraction_arithmetic(self, r, terms, c):
         # equality compares the stored integer pairs, so this also checks
         # that they come out in lowest terms
@@ -165,6 +188,20 @@ class TestCombine:
         total = dense_combine(r, terms, None)
         out = r.combine(terms + [(-1, total)], c)
         assert out == ZERO_ROW and out.length == -1
+
+    @given(combine_rows, combine_multipliers, combine_rows, combine_scales)
+    @example(*PRODUCT_IN_EMPTY_COLUMN, None)
+    @example(*COLLISION_OVER_4_AND_6, None)
+    @example(*COLLISION_TO_ZERO, None)
+    @example(SCALED_ROW, 0, ZERO_ROW, Fraction(-5, 6))
+    def test_single_term_and_scale_paths_match_the_multi_term_path(self, r, m, s, c):
+        # a zero second term, or a zero multiplier with a scale, sends the
+        # same sum through the multi-term path
+        assert (list(r.combine([(m, s)]).int_items())
+                == list(r.combine([(m, s), (0, ZERO_ROW)]).int_items()))
+        if c is not None:
+            assert (list(r.combine((), c).int_items())
+                    == list(r.combine([(0, r)], c).int_items()))
 
     def test_terms_may_be_any_iterable(self):
         r, s = row(1, 2), row(0, 1, 1)
