@@ -7,8 +7,9 @@ strictly increasing lengths, every rightmost coefficient is 1, every other
 row has a zero in each pivot column, and zero rows stay pinned at the index
 where they were produced.  Alongside the reduced rows it keeps a log:
 per push, the elementary operations that push applied (the clearing
-multipliers, the inverse scale, the cross-clearing multipliers and the
-placement targets).  Replaying the log on the identity rows gives the
+multipliers, the inverse scale and the cross-clearing multipliers, each
+keyed by the pivot length of a nonzero row, which no push changes, and
+where the survivor went).  Replaying the log on the identity rows gives the
 transform rows, ``Q[n] . A == h_rows[n]`` entrywise for every consumed
 ``n``.  The replay yields each row once no later push writes it and drops it
 once no later push reads it, so every reader of ``Q`` streams it without
@@ -39,15 +40,16 @@ Each consumed row passes through three steps:
    hold that column are visited, through a column index (the transpose of
    the row lists, as in Gustavson, ACM TOMS 4(3), 1978) kept up to date
    from the first push.  Row lengths are unchanged by this step.
-3. *Placement* -- the survivor is inserted so nonzero-row lengths stay
-   strictly increasing; displaced nonzero rows shift to later nonzero slots
+3. *Placement* -- the survivor is stored under its length, which joins
+   ``mu`` at its rank.  The row of rank r sits at position ``j_set[r]``, so
+   each longer row shifts to the next nonzero slot without being moved,
    while zero rows keep their exact indices.
 
 A *certified* state serves a source whose rows arrive in strictly
 increasing length order (lower echelon), as every source with a
-``regular_order_index`` does: steps 2-3 provably never fire there, a row that
-would need them is an :class:`EngineError`, and every prefix is final the
-moment it appears.  For arbitrary sources stabilization is only empirical;
+``regular_order_index`` does: no push cross-clears or lands below a longer
+row there, a row that would is an :class:`EngineError`, and every prefix is
+final at once.  For arbitrary sources stabilization is only empirical;
 ``stable_since()`` reads the last step that changed each prefix off the log.
 """
 
@@ -60,7 +62,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
-from .rows import FiniteRow
+from .rows import ZERO_ROW, FiniteRow
 from .sources import RowSource
 
 T = TypeVar("T")
@@ -72,24 +74,23 @@ class EngineError(RuntimeError):
 
 @dataclass(slots=True)
 class PushLog:
-    """The elementary operations one push applied, in the order applied.
+    """The elementary operations one push applied, in the order applied;
+    a multiplier is an ``int`` when integral, else a ``Fraction``.
 
-    ``clear``   (position, multiplier) pairs of Gaussian clearing: the
-                survivor became ``survivor + multiplier * row[position]``,
-                the multiplier an ``int`` when integral, else a ``Fraction``;
+    ``clear``   (length, multiplier) pairs of Gaussian clearing: the
+                survivor became ``survivor + multiplier * pivots[length]``;
     ``inv``     the factor the survivor was then scaled by, or None;
-    ``cross``   (position, multiplier) pairs of cross clearing: row
-                ``position`` became ``row + multiplier * survivor``, the
-                multiplier an ``int`` when integral, else a ``Fraction``;
-    ``targets`` placement: the survivor went to ``targets[0]`` and the row
-                at ``targets[i]`` moved to ``targets[i + 1]``; the last
-                target is the new position k.
+    ``cross``   (length, multiplier) pairs of cross clearing: the row
+                ``pivots[length]`` became ``row + multiplier * survivor``;
+    ``length``  the survivor's pivot length, -1 for a zero row;
+    ``placed``  the position the survivor took.
     """
 
     clear: List[Tuple[int, int | Fraction]]
     inv: Optional[Fraction]
     cross: List[Tuple[int, int | Fraction]] = field(default_factory=list)
-    targets: List[int] = field(default_factory=list)
+    length: int = -1
+    placed: int = -1
 
 
 class EliminationState:
@@ -98,18 +99,18 @@ class EliminationState:
     Attributes
     ----------
     certified      : the source is lower echelon, so every prefix is final.
-    h_rows         : reduced rows; the matching transform rows are not kept
-                     but replayed from the log (:meth:`transform_rows`).
+    pivots         : pivot length -> the nonzero reduced row of that length,
+                     never moved; :attr:`h_rows` is the positional view.  The
+                     transform rows are replayed (:meth:`transform_rows`).
     j_set, w_set   : positions of nonzero and of zero rows (both increasing).
-    mu             : lengths of the nonzero rows in position order; strictly
-                     increasing at all times.
-    _holders       : column -> pivot lengths (never changed by placement)
-                     of the rows with an entry there.
+    mu             : the pivot lengths, strictly increasing; the row of
+                     length ``mu[r]`` is at position ``j_set[r]``.
+    _holders       : column -> pivot lengths of the rows with an entry there.
     """
 
     def __init__(self, certified: bool = False):
         self.certified = certified
-        self.h_rows: List[FiniteRow] = []
+        self.pivots: Dict[int, FiniteRow] = {}
         self.j_set: List[int] = []
         self.w_set: List[int] = []
         self.mu: List[int] = []
@@ -119,11 +120,19 @@ class EliminationState:
     @property
     def k(self) -> int:
         """Number of source rows consumed so far."""
-        return len(self.h_rows)
+        return len(self._log)
 
     @property
     def greatest_length(self) -> int:
         return self.mu[-1] if self.mu else -1
+
+    @property
+    def h_rows(self) -> List[FiniteRow]:
+        """The reduced rows in position order, as a new list."""
+        rows = [ZERO_ROW] * self.k
+        for pos, length in zip(self.j_set, self.mu):
+            rows[pos] = self.pivots[length]
+        return rows
 
     # -- step 1: Gaussian clearing ------------------------------------------
 
@@ -133,15 +142,16 @@ class EliminationState:
         Returns the normalized survivor together with the log of this push,
         holding the clearing multipliers and the inverse scale so far.
         """
-        mu = self.mu
-        clear = []
+        pivots = self.pivots
+        clear, terms = [], []
         at_pivot = True   # the zero row takes the branch that scales after
         for col, num, den in row.int_items():
-            rank = bisect_left(mu, col)
-            at_pivot = rank < len(mu) and mu[rank] == col
+            pivot = pivots.get(col)
+            at_pivot = pivot is not None
             if at_pivot:
-                clear.append((self.j_set[rank], -num if den == 1 else Fraction(-num, den)))
-        terms = [(m, self.h_rows[pos]) for pos, m in clear]
+                m = -num if den == 1 else Fraction(-num, den)
+                clear.append((col, m))
+                terms.append((m, pivot))
         if not at_pivot:
             # every pivot row used is shorter than the row, so the survivor
             # ends in the row's own last entry, num/den: clear and scale at once
@@ -165,54 +175,52 @@ class EliminationState:
         ``g`` must be a Gaussian survivor whose length falls strictly below
         the greatest stored pivot length; violations indicate an engine bug.
         Only the rows the column index lists at that column are visited,
-        in position order (length order is position order).  Records the
-        multipliers in ``log.cross`` and returns the positions whose content
-        changed.  Lengths of stored rows are never affected.
+        in length order.  Records the multipliers in ``log.cross`` and
+        returns the pivot lengths of the rows it changed, one per row.
+        Lengths of stored rows are never affected.
         """
         if g.is_zero:
             raise EngineError("cross clearing needs a nonzero pivot")
         lg = g.length
         if not self.mu or lg >= self.mu[-1]:
             raise EngineError("cross-clearing pivot does not fall below the prefix")
-        if self.mu[bisect_left(self.mu, lg)] == lg:   # below mu[-1]: in range
+        pivots, holders = self.pivots, self._holders
+        if lg in pivots:
             raise EngineError(f"pivot length {lg} collides with a stored pivot")
-        holders = self._holders
-        changed = []
-        for length in sorted(holders.get(lg, ())):
-            pos = self.j_set[bisect_left(self.mu, length)]
-            row = self.h_rows[pos]
+        changed = sorted(holders.get(lg, ()))
+        for length in changed:
+            row = pivots[length]
             for col, num, den in row.int_items():
                 holders[col].discard(length)
                 if col == lg:
                     m = -num if den == 1 else Fraction(-num, den)
-            row = self.h_rows[pos] = row.combine([(m, g)])
+            row = pivots[length] = row.combine([(m, g)])
             for col, _, _ in row.int_items():
                 holders[col].add(length)
-            log.cross.append((pos, m))
-            changed.append(pos)
+            log.cross.append((length, m))
         return changed
 
     # -- step 3: placement -----------------------------------------------------
 
     def insert_with_permutation(self, g: FiniteRow, log: PushLog) -> None:
-        """Place a survivor at its length rank, shifting each nonzero row from
-        there on to the next nonzero slot (none at rank ``len(mu)``); zero
-        rows never move.  Records the placement in ``log.targets``."""
+        """Place a survivor at position k: store a nonzero one under its
+        length, which joins ``mu`` at its rank, or add k to ``w_set``.
+        Records its length and the position it took in ``log``."""
         k = self.k
         if g.is_zero:
-            targets = [k]
             self.w_set.append(k)
-        else:
-            rank = bisect_left(self.mu, g.length)
-            if rank < len(self.mu) and self.mu[rank] == g.length:
-                raise EngineError(f"pivot length {g.length} collides with a stored pivot")
-            targets = self.j_set[rank:] + [k]
-            self.mu.insert(rank, g.length)
-            self.j_set.append(k)
-            for col, _, _ in g.int_items():
-                self._holders[col].add(g.length)
-        _place(self.h_rows, targets, g)
-        log.targets = targets
+            log.placed = k
+            return
+        length = g.length
+        if length in self.pivots:
+            raise EngineError(f"pivot length {length} collides with a stored pivot")
+        rank = bisect_left(self.mu, length)
+        self.mu.insert(rank, length)
+        self.j_set.append(k)
+        self.pivots[length] = g
+        for col, _, _ in g.int_items():
+            self._holders[col].add(length)
+        log.length, log.placed = length, self.j_set[rank]
 
     # -- the full step ---------------------------------------------------------
 
@@ -239,29 +247,33 @@ class EliminationState:
         ``combine(x, terms, c)`` standing for ``c * (x + sum(m * y for m, y
         in terms))`` (``c`` of None for 1): its new value is ``unit(k)``
         combined with the clearing terms and the inverse scale, and each
-        cross-cleared position is combined with one term of that value.
-        A multiplier ``m`` is an ``int`` or a ``Fraction`` (see :class:`PushLog`).
-        Position n is yielded after push ``stable_since()[n]``, the last
-        push that wrote a position at or below n; then only clearing reads
-        it, and its value is dropped once yielded and read.
+        cross-cleared value is combined with one term of that value.
+        Values are keyed by pivot length, the zero row at n by ``~n``.
+        Position n is yielded after push ``stable_since()[n]``, the last push
+        that placed a row at or below n, so its key is read off the final
+        ``j_set`` and ``mu``; then only clearing reads it, and its value is
+        dropped once yielded and read.
         """
         final = self.stable_since()
-        last_read = {pos: k for k, log in enumerate(self._log) for pos, _ in log.clear}
-        column: List[Optional[T]] = []
+        key_at = dict(zip(self.j_set, self.mu))
+        position = dict(zip(self.mu, self.j_set))
+        last_read = {length: k for k, log in enumerate(self._log) for length, _ in log.clear}
+        live: Dict[int, T] = {}
         done = 0
         for k, log in enumerate(self._log):
-            value = combine(unit(k), [(m, column[pos]) for pos, m in log.clear],
+            value = combine(unit(k), [(m, live[length]) for length, m in log.clear],
                             log.inv)
-            for pos, m in log.cross:
-                column[pos] = combine(column[pos], [(m, value)], None)
-            _place(column, log.targets, value)
-            for pos, _ in log.clear:
-                if pos < done and last_read[pos] == k:
-                    column[pos] = None
+            for length, m in log.cross:
+                live[length] = combine(live[length], [(m, value)], None)
+            live[log.length if log.length >= 0 else ~k] = value
+            for length, _ in log.clear:
+                if last_read[length] == k and position[length] < done:
+                    del live[length]
             while done <= k and final[done] <= k:
-                value = column[done]
-                if last_read.get(done, -1) <= k:
-                    column[done] = None
+                key = key_at.get(done, ~done)
+                value = live[key]
+                if last_read.get(key, -1) <= k:
+                    del live[key]
                 done += 1
                 yield value
 
@@ -279,24 +291,14 @@ class EliminationState:
 
     def stable_since(self) -> List[int]:
         """Per prefix index n, the last push that changed rows 0..n (creation
-        counts): push k changes no row below ``targets[0]``, as it
-        cross-clears only rows that its placement shifts.  It is also the
+        counts): push k changes no row below ``placed``, as it cross-clears
+        only longer rows, which sit at ``placed`` or after.  It is also the
         greatest length of transform rows 0..n, as the rightmost entry of a
         transform row is the last push that wrote its position."""
         since = list(range(self.k))
         for k, log in enumerate(self._log):
-            since[log.targets[0]] = k
+            since[log.placed] = k
         return list(accumulate(since, max))
-
-
-def _place(rows: list, targets: List[int], survivor) -> None:
-    """The placement step: append a slot at position k (the last target),
-    put the survivor at ``targets[0]`` and move the entry at each target to
-    the next one, the last first."""
-    rows.append(survivor)
-    for i in range(len(targets) - 2, -1, -1):
-        rows[targets[i + 1]] = rows[targets[i]]
-    rows[targets[0]] = survivor
 
 
 def _column_holders(state: EliminationState) -> Dict[int, Set[int]]:
@@ -304,8 +306,8 @@ def _column_holders(state: EliminationState) -> Dict[int, Set[int]]:
     lengths of the nonzero rows with an entry there; :func:`check_invariants`
     holds the kept index against it."""
     holders: Dict[int, Set[int]] = defaultdict(set)
-    for pos, length in zip(state.j_set, state.mu):
-        for col, _, _ in state.h_rows[pos].int_items():
+    for length, row in state.pivots.items():
+        for col, _, _ in row.int_items():
             holders[col].add(length)
     return holders
 
@@ -334,12 +336,12 @@ def transform_row_fault(n: int, q: FiniteRow, k: int) -> Optional[str]:
 
 def check_invariants(state: EliminationState, transforms: bool = True) -> None:
     """Raise EngineError unless the state satisfies every structural
-    invariant: the quasi-Hermite postulates on nonzero rows, pinned zero
-    rows, coherent index sets, a column index that matches the rows, and,
-    unless ``transforms`` is False, nonzero transform rows that read only
-    consumed rows.  With ``transforms`` False ``Q`` is not replayed: the
-    caller judges each row with :func:`transform_row_fault` on a replay it
-    makes anyway, as ``checks.run_checks`` does."""
+    invariant: the quasi-Hermite postulates on nonzero rows, coherent index
+    sets that key each nonzero row by its length, a column index that
+    matches the rows, and, unless ``transforms`` is False, nonzero transform
+    rows that read only consumed rows.  With ``transforms`` False ``Q`` is
+    not replayed: the caller judges each row with :func:`transform_row_fault`
+    on a replay it makes anyway, as ``checks.run_checks`` does."""
     k = state.k
     if sorted(state.j_set + state.w_set) != list(range(k)):
         raise EngineError("j_set and w_set do not partition the consumed range")
@@ -347,24 +349,20 @@ def check_invariants(state: EliminationState, transforms: bool = True) -> None:
         raise EngineError("mu and j_set lengths differ")
     if any(b <= a for a, b in zip(state.mu, state.mu[1:])):
         raise EngineError("pivot lengths are not strictly increasing")
-    for w in state.w_set:
-        if not state.h_rows[w].is_zero:
-            raise EngineError(f"row {w} is indexed as zero but is not")
-    pivots = list(zip(state.j_set, state.mu))
-    for pos, length in pivots:
-        row = state.h_rows[pos]
+    if set(state.pivots) != set(state.mu):
+        raise EngineError("the stored rows are not keyed by the pivot lengths")
+    position = dict(zip(state.mu, state.j_set))
+    # rank order is position order: the lowest row's lowest fault is raised
+    for length, pos in position.items():
+        row = state.pivots[length]
         if row.is_zero or row.length != length:
             raise EngineError(f"row {pos} does not carry pivot length {length}")
         if row.leading != 1:
             raise EngineError(f"row {pos} rightmost coefficient is {row.leading}, not 1")
-    # ascending columns meet the pivots in rank order
-    pivot_at = {length: pos for pos, length in pivots}
-    for m in range(k):
-        for col, _, _ in state.h_rows[m].int_items():
-            pos = pivot_at.get(col)
-            if pos is not None and pos != m:
-                raise EngineError(f"row {m} has a nonzero entry in pivot column "
-                                  f"{col} of row {pos}")
+        for col, _, _ in row.int_items():
+            if col != length and col in position:
+                raise EngineError(f"row {pos} has a nonzero entry in pivot column "
+                                  f"{col} of row {position[col]}")
     live = {col: lengths for col, lengths in state._holders.items() if lengths}
     if live != _column_holders(state):
         raise EngineError("the column index does not match the stored rows")

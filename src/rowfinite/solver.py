@@ -107,15 +107,16 @@ def inaccessible_lengths(state: EliminationState, horizon: int) -> InaccessibleL
 def fundamental_set(state: EliminationState, horizon: int, terms: int) -> FundamentalSet:
     """The homogeneous solution with constant 1 at s and 0 at every other
     inaccessible column, per inaccessible column s below the horizon; where
-    s >= terms, that 1 lies past the prefix, which is then zero.  Pivot row
-    pos is zero at every pivot column but its own, m, so one pass over the
-    pivot rows below ``terms`` reads every sequence: term m is ``-H[pos][s]``."""
+    s >= terms, that 1 lies past the prefix, which is then zero.  The pivot
+    row of length m is zero at every other pivot column, so one pass over
+    the pivot rows below ``terms`` reads every sequence: term m is minus its
+    entry at s."""
     found = inaccessible_lengths(state, horizon)
     _check_terms(state, terms)
     sequences = {s: ([Fraction(0)] * s + [Fraction(1)] + [Fraction(0)] * terms)[:terms]
                  for s in found.values}
-    for m, pos in zip(state.mu[:bisect_left(state.mu, terms)], state.j_set):
-        for col, num, den in state.h_rows[pos].int_items():
+    for m in state.mu[:bisect_left(state.mu, terms)]:
+        for col, num, den in state.pivots[m].int_items():
             if col in sequences:
                 sequences[col][m] = -to_fraction(num, den)
     return FundamentalSet("finite" if found.complete else "schauder_prefix",
@@ -180,7 +181,7 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
         if col < terms:
             out[col] = c
     for m, pos in zip(state.mu[:rank], state.j_set):
-        entries = state.h_rows[pos].int_items() if constants else ()
+        entries = state.pivots[m].int_items() if constants else ()
         tn, td = sum_products(((-num, den, out[col]) for col, num, den in entries),
                               *forcing[pos])
         out[m] = Fraction(tn, td)

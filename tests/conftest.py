@@ -1,6 +1,8 @@
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Tuple
 
 import pytest
@@ -227,6 +229,59 @@ def corrupt_transform_row(state, n, corrupt):
             yield corrupt(q) if m == n else q
 
     state.transform_rows = transform_rows
+
+
+def place(rows, targets, survivor):
+    """Positional placement: append a slot at position k (the last target),
+    put the survivor at ``targets[0]`` and move the entry at each target to
+    the next one, the last first."""
+    rows.append(survivor)
+    for i in range(len(targets) - 2, -1, -1):
+        rows[targets[i + 1]] = rows[targets[i]]
+    rows[targets[0]] = survivor
+
+
+class PositionalReference:
+    """The elimination with its reduced rows stored by position and moved on
+    placement: the reference for ``EliminationState``'s positional views.
+
+    Each push clears against every pivot row, scales, cross-clears every
+    stored row and places the survivor by its ``targets``: the survivor
+    goes to ``targets[0]`` and the row at ``targets[i]`` to
+    ``targets[i + 1]``, the last target being the new position k; for a
+    nonzero survivor of rank r in ``mu`` they are ``j_set[r:] + [k]``.
+    """
+
+    def __init__(self):
+        self.h_rows, self.j_set, self.w_set, self.mu = [], [], [], []
+        self.first_targets = []
+
+    def push_row(self, row):
+        k = len(self.h_rows)
+        g = row.combine([(-c, self.h_rows[self.j_set[self.mu.index(col)]])
+                         for col, c in row.items() if col in self.mu])
+        if g.is_zero:
+            targets = [k]
+            self.w_set.append(k)
+        else:
+            g = g.combine((), 1 / g.leading)
+            for pos in self.j_set:
+                c = self.h_rows[pos].get(g.length)
+                if c:
+                    self.h_rows[pos] = self.h_rows[pos].combine([(-c, g)])
+            rank = bisect_left(self.mu, g.length)
+            targets = self.j_set[rank:] + [k]
+            self.mu.insert(rank, g.length)
+            self.j_set.append(k)
+        place(self.h_rows, targets, g)
+        self.first_targets.append(targets[0])
+
+    def stable_since(self):
+        """Per position n, the last push that placed a row at or below n."""
+        since = list(range(len(self.h_rows)))
+        for k, first in enumerate(self.first_targets):
+            since[first] = k
+        return list(accumulate(since, max))
 
 
 def source_rows(source, k):

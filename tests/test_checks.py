@@ -21,9 +21,9 @@ def checked(eq, state, seed=0):
     return dict(run_checks(eq, state, seed))
 
 
-def bump(state, pos, col):
-    """Add 1 to the reduced row at ``pos`` in column ``col``."""
-    state.h_rows[pos] = state.h_rows[pos].combine([(1, FiniteRow([(col, 1)]))])
+def bump(state, length, col):
+    """Add 1 to the reduced row of pivot length ``length`` in column ``col``."""
+    state.pivots[length] = state.pivots[length].combine([(1, FiniteRow([(col, 1)]))])
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ def test_corrupted_reduced_entry_fails_residual(showcase, seed):
     # column 3 is inaccessible: the pivot row of column 4 now weighs the
     # free constant there wrongly, and source rows 2 and 3 reach column 4
     eq, state = showcase
-    bump(state, 2, 3)
+    bump(state, 4, 3)
     assert checked(eq, state, seed) == {"left-association": False,
                                         "qhf-postulates": True,
                                         "residual": False}
@@ -192,7 +192,7 @@ def test_uncertified_state_over_a_regular_source_runs_the_cross_check(regular):
 
 def test_corrupted_reduced_entry_fails_hessenberg_cross_check(regular):
     eq, state = regular
-    bump(state, 3, 0)   # column 0 holds the first initial value
+    bump(state, 5, 0)   # column 0 holds the first initial value
     results = checked(eq, state)
     assert results["hessenberg-cross-check"] is False
     assert results["qhf-postulates"] is True
@@ -228,9 +228,9 @@ def test_expectation_is_read_against_the_consumed_rows_only(showcase):
 
 
 def test_corrupted_pivot_row_fails_qhf_postulates(showcase):
-    # H and Q scaled alike, so Q . A == H still holds
+    # H and Q scaled alike, so Q . A == H still holds: row 7 has length 9
     eq, state = showcase
-    state.h_rows[7] = state.h_rows[7].combine((), 2)
+    state.pivots[9] = state.pivots[9].combine((), 2)
     corrupt_transform_row(state, 7, lambda q: q.combine((), 2))
     results = checked(eq, state)
     assert results["left-association"] is True

@@ -549,8 +549,8 @@ class TestVerify:
         def corrupted_run(source, horizon):
             # the last nonzero row scaled by 2, in H and in Q alike
             state = run(source, horizon)
-            pos = state.j_set[-1]
-            state.h_rows[pos] = state.h_rows[pos].combine((), 2)
+            pos, length = state.j_set[-1], state.mu[-1]
+            state.pivots[length] = state.pivots[length].combine((), 2)
             corrupt_transform_row(state, pos, lambda q: q.combine((), 2))
             return state
         monkeypatch.setattr(cli, "run", corrupted_run)

@@ -11,8 +11,8 @@ from rowfinite import (EliminationState, EngineError, FiniteRow, ZERO_ROW,
                        build_family, check_invariants, run, solver)
 from rowfinite.elimination import PushLog
 from rowfinite.checks import left_association
-from conftest import (corrupt_transform_row, dense_rank, push_checked,
-                      random_explicit_rows, random_regular_source,
+from conftest import (PositionalReference, corrupt_transform_row, dense_rank,
+                      push_checked, random_explicit_rows, random_regular_source,
                       shuffled_length_rows, source_rows)
 
 
@@ -109,8 +109,8 @@ class TestJordanClear:
         g, log = st.reduce_with_transform(ex3().row_at(2))
         assert g == row(2, 1)
         changed = st.jordan_clear(g, log)
-        assert changed == [0, 1]
-        assert [pos for pos, _ in log.cross] == [0, 1]
+        assert changed == [2, 3]   # the rows at positions 0 and 1
+        assert [length for length, _ in log.cross] == [2, 3]
         assert st.h_rows[0] == row(-1, 0, 1)
         assert st.h_rows[1] == row(0, 0, 0, 1)
         for pos in (0, 1):
@@ -327,7 +327,8 @@ class TestLeftAssociation:
     def test_detects_corrupted_reduced_row(self):
         src = ex3()
         st = run(src, 12)
-        st.h_rows[3] = st.h_rows[3].combine([(1, row(1))])
+        length = st.mu[3]   # the row at position 3
+        st.pivots[length] = st.pivots[length].combine([(1, row(1))])
         assert not left_association(st, source_rows(src, 12))
 
     def test_detects_corrupted_transform_row(self):
@@ -420,9 +421,9 @@ def example2_state():
     return run(build_family({"family": "example2"}), 8)
 
 
-def bump(st, pos, col):
-    """Add 1 to the reduced row at ``pos`` in column ``col``."""
-    st.h_rows[pos] = st.h_rows[pos].combine([(1, FiniteRow([(col, 1)]))])
+def bump(st, length, col):
+    """Add 1 to the reduced row of pivot length ``length`` in column ``col``."""
+    st.pivots[length] = st.pivots[length].combine([(1, FiniteRow([(col, 1)]))])
 
 
 def zero_set_takes_a_pivot_row(st):
@@ -441,21 +442,21 @@ def swap_first_pivots(st):
     st.mu[0], st.mu[1] = st.mu[1], st.mu[0]
 
 
-def zero_row_gets_entry(st):
-    bump(st, 1, 0)
-
-
 def pivot_row_loses_its_length(st):
     # row 3 carries length 5; its entry there cancels
-    st.h_rows[3] = st.h_rows[3].combine([(-1, FiniteRow([(5, 1)]))])
+    st.pivots[5] = st.pivots[5].combine([(-1, FiniteRow([(5, 1)]))])
 
 
 def pivot_row_is_scaled(st):
-    st.h_rows[4] = st.h_rows[4].combine((), 3)
+    st.pivots[6] = st.pivots[6].combine((), 3)   # row 4
 
 
 def entry_in_other_pivot_column(st):
-    bump(st, 7, 5)   # column 5 is the pivot column of row 3
+    bump(st, 9, 5)   # row 7; column 5 is the pivot column of row 3
+
+
+def pivot_row_under_a_stale_length(st):
+    st.pivots[3] = st.pivots.pop(5)
 
 
 def transform_row_is_zero(st):
@@ -478,7 +479,7 @@ class TestCheckInvariants:
         (pivot_set_loses_a_row, "do not partition the consumed range"),
         (drop_last_pivot, "mu and j_set lengths differ"),
         (swap_first_pivots, "pivot lengths are not strictly increasing"),
-        (zero_row_gets_entry, "row 1 is indexed as zero but is not"),
+        (pivot_row_under_a_stale_length, "not keyed by the pivot lengths"),
         (pivot_row_loses_its_length, "row 3 does not carry pivot length 5"),
         (pivot_row_is_scaled, "row 4 rightmost coefficient is 3, not 1"),
         (entry_in_other_pivot_column,
@@ -493,30 +494,31 @@ class TestCheckInvariants:
             check_invariants(st)
 
     def test_equal_pivot_lengths_fail(self):
-        # two rows of length 1 each indexed as a pivot: the lengths are not
+        # two rows indexed as pivots of length 1: the lengths are not
         # strictly increasing, and that check fires before any other
         st = EliminationState()
-        st.h_rows = [row(0, 1), row(1, 1)]
-        st.j_set, st.mu = [0, 1], [1, 1]
+        st.push_row(row(0, 1))
+        st.push_row(row(0, 0, 1))
+        st.mu = [1, 1]
         with pytest.raises(EngineError, match="pivot lengths are not strictly increasing"):
             check_invariants(st)
 
     def test_zero_pivot_row_fails(self):
         st = example2_state()
-        st.h_rows[3] = ZERO_ROW
+        st.pivots[5] = ZERO_ROW
         with pytest.raises(EngineError, match="row 3 does not carry pivot length 5"):
             check_invariants(st)
 
     def test_first_pivot_column_error_is_reported(self):
         # the lowest row first, and in a row the lowest pivot column
         st = example2_state()
-        bump(st, 7, 6)
-        bump(st, 7, 2)
-        bump(st, 5, 4)
+        bump(st, 9, 6)   # row 7
+        bump(st, 9, 2)
+        bump(st, 7, 4)   # row 5
         with pytest.raises(EngineError,
                            match="row 5 has a nonzero entry in pivot column 4 of row 2"):
             check_invariants(st)
-        st.h_rows[5] = example2_state().h_rows[5]
+        st.pivots[7] = example2_state().pivots[7]
         with pytest.raises(EngineError,
                            match="row 7 has a nonzero entry in pivot column 2 of row 0"):
             check_invariants(st)
@@ -532,9 +534,8 @@ class ScanAllState(EliminationState):
         work, clear = row, []
         for col, c in row.items():
             if col in self.mu:
-                pos = self.j_set[self.mu.index(col)]
-                work = work.combine([(-c, self.h_rows[pos])])
-                clear.append((pos, -c))
+                work = work.combine([(-c, self.pivots[col])])
+                clear.append((col, -c))
         inv = None
         if not work.is_zero and work.leading != 1:
             inv = 1 / work.leading
@@ -543,17 +544,17 @@ class ScanAllState(EliminationState):
 
     def jordan_clear(self, g, log):
         changed = []
-        for pos in self.j_set:
-            c = self.h_rows[pos].get(g.length)
+        for length in self.mu:
+            c = self.pivots[length].get(g.length)
             if c:
-                self.h_rows[pos] = self.h_rows[pos].combine([(-c, g)])
-                log.cross.append((pos, -c))
-                changed.append(pos)
+                self.pivots[length] = self.pivots[length].combine([(-c, g)])
+                log.cross.append((length, -c))
+                changed.append(length)
         return changed
 
 
 def trace(st):
-    return ([(log.clear, log.inv, log.cross, log.targets) for log in st._log],
+    return ([(log.clear, log.inv, log.cross, log.length, log.placed) for log in st._log],
             st.h_rows, st.stable_since())
 
 
@@ -590,7 +591,7 @@ class TestRankCut:
                 read.append(self.length), method(self, *a))[1])
         g, log = st.reduce_with_transform(row(0, 0, 0, 1))
         read.clear()
-        assert st.jordan_clear(g, log) == [3]
+        assert st.jordan_clear(g, log) == [7]
         # stored lengths 0, 2, 4, 7: only the row of length 7 holds column 3
         assert set(read) == {7}
         assert st.h_rows[3] == row(0, 0, 0, 0, 0, 0, 0, 1)
@@ -606,7 +607,7 @@ class TestColumnIndex:
         for r in rows:
             push_checked(st, r)
         assert st.h_rows == [FiniteRow([(1, 1)]), FiniteRow([(2, 1)]), FiniteRow([(5, 1)])]
-        assert st._log[1].cross == [(0, -1)] and st._log[2].cross == [(0, -1)]
+        assert st._log[1].cross == [(5, -1)] and st._log[2].cross == [(2, -1)]
 
     @pytest.mark.parametrize("plant", ["stale", "missing"])
     def test_planted_error_fails(self, plant):
@@ -650,21 +651,23 @@ def scale(x, c):
 def chained_q_rows(st):
     """The log replayed onto the identity rows one pairwise row operation at
     a time, as the engine did before it combined each push's rows in one
-    pass."""
-    column = []
+    pass, every row kept to the end: a nonzero row under its pivot length,
+    a zero row under its position."""
+    nonzero, zero = {}, {}
     for k, log in enumerate(st._log):
         value = FiniteRow([(k, 1)])
-        for pos, m in log.clear:
-            value = axpy(value, m, column[pos])
+        for length, m in log.clear:
+            value = axpy(value, m, nonzero[length])
         if log.inv is not None:
             value = scale(value, log.inv)
-        for pos, m in log.cross:
-            column[pos] = axpy(column[pos], m, value)
-        displaced = [column[p] for p in log.targets[:-1]]
-        column.append(value)
-        for pos, moved in zip(log.targets, [value] + displaced):
-            column[pos] = moved
-    return column
+        for length, m in log.cross:
+            nonzero[length] = axpy(nonzero[length], m, value)
+        if log.length < 0:
+            zero[k] = value
+        else:
+            nonzero[log.length] = value
+    length_at = dict(zip(st.j_set, st.mu))
+    return [nonzero[length_at[n]] if n in length_at else zero[n] for n in range(st.k)]
 
 
 def shuffled_explicit_rows(seed, width):
@@ -684,6 +687,51 @@ def shuffled_explicit_rows(seed, width):
         if n % 7 == 6:
             rows.append(rows[-1].combine([(Fraction(-2, 3), rows[-3])], 5))
     return rows
+
+
+class TestPositionalViews:
+    """The rows are stored by pivot length and never moved; the positional
+    views must equal those of the engine that stored rows by position."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 40))
+    def test_views_match_the_positional_reference_after_every_push(self, seed, width):
+        state, ref = EliminationState(), PositionalReference()
+        for r in shuffled_explicit_rows(seed, width):
+            state.push_row(r)
+            ref.push_row(r)
+            assert state.h_rows == ref.h_rows
+            assert (state.j_set, state.w_set, state.mu) == (ref.j_set, ref.w_set, ref.mu)
+            assert state.stable_since() == ref.stable_since()
+
+    def test_mutating_h_rows_leaves_the_state_unchanged(self):
+        st = run(ex3(), 12)
+        before = st.h_rows
+        view = st.h_rows
+        view[3] = ZERO_ROW
+        view[6] = row(1)
+        view.append(row(0, 1))
+        del view[0]
+        assert st.h_rows == before and st.k == 12
+        check_invariants(st)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shuffled_length_rows())
+    def test_jordan_clear_returns_one_length_per_row_changed(self, rows):
+        st = EliminationState()
+        real = st.jordan_clear
+
+        def recording(g, log):
+            before = dict(st.pivots)
+            changed = real(g, log)
+            assert changed == [length for length, _ in log.cross]
+            assert changed == [length for length in sorted(before)
+                               if st.pivots[length] != before[length]]
+            return changed
+
+        st.jordan_clear = recording
+        for r in rows:
+            st.push_row(r)
 
 
 class Tracked:
@@ -778,7 +826,7 @@ class TestTransformLengths:
                 lengths = [q.length for q in chained_q_rows(state)]
                 assert state.stable_since() == list(accumulate(lengths, max))
                 assert [lengths[w] for w in state.w_set] == state.w_set
-            seen["shift"] |= any(len(log.targets) > 1 for log in state._log)
+            seen["shift"] |= any(log.placed < k for k, log in enumerate(state._log))
             seen["cross"] |= any(log.cross for log in state._log)
             seen["zero"] |= bool(state.w_set)
 
@@ -885,7 +933,7 @@ class TestPrefixHistory:
         def check(rows):
             st, history = self.snapshot_run(rows)
             self.assert_markers_match(st, history)
-            shifted.append(any(len(log.targets) > 1 for log in st._log))
+            shifted.append(any(log.placed < k for k, log in enumerate(st._log)))
             crossed.append(any(log.cross for log in st._log))
 
         check()
