@@ -112,6 +112,10 @@ def _first_index(args, source: RowSource) -> int:
 # The writers below produce the value of a top-level key byte for byte as
 # json.dumps(..., indent=2) does, straight from the values: the JSON
 # documents are built without a payload of dicts for the generic encoder.
+# Each formats a row or a term list in one comprehension (``str`` of a
+# ``Fraction`` is ``p`` or ``p/q``, as format_ratio writes it); a value past
+# the int-str digit limit raises ValueError there, and that row or list is
+# formatted again through format_ratio.
 
 def _ints_json(values: Sequence[int]) -> str:
     if not values:
@@ -119,17 +123,24 @@ def _ints_json(values: Sequence[int]) -> str:
     return "[\n" + ",\n".join(f"    {v}" for v in values) + "\n  ]"
 
 
+_PAIR_SEP = '"\n      ],\n      [\n        '
+
+
 def _rows_json(key: str, rows: Iterable[FiniteRow], count: int) -> Iterator[str]:
     """The line of ``key`` and then its ``count`` rows (one at least) as
     lists of ``[column, "p/q"]`` pairs, written straight from the integer
-    pairs a row at a time."""
+    pairs a row at a time.  Each pair is written from its column to the end
+    of its value, and ``_PAIR_SEP`` joins them."""
     yield f'  "{key}": ['
     for i, row in enumerate(rows, 1):
         comma = "," if i < count else ""
-        entries = ",\n".join(
-            f'      [\n        {c},\n        "{format_ratio(n, d)}"\n      ]'
-            for c, n, d in row.int_items())
-        yield f"    [\n{entries}\n    ]{comma}" if entries else f"    []{comma}"
+        try:
+            pairs = [f'{c},\n        "{n}' if d == 1 else f'{c},\n        "{n}/{d}'
+                     for c, n, d in row.int_items()]
+        except ValueError:
+            pairs = [f'{c},\n        "{format_ratio(n, d)}' for c, n, d in row.int_items()]
+        yield (f'    [\n      [\n        {_PAIR_SEP.join(pairs)}"\n      ]\n    ]{comma}'
+               if pairs else f"    []{comma}")
     yield "  ],"
 
 
@@ -139,11 +150,14 @@ def _terms_json(values: Sequence[Fraction], first: int, indent: int) -> str:
     if not values:
         return "[]"
     pad = " " * indent
-    items = ",\n".join(
-        f'{pad}  {{\n{pad}    "index": {i + first},\n'
-        f'{pad}    "value": "{format_scalar(v)}"\n{pad}  }}'
-        for i, v in enumerate(values))
-    return f"[\n{items}\n{pad}]"
+    head = f'{pad}  {{\n{pad}    "index": '
+    mid = f',\n{pad}    "value": "'
+    tail = f'"\n{pad}  }}'
+    try:
+        items = [f"{head}{i}{mid}{v!s}{tail}" for i, v in enumerate(values, first)]
+    except ValueError:
+        items = [f"{head}{i}{mid}{format_scalar(v)}{tail}" for i, v in enumerate(values, first)]
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
 def _sequences_json(sequences: Dict[int, Sequence[Fraction]], first: int) -> str:
@@ -191,7 +205,10 @@ def _rows_csv(rows: Sequence[FiniteRow]) -> Iterator[str]:
 
 
 def _seq_csv(values: Sequence[Fraction]) -> str:
-    return ",".join(format_scalar(v) for v in values)
+    try:
+        return ",".join(map(str, values))
+    except ValueError:
+        return ",".join(map(format_scalar, values))
 
 
 def _emit(args, json_lines: _Lines, csv_lines: _Lines, pretty_lines: _Lines) -> None:

@@ -234,24 +234,30 @@ class TestReduce:
         assert json.loads(out)["rows"][0] == []
 
     def test_json_entries_past_the_int_string_limit(self, capsys, tmp_path):
+        # numerators, then denominators, of more than 4,300 digits; in 14 of
+        # the 20 transform rows they sit beside short entries, so the row is
+        # written again once its first long entry is reached
         spec = tmp_path / "big.json"
-        obj = {"family": "first_order", "a": "(n+2)^1000"}
-        spec.write_text(json.dumps(obj))
-        code, out, _ = run_cli(capsys, "reduce", "--spec", str(spec),
-                               "--horizon", "20")
-        assert code == 0
-        q_rows = json.loads(out)["q_rows"]
-        n, col, text = max(((n, col, text) for n, row in enumerate(q_rows)
-                            for col, text in row), key=lambda e: len(e[2]))
-        assert len(text) > 4300
-        state = run(build_family(obj), 20)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        setter = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-        setter(0)
-        try:
-            assert Fraction(text) == state.q_rows[n].get(col)
-        finally:
-            setter(limit)
+        for a in ("(n+2)^1000", "1/(n+2)^1000"):
+            obj = {"family": "first_order", "a": a}
+            spec.write_text(json.dumps(obj))
+            code, out, _ = run_cli(capsys, "reduce", "--spec", str(spec),
+                                   "--horizon", "20")
+            assert code == 0
+            state = run(build_family(obj), 20)
+            payload = reduce_payload(state, 20)
+            assert out == json.dumps(payload, indent=2) + "\n"
+            lengths = [[len(text) for _, text in row] for row in payload["q_rows"]]
+            assert sum(min(ls) <= 4300 < max(ls) for ls in lengths) == 14
+            n, col, text = max(((n, col, text) for n, row in enumerate(payload["q_rows"])
+                                for col, text in row), key=lambda e: len(e[2]))
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            setter = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+            setter(0)
+            try:
+                assert Fraction(text) == state.q_rows[n].get(col)
+            finally:
+                setter(limit)
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "reduce", "--family", "example3",
@@ -1017,23 +1023,30 @@ class TestTermListJson:
         assert out == generic_json(payload)
 
     def test_values_past_the_int_string_limit(self, capsys, tmp_path):
-        # y_n = (10^80 + n) y_{n-1}: y_59 has more than 4,300 digits
-        obj = {"family": "first_order", "a": "10^80 + n"}
+        # y_n = (10^80 + n) y_{n-1}: y_59 has more than 4,300 digits, in its
+        # numerator, or with a = 1/(10^80 + n) in its denominator
         spec = tmp_path / "big.json"
-        spec.write_text(json.dumps(obj))
-        code, out, _ = run_cli(capsys, "hess", "--spec", str(spec), "--terms", "60",
-                               "--free", "0=1")
-        assert code == 0
-        values = general_prefix(build_family(obj), None, [1], 60)
-        assert len(format_scalar(values[-1])) > 4300
-        assert out == generic_json({"command": "hess", "index": 1,
-                                    "terms": terms_payload(values, 0)})
-        code, out, _ = run_cli(capsys, "solve", "--spec", str(spec),
-                               "--horizon", "61", "--terms", "61",
-                               "--free", "0=1", "--first-index=-1")
-        assert code == 0
-        assert out == generic_json({"command": "solve", "first_index": -1,
-                                    "terms": terms_payload([1] + values, -1)})
+        for a in ("10^80 + n", "1/(10^80 + n)"):
+            obj = {"family": "first_order", "a": a}
+            spec.write_text(json.dumps(obj))
+            code, out, _ = run_cli(capsys, "hess", "--spec", str(spec), "--terms", "60",
+                                   "--free", "0=1")
+            assert code == 0
+            values = general_prefix(build_family(obj), None, [1], 60)
+            assert len(format_scalar(values[-1])) > 4300
+            assert out == generic_json({"command": "hess", "index": 1,
+                                        "terms": terms_payload(values, 0)})
+            code, out, _ = run_cli(capsys, "solve", "--spec", str(spec),
+                                   "--horizon", "61", "--terms", "61",
+                                   "--free", "0=1", "--first-index=-1")
+            assert code == 0
+            assert out == generic_json({"command": "solve", "first_index": -1,
+                                        "terms": terms_payload([1] + values, -1)})
+            code, out, _ = run_cli(capsys, "solve", "--spec", str(spec),
+                                   "--horizon", "61", "--terms", "61",
+                                   "--free", "0=1", "--format", "csv")
+            assert code == 0
+            assert out == ",".join(map(format_scalar, [1] + values)) + "\n"
 
 
 class TestValuesStartingWithDash:

@@ -81,16 +81,24 @@ class TestGaussianReduce:
                 st.push_row(r)
             probe = rows[-1]
             expected = st.reduce_with_transform(probe)[0]
+
+            def usable(work):
+                return [(length, pos) for length, pos in zip(st.mu, st.j_set)
+                        if length <= work.length and work.get(length) != 0]
+
             for _ in range(4):
                 work = probe
-                while not work.is_zero:
-                    usable = [(length, pos)
-                              for length, pos in zip(st.mu, st.j_set)
-                              if length <= work.length and work.get(length) != 0]
-                    if not usable:
+                # each pivot column is zero in every other stored row, so a
+                # step clears one column for good: at most one per pivot,
+                # and a kernel that leaves its column standing fails below
+                # rather than looping
+                for _ in st.mu:
+                    choices = usable(work)
+                    if not choices:
                         break
-                    length, pos = rng.choice(usable)
+                    length, pos = rng.choice(choices)
                     work = work.combine([(-work.get(length), st.h_rows[pos])])
+                assert not usable(work)
                 if not work.is_zero:
                     work = work.combine((), 1 / work.leading)
                 assert work == expected
