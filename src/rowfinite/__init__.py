@@ -2,7 +2,7 @@
 systems, including linear difference equations with variable coefficients."""
 
 from .rows import (FiniteRow, ShortColumnError, ZERO_ROW, ZeroRowError, as_scalar,
-                   format_scalar, parse_scalar)
+                   format_scalar)
 from .sources import (CoeffExpr, EquationSpec, EvalError, ExprSyntaxError,
                       RowSource, SpecError, build_family, equation_from_obj,
                       load_equation, parse_coeff_expr)
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FiniteRow", "ZERO_ROW", "ZeroRowError", "ShortColumnError",
-    "as_scalar", "format_scalar", "parse_scalar",
+    "as_scalar", "format_scalar",
     "CoeffExpr", "EquationSpec", "EvalError", "ExprSyntaxError", "RowSource",
     "SpecError", "build_family", "equation_from_obj", "load_equation",
     "parse_coeff_expr",

@@ -7,8 +7,9 @@ they solve, and the Hessenberg closed form against the elimination path.
 The ``verify`` command runs them all through :func:`run_checks`, which
 fetches each consumed source row once for all of them and replays ``Q``
 once, judging ``Q . A == H`` and the transform-row postulates on the same
-pass; ``hess --verify-against-elimination`` uses
-:func:`closed_form_matches` alone.
+pass (:func:`elimination.check_invariants` judges only the stored state);
+``hess --verify-against-elimination`` uses :func:`closed_form_matches`
+alone.
 
 The product ``Q[n] . A`` is summed on the integer pairs of the rows, apart
 from the row arithmetic of :mod:`rowfinite.rows` that built ``Q``, so a
@@ -67,16 +68,17 @@ def _verdicts(rows: Sequence[FiniteRow], transforms: Iterable[FiniteRow],
     """(reproduced, postulated) of ``transforms``, read once and only until
     both are known.  Reproduced: they are as many as ``h_rows`` and the
     n-th times A is ``h_rows[n]``, where row m of A is ``rows[m]``.
-    Postulated: ``postulated`` holds and no row has a
-    :func:`elimination.transform_row_fault` for ``len(h_rows)`` consumed
-    rows."""
+    Postulated: ``postulated`` holds and every row is a transform row of
+    the ``len(h_rows)`` consumed rows."""
     k = len(h_rows)
     reproduced = True
     count = 0
     for n, q_row in enumerate(transforms):
         count = n + 1
         reproduced = reproduced and n < k and _reproduces(rows, q_row, h_rows[n])
-        postulated = postulated and elimination.transform_row_fault(n, q_row, k) is None
+        # a transform row is nonzero (length -1 is the zero row's) and
+        # reads only consumed rows
+        postulated = postulated and 0 <= q_row.length < k
         if not (reproduced or postulated):
             break
     return reproduced and count == k, postulated
@@ -179,7 +181,7 @@ def run_checks(eq: EquationSpec, state: elimination.EliminationState,
     rows = [eq.source.row_at(n) for n in range(state.k)]
     expected = expected_pair_check(eq, rows)
     try:
-        elimination.check_invariants(state, transforms=False)
+        elimination.check_invariants(state)
         structural = True
     except elimination.EngineError:
         structural = False

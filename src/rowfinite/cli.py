@@ -38,7 +38,7 @@ from . import checks
 from . import hessenberg as hb
 from . import solver
 from .elimination import EliminationState, run
-from .rows import FiniteRow, format_ratio, format_scalar, parse_scalar
+from .rows import FiniteRow, as_scalar, format_ratio, format_scalar
 from .sources import (EquationSpec, EvalError, RowSource, SpecError,
                       build_family, load_equation)
 
@@ -68,7 +68,7 @@ def _parse_free(text: Optional[str]) -> Dict[int, Fraction]:
         idx = int(key)
         if idx in out:
             raise SpecError(f"--free assigns index {idx} twice")
-        out[idx] = parse_scalar(value)
+        out[idx] = as_scalar(value)
     return out
 
 
@@ -82,7 +82,7 @@ def _flag_int(text: str) -> int:
 def _forcing(args, eq: EquationSpec) -> Optional[List[Fraction]]:
     """``--g`` if given, else the spec's ``g``; None for no forcing."""
     if args.g is not None:
-        return [parse_scalar(chunk) for chunk in args.g.split(",")]
+        return [as_scalar(chunk) for chunk in args.g.split(",")]
     return None if eq.g is None else list(eq.g)
 
 

@@ -15,9 +15,11 @@ transform rows, ``Q[n] . A == h_rows[n]`` entrywise for every consumed
 once no later push reads it, so every reader of ``Q`` streams it without
 holding it (two rows live on ``example2``).
 Replaying the log on a forcing column gives the transformed forcing ``Q . g``.
-:func:`check_invariants` judges the engine state; ``Q . A == H`` against
-the source rows is checked in :mod:`rowfinite.checks`, on the same replay
-of ``Q`` that judges the transform rows there.
+:func:`check_invariants` judges only what the engine stores (the index
+sets, the rows keyed by pivot length, the column index) and replays
+nothing; the replayed ``Q`` is judged in :mod:`rowfinite.checks`, where one
+replay settles ``Q . A == H`` against the source rows and the rule of a
+transform row.
 
 Each consumed row passes through three steps:
 
@@ -323,27 +325,13 @@ def run(source: RowSource, horizon: int) -> EliminationState:
     return state
 
 
-def transform_row_fault(n: int, q: FiniteRow, k: int) -> Optional[str]:
-    """What is wrong with transform row n, ``q``, of a state that has
-    consumed ``k`` rows, or None: a transform row is nonzero and reads
-    only consumed rows."""
-    if q.is_zero:
-        return f"transform row {n} is zero"
-    if q.length >= k:
-        return f"transform row {n} references unconsumed rows"
-    return None
-
-
-def check_invariants(state: EliminationState, transforms: bool = True) -> None:
-    """Raise EngineError unless the state satisfies every structural
+def check_invariants(state: EliminationState) -> None:
+    """Raise EngineError unless the stored state satisfies every structural
     invariant: the quasi-Hermite postulates on nonzero rows, coherent index
-    sets that key each nonzero row by its length, a column index that
-    matches the rows, and, unless ``transforms`` is False, nonzero transform
-    rows that read only consumed rows.  With ``transforms`` False ``Q`` is
-    not replayed: the caller judges each row with :func:`transform_row_fault`
-    on a replay it makes anyway, as ``checks.run_checks`` does."""
-    k = state.k
-    if sorted(state.j_set + state.w_set) != list(range(k)):
+    sets that key each nonzero row by its length, and a column index that
+    matches the rows.  ``Q`` is not replayed; ``checks.run_checks`` judges
+    it."""
+    if sorted(state.j_set + state.w_set) != list(range(state.k)):
         raise EngineError("j_set and w_set do not partition the consumed range")
     if len(state.mu) != len(state.j_set):
         raise EngineError("mu and j_set lengths differ")
@@ -366,8 +354,3 @@ def check_invariants(state: EliminationState, transforms: bool = True) -> None:
     live = {col: lengths for col, lengths in state._holders.items() if lengths}
     if live != _column_holders(state):
         raise EngineError("the column index does not match the stored rows")
-    if transforms:
-        for n, q in enumerate(state.transform_rows()):
-            fault = transform_row_fault(n, q, k)
-            if fault is not None:
-                raise EngineError(fault)

@@ -53,11 +53,6 @@ def short_forcing(given: int, needed: int) -> ShortColumnError:
                             f"the requested output needs {needed}")
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` exactly (see :func:`as_ratio`)."""
-    return to_fraction(*as_ratio(text))
-
-
 def reduced(num: int, den: int) -> Tuple[int, int]:
     """``num/den`` (``den`` nonzero) in lowest terms, the sign on ``num``."""
     g = gcd(num, den)
@@ -79,11 +74,11 @@ def _decimal(n: int) -> str:
 
 def format_ratio(num: int, den: int) -> str:
     """Render ``num/den`` (in lowest terms, ``den > 0``) as ``"p"`` or
-    ``"p/q"``; inverse of parse_scalar.
+    ``"p/q"``; inverse of :func:`as_scalar` on a ``str``.
 
     Output has no digit limit.  The interpreter's limit on int-str
     conversion (4,300 digits by default) bounds the parsing of untrusted
-    text, so parse_scalar keeps it and rejects longer numbers.
+    text, so as_scalar keeps it and rejects longer numbers.
     """
     try:
         return str(num) if den == 1 else f"{num}/{den}"
@@ -159,14 +154,12 @@ class FiniteRow:
         for col, value in entries:
             if not isinstance(col, int) or isinstance(col, bool) or col < 0:
                 raise ValueError(f"column must be a nonnegative integer, got {col!r}")
-            num, den = as_ratio(value)
-            if num:
-                cleaned.append((col, num, den))
+            cleaned.append((col, *as_ratio(value)))
         cleaned.sort(key=lambda e: e[0])
         for a, b in zip(cleaned, cleaned[1:]):
             if a[0] == b[0]:
                 raise ValueError(f"duplicate column {a[0]}")
-        self._entries = tuple(cleaned)
+        self._entries = tuple(e for e in cleaned if e[1])
 
     @classmethod
     def _raw(cls, entries: list) -> "FiniteRow":

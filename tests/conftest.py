@@ -213,9 +213,19 @@ def dense_product_matches(rows, transforms, h_rows):
     return True
 
 
+def check_state(state):
+    """``check_invariants`` on the stored state, and the rule of a transform
+    row on its replay of ``Q``: each row is nonzero and reads only the
+    consumed rows."""
+    check_invariants(state)
+    for n, q in enumerate(state.transform_rows()):
+        assert not q.is_zero, f"transform row {n} is zero"
+        assert q.length < state.k, f"transform row {n} reads an unconsumed row"
+
+
 def push_checked(state, row):
     state.push_row(row)
-    check_invariants(state)
+    check_state(state)
 
 
 def corrupt_transform_row(state, n, corrupt):

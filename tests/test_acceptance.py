@@ -13,13 +13,13 @@ from fractions import Fraction
 import pytest
 
 from rowfinite import (EliminationState, FiniteRow, InconsistentSystemError,
-                       build_family, check_invariants, fundamental_set,
+                       build_family, fundamental_set,
                        general_prefix, general_solution, inaccessible_lengths,
                        run)
 from rowfinite.checks import left_association
-from conftest import (LowerHessenberg, dense, frechet_distance, hess_det,
-                      naive_det, random_explicit_rows, random_regular_source,
-                      random_scalar, source_rows)
+from conftest import (LowerHessenberg, check_state, dense, frechet_distance,
+                      hess_det, naive_det, random_explicit_rows,
+                      random_regular_source, random_scalar, source_rows)
 
 
 @contextmanager
@@ -129,7 +129,7 @@ def test_criterion_3_left_association_and_postulates():
                 certified=src.regular_order_index is not None)
             for n in range(horizon):
                 state.push_row(src.row_at(n))
-                check_invariants(state)
+                check_state(state)
             assert left_association(state, source_rows(src, horizon))
 
         rng = random.Random(93)
@@ -138,7 +138,7 @@ def test_criterion_3_left_association_and_postulates():
             state = EliminationState()
             for r in rows:
                 state.push_row(r)
-                check_invariants(state)
+                check_state(state)
             assert left_association(state, rows)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowfinite import checks, cli
+from rowfinite import checks, cli, solver
 from rowfinite import hessenberg as hb
 from rowfinite import (EliminationState, EquationSpec, EvalError, FiniteRow,
                        RowSource, SpecError, build_family, run)
@@ -58,6 +58,27 @@ def test_corrupted_reduced_entry_fails_residual(showcase, seed):
                                         "residual": False}
 
 
+def test_all_zero_spec_passes_residual(tmp_path, capsys):
+    spec = tmp_path / "zero.json"
+    spec.write_text('{"rows": [[], []]}', encoding="utf-8")
+    assert cli.main(["verify", "--spec", str(spec), "--horizon", "2"]) == 0
+    assert capsys.readouterr().out == ("seed 0\nPASS left-association\n"
+                                       "PASS qhf-postulates\nPASS residual\n")
+
+
+def test_changed_clearing_multiplier_at_a_zero_row_fails_residual(showcase):
+    # the forcing replayed to zero row 1 is no longer zero, so a forcing
+    # consistent by construction is reported inconsistent
+    eq, state = showcase
+    (length, m), = state._log[1].clear
+    state._log[1].clear[0] = (length, m + 1)
+    g = [row.dot_prefix([1] * 10) for row in source_rows(eq.source, state.k)]
+    with pytest.raises(solver.InconsistentSystemError):
+        solver.general_solution(state, g, {}, 10)
+    assert checked(eq, state) == {"left-association": False,
+                                  "qhf-postulates": True, "residual": False}
+
+
 def test_corrupted_transform_entry_fails_left_association(showcase):
     # the solvers replay the log, not Q, so only Q . A == H can see this
     eq, state = showcase
@@ -71,6 +92,19 @@ def test_zero_transform_row_at_a_zero_row_fails_only_qhf_postulates(showcase):
     eq, state = showcase
     corrupt_transform_row(state, state.w_set[0], lambda q: FiniteRow())
     assert checked(eq, state) == {"left-association": True,
+                                  "qhf-postulates": False, "residual": True}
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda q, k: FiniteRow(),
+    lambda q, k: q.combine([(1, FiniteRow([(k, 1)]))]),
+], ids=["transform_row_is_zero", "transform_row_reaches_past_k"])
+def test_transform_row_rule_fails_qhf_postulates(showcase, corrupt):
+    # a transform row is nonzero and reads only the k consumed rows; this
+    # Q[2] no longer gives the nonzero H[2] either
+    eq, state = showcase
+    corrupt_transform_row(state, 2, lambda q: corrupt(q, state.k))
+    assert checked(eq, state) == {"left-association": False,
                                   "qhf-postulates": False, "residual": True}
 
 

@@ -11,8 +11,8 @@ from rowfinite import (EliminationState, EngineError, FiniteRow, ZERO_ROW,
                        build_family, check_invariants, run, solver)
 from rowfinite.elimination import PushLog
 from rowfinite.checks import left_association
-from conftest import (PositionalReference, corrupt_transform_row, dense_rank,
-                      push_checked, random_explicit_rows, random_regular_source,
+from conftest import (PositionalReference, check_state, corrupt_transform_row,
+                      dense_rank, push_checked, random_explicit_rows, random_regular_source,
                       shuffled_length_rows, source_rows)
 
 
@@ -156,6 +156,13 @@ class TestJordanClear:
 
 
 class TestInsertWithPermutation:
+    def test_rejects_colliding_length(self):
+        st = EliminationState()
+        st.push_row(row(0, 0, 1))
+        with pytest.raises(EngineError, match="pivot length 2 collides"):
+            st.insert_with_permutation(row(1, 0, 1), PushLog([], None))
+        assert st.mu == [2] and st.k == 1
+
     def test_reorder_to_increasing_lengths(self):
         st = EliminationState()
         src = ex3()
@@ -197,7 +204,7 @@ class TestInsertWithPermutation:
         st.push_row(ZERO_ROW)
         assert st.w_set == [0]
         assert st.q_rows[0] == row(1)
-        check_invariants(st)
+        check_state(st)
 
     def test_nonzero_rows_shift_across_pinned_zeros(self):
         rows = [row(0, 0, 1), row(0, 0, 2), row(0, 1, 1),
@@ -273,7 +280,7 @@ class TestRunAndPrefixes:
         st = run(src, 12)
         assert st.k == 12
         assert not st.certified
-        check_invariants(st)
+        check_state(st)
 
     def test_constant_first_order_column_of_products(self):
         st = run(build_family({"family": "first_order", "a": "2"}), 4)
@@ -418,7 +425,7 @@ class TestHypothesisMatrices:
         st = EliminationState()
         for r in rows:
             st.push_row(r)
-            check_invariants(st)
+            check_state(st)
         assert left_association(st, rows)
         width = max((r.length + 1 for r in rows), default=1)
         assert len(st.j_set) == dense_rank(rows, width)
@@ -467,19 +474,18 @@ def pivot_row_under_a_stale_length(st):
     st.pivots[3] = st.pivots.pop(5)
 
 
-def transform_row_is_zero(st):
-    corrupt_transform_row(st, 2, lambda q: ZERO_ROW)
-
-
-def transform_row_reaches_past_k(st):
-    corrupt_transform_row(st, 2, lambda q: q.combine([(1, FiniteRow([(st.k, 1)]))]))
-
-
 class TestCheckInvariants:
     """Each branch of check_invariants fails on a state corrupted where it
     looks, and only there."""
 
     def test_intact_state_passes(self):
+        check_invariants(example2_state())
+
+    def test_judges_the_stored_state_without_replaying_q(self, monkeypatch):
+        def replay(self, unit, combine):
+            raise AssertionError("check_invariants replayed the log")
+
+        monkeypatch.setattr(EliminationState, "replay", replay)
         check_invariants(example2_state())
 
     @pytest.mark.parametrize("corrupt,message", [
@@ -492,8 +498,6 @@ class TestCheckInvariants:
         (pivot_row_is_scaled, "row 4 rightmost coefficient is 3, not 1"),
         (entry_in_other_pivot_column,
          "row 7 has a nonzero entry in pivot column 5 of row 3"),
-        (transform_row_is_zero, "transform row 2 is zero"),
-        (transform_row_reaches_past_k, "transform row 2 references unconsumed rows"),
     ], ids=lambda v: getattr(v, "__name__", None))
     def test_each_branch_fails(self, corrupt, message):
         st = example2_state()
@@ -721,7 +725,7 @@ class TestPositionalViews:
         view.append(row(0, 1))
         del view[0]
         assert st.h_rows == before and st.k == 12
-        check_invariants(st)
+        check_state(st)
 
     @settings(max_examples=50, deadline=None)
     @given(shuffled_length_rows())

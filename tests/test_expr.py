@@ -76,6 +76,9 @@ class TestGrammar:
     def test_deep_nesting(self):
         assert ev("-(-(-(n)))", 5) == -5
 
+    def test_repr_shows_the_text(self):
+        assert repr(parse_coeff_expr("2*n + j")) == "CoeffExpr('2*n + j')"
+
 
 class TestCospi2:
     @pytest.mark.parametrize("arg,value", [(0, 1), (1, 0), (2, -1), (3, 0),

@@ -1,11 +1,12 @@
 """The README's examples run as written and print what it says they print."""
 
+import ast
 import json
 import re
 import shlex
 from pathlib import Path
 
-from rowfinite import cli, equation_from_obj
+from rowfinite import FiniteRow, cli, equation_from_obj
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -15,8 +16,24 @@ def code_blocks(lang):
 
 
 def test_library_block_runs():
+    # each bare expression's value, keyed by its text, for its comment
     (block,) = code_blocks("python")
-    exec(compile(block, "README.md", "exec"), {})
+    namespace, said = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            said[ast.get_source_segment(block, stmt)] = eval(
+                compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert said["checks.left_association(state, rows)"] is True
+    assert said["[Q[w] for w in state.w_set]"] == [FiniteRow([(0, -2), (1, 1)])]
+    sequences = said["fundamental_set(state, 8, 7).sequences"]
+    assert list(sequences) == [0, 1, 3] and sequences[1][:5] == (0, 1, 2, 0, -24)
+    assert said["general_solution(state, None, {1: 1}, 7)"] == [0, 1, 2, 0, -24, -192, -1344]
+    particular = said["general_solution(run(rec, 5), [1]*5, {}, 6)"]
+    assert particular == [0, 1, 3, 7, 15, 31]
+    assert said["general_prefix(rec, [1]*5, [Fraction(0)], 5)"] == particular[1:]
+    assert said["general_prefix(rec, None, [Fraction(1)], 5)"] == [2, 4, 8, 16, 32]
 
 
 def test_command_lines_print_their_results(capsys, tmp_path, monkeypatch):
