@@ -7,9 +7,8 @@ from .sources import (CoeffExpr, EquationSpec, EvalError, ExprSyntaxError,
                       RowSource, SpecError, build_family, equation_from_obj,
                       load_equation, parse_coeff_expr)
 from .elimination import EliminationState, EngineError, check_invariants, run
-from .solver import (AccessibleIndexError, FundamentalSet, InaccessibleLengths,
-                     InconsistentSystemError, fundamental_set,
-                     general_solution, inaccessible_lengths)
+from .solver import (AccessibleIndexError, InconsistentSystemError,
+                     fundamental_set, general_solution, inaccessible_lengths)
 from .hessenberg import general_prefix
 
 __version__ = "0.1.0"
@@ -21,9 +20,8 @@ __all__ = [
     "SpecError", "build_family", "equation_from_obj", "load_equation",
     "parse_coeff_expr",
     "EliminationState", "EngineError", "check_invariants", "run",
-    "AccessibleIndexError", "FundamentalSet", "InaccessibleLengths",
-    "InconsistentSystemError", "fundamental_set", "general_solution",
-    "inaccessible_lengths",
+    "AccessibleIndexError", "InconsistentSystemError", "fundamental_set",
+    "general_solution", "inaccessible_lengths",
     "general_prefix",
     "__version__",
 ]

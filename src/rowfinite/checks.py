@@ -147,8 +147,7 @@ def residual_check(state: elimination.EliminationState,
         return True
     probe = [_random_scalar(rng) for _ in range(width)]
     g = [row.dot_prefix(probe) for row in rows]
-    free = {s: _random_scalar(rng)
-            for s in solver.inaccessible_lengths(state, width).values}
+    free = {s: _random_scalar(rng) for s in solver.inaccessible_lengths(state, width)}
     try:
         sol = solver.general_solution(state, g, free, width)
     except solver.InconsistentSystemError:

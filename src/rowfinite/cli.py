@@ -284,18 +284,20 @@ def cmd_solve(args) -> int:
 def cmd_fundamental(args) -> int:
     eq = _load_source(args)
     state = run(eq.source, args.horizon)
-    fund = solver.fundamental_set(state, args.horizon, args.terms)
+    sequences = solver.fundamental_set(state, args.horizon, args.terms)
+    # a certified inaccessible set is complete: the sequences are a basis
+    kind = "finite" if state.certified else "schauder_prefix"
     first = _first_index(args, eq.source)
     _emit(args,
           lambda: ("{",
                    '  "command": "fundamental",',
-                   f'  "basis_kind": {json.dumps(fund.basis_kind)},',
+                   f'  "basis_kind": "{kind}",',
                    f'  "first_index": {first},',
-                   f'  "sequences": {_sequences_json(fund.sequences, first)}',
+                   f'  "sequences": {_sequences_json(sequences, first)}',
                    "}"),
-          lambda: ["\n".join(_seq_csv(seq) for seq in fund.sequences.values())],
-          lambda: [f"basis_kind: {fund.basis_kind}\n" + "\n".join(
-              f"xi({s + first}): " + _seq_csv(seq) for s, seq in fund.sequences.items()
+          lambda: ["\n".join(_seq_csv(seq) for seq in sequences.values())],
+          lambda: [f"basis_kind: {kind}\n" + "\n".join(
+              f"xi({s + first}): " + _seq_csv(seq) for s, seq in sequences.items()
           )])
     return EXIT_OK
 

@@ -20,18 +20,19 @@ with constant 1 at s and 0 at the other free columns;
 :func:`fundamental_set` reads every one of them in a single pass over the
 pivot rows of ``H``.  The number of inaccessible
 columns below a horizon, the deficiency, is
-``len(inaccessible_lengths(state, horizon).values)``.
+``len(inaccessible_lengths(state, horizon))``.
 
-All reports are relative to an explicit horizon and carry a completeness
-flag: a finite prefix cannot by itself certify that no later row introduces
-a new pivot length below the horizon, except for lower-echelon (certified)
-sources where lengths only ever grow.
+All reports are relative to an explicit horizon.  Whether the inaccessible
+set below it is complete is ``state.certified``: a finite prefix cannot by
+itself certify that no later row introduces a new pivot length below the
+horizon, except for lower-echelon (certified) sources where lengths only
+ever grow.  So the fundamental set is a finite basis when the state is
+certified, and a prefix of a Schauder basis otherwise.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -57,32 +58,14 @@ class AccessibleIndexError(SpecError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class InaccessibleLengths:
-    values: Tuple[int, ...]
-    complete: bool
-
-
-@dataclass(frozen=True)
-class FundamentalSet:
-    """Per inaccessible column s, a prefix of the fundamental sequence.
-
-    ``basis_kind`` is ``"finite"`` when the inaccessible set below the
-    horizon is certified complete, ``"schauder_prefix"`` otherwise.
-    """
-
-    basis_kind: str
-    sequences: Dict[int, Tuple[Fraction, ...]]
-
-
 def _check_horizon(state: EliminationState, horizon: int) -> None:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     # columns 0..mu[-1] are classifiable: pivot lengths are known up there
     if horizon > state.greatest_length + 1:
         raise ValueError(
-            f"horizon {horizon} exceeds the classified column range "
-            f"0..{state.greatest_length}; consume more rows"
+            f"horizon {horizon} exceeds the number of classified columns "
+            f"({state.greatest_length + 1}); consume more rows"
         )
 
 
@@ -91,20 +74,20 @@ def _check_terms(state: EliminationState, terms: int) -> None:
         raise ValueError("terms must be positive")
     if terms > state.greatest_length + 1:
         raise ValueError(
-            f"cannot produce {terms} terms: columns beyond "
-            f"{state.greatest_length} are not classified yet; consume more rows"
+            f"cannot produce {terms} terms: the number of classified columns "
+            f"is {state.greatest_length + 1}; consume more rows"
         )
 
 
-def inaccessible_lengths(state: EliminationState, horizon: int) -> InaccessibleLengths:
+def inaccessible_lengths(state: EliminationState, horizon: int) -> Tuple[int, ...]:
     """Columns below the horizon that are not pivot lengths."""
     _check_horizon(state, horizon)
     pivot = set(state.mu)
-    values = tuple(s for s in range(horizon) if s not in pivot)
-    return InaccessibleLengths(values=values, complete=state.certified)
+    return tuple(s for s in range(horizon) if s not in pivot)
 
 
-def fundamental_set(state: EliminationState, horizon: int, terms: int) -> FundamentalSet:
+def fundamental_set(state: EliminationState, horizon: int,
+                    terms: int) -> Dict[int, Tuple[Fraction, ...]]:
     """The homogeneous solution with constant 1 at s and 0 at every other
     inaccessible column, per inaccessible column s below the horizon; where
     s >= terms, that 1 lies past the prefix, which is then zero.  The pivot
@@ -114,13 +97,12 @@ def fundamental_set(state: EliminationState, horizon: int, terms: int) -> Fundam
     found = inaccessible_lengths(state, horizon)
     _check_terms(state, terms)
     sequences = {s: ([Fraction(0)] * s + [Fraction(1)] + [Fraction(0)] * terms)[:terms]
-                 for s in found.values}
+                 for s in found}
     for m in state.mu[:bisect_left(state.mu, terms)]:
         for col, num, den in state.pivots[m].int_items():
             if col in sequences:
                 sequences[col][m] = -to_fraction(num, den)
-    return FundamentalSet("finite" if found.complete else "schauder_prefix",
-                          {s: tuple(seq) for s, seq in sequences.items()})
+    return {s: tuple(seq) for s, seq in sequences.items()}
 
 
 def _checked_free(state: EliminationState, free: Mapping[int, ScalarLike]) -> Dict[int, Fraction]:

@@ -106,7 +106,7 @@ def test_criterion_2_cosine_equation_reduction():
             FiniteRow([(7, 1), (8, -1), (9, -1), (10, 1)]),
         ]
         fund = fundamental_set(state, 13, 14)
-        for s, seq in fund.sequences.items():
+        for s, seq in fund.items():
             expected = [Fraction(0)] * 14
             for offset, value in ((0, 1), (1, -2), (2, 1)):
                 if s + offset < 14:
@@ -159,7 +159,7 @@ def test_criterion_4_closed_form_oracle_equivalence():
             for i in range(order):
                 unit = [Fraction(int(c == i)) for c in range(order)]
                 xi = general_prefix(src, None, unit, horizon)
-                assert xi == list(fund.sequences[i][order:])
+                assert xi == list(fund[i][order:])
 
             # particular: zero initial values
             part = general_solution(state, g, {}, order + horizon)
@@ -199,7 +199,7 @@ def test_criterion_5_residuals_and_inconsistency():
                 continue
             probe = [random_scalar(rng) for _ in range(width)]
             g = [src.row_at(n).dot_prefix(probe) for n in range(horizon)]
-            gaps = inaccessible_lengths(state, width).values
+            gaps = inaccessible_lengths(state, width)
             free = {s: random_scalar(rng) for s in gaps}
             solution = general_solution(state, g, free, width)
             for n in range(horizon):
@@ -223,17 +223,16 @@ def test_criterion_6_deficiency_accounting():
         ]
         for state in fixtures:
             for horizon in range(state.greatest_length + 2):
-                count = len(inaccessible_lengths(state, horizon).values)
+                count = len(inaccessible_lengths(state, horizon))
                 accessible_below = sum(1 for m in state.mu if m < horizon)
                 assert count + accessible_below == horizon
 
-        found = inaccessible_lengths(fixtures[0], 8)
-        assert (len(found.values), found.complete) == (3, False)
+        state = fixtures[0]
+        assert (len(inaccessible_lengths(state, 8)), state.certified) == (3, False)
 
         for order in (1, 2, 3, 4):
-            src = build_family({"family": "n_order", "N": order, "a": "j - n + 1"})
-            found = inaccessible_lengths(run(src, 8), order)
-            assert (len(found.values), found.complete) == (order, True)
+            state = run(build_family({"family": "n_order", "N": order, "a": "j - n + 1"}), 8)
+            assert (len(inaccessible_lengths(state, order)), state.certified) == (order, True)
 
 
 def test_criterion_7_schauder_convergence_bound():
@@ -241,7 +240,7 @@ def test_criterion_7_schauder_convergence_bound():
         rng = random.Random(77)
         state = run(build_family({"family": "example3"}), 20)
         width = state.greatest_length + 1
-        gaps = inaccessible_lengths(state, width).values
+        gaps = inaccessible_lengths(state, width)
         assert gaps[:5] == (0, 4, 8, 12, 16)
         free = {s: random_scalar(rng) + 1 for s in gaps}  # keep them nonzero
         assembled = general_solution(state, None, free, width)
@@ -250,7 +249,7 @@ def test_criterion_7_schauder_convergence_bound():
             partial = [Fraction(0)] * width
             for s in gaps[: n + 1]:
                 partial = [p + free[s] * v
-                           for p, v in zip(partial, fund.sequences[s])]
+                           for p, v in zip(partial, fund[s])]
             value, _ = frechet_distance(partial, assembled, width)
             assert value < Fraction(1, 2 ** (4 * n))
 

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rowfinite import (EliminationState, FiniteRow, build_family, cli,
-                       format_scalar, general_prefix, run, solver)
+                       equation_from_obj, format_scalar, general_prefix, run,
+                       solver)
 from rowfinite.cli import main
 from rowfinite.sources import MAX_COLUMN
 from conftest import corrupt_transform_row, dense, shuffled_length_rows
@@ -395,7 +396,6 @@ class TestFundamental:
         assert code == 0
         payload = json.loads(out)
         assert [s["s"] for s in payload["sequences"]] == [0, 1, 3]
-        assert payload["basis_kind"] == "schauder_prefix"
 
     def test_four_spaced_sequences(self, capsys):
         code, out, _ = run_cli(capsys, "fundamental", "--family", "example3",
@@ -403,7 +403,6 @@ class TestFundamental:
         assert code == 0
         payload = json.loads(out)
         assert [s["s"] for s in payload["sequences"]] == [0, 4, 8, 12]
-        assert payload["basis_kind"] == "schauder_prefix"
 
     def test_regular_order_finite_basis(self, capsys, tmp_path):
         spec = tmp_path / "band.json"
@@ -413,9 +412,33 @@ class TestFundamental:
                                "--horizon", "6", "--terms", "6")
         assert code == 0
         payload = json.loads(out)
-        assert payload["basis_kind"] == "finite"
         assert len(payload["sequences"]) == 2
         assert [s["s"] for s in payload["sequences"]] == [-2, -1]
+
+    @pytest.mark.parametrize("obj", [
+        {"family": "first_order", "a": "n + 1"},
+        {"family": "second_order", "a": "n", "b": "-(n + 1)/2"},
+        {"family": "n_order", "N": 2, "a": "j - n + 1"},
+        {"family": "ascending", "N": 1, "a": "cospi2(n + j) + j - n + 1"},
+        {"family": "example2"},
+        {"family": "example3"},
+        {"rows": [[[0, "1"], [2, "-1"]], [[1, "3"]], [[0, "2"], [2, "-2"]]]},
+    ], ids=lambda obj: obj.get("family", "explicit"))
+    def test_basis_kind_and_mode_follow_certified(self, capsys, tmp_path, obj):
+        # a certified state's inaccessible set is complete: a finite basis
+        spec = tmp_path / "eq.json"
+        spec.write_text(json.dumps(obj))
+        certified = run(equation_from_obj(obj).source, 3).certified
+        args = ("--spec", str(spec), "--horizon", "3")
+        code, out, _ = run_cli(capsys, "fundamental", *args, "--terms", "3")
+        assert code == 0
+        assert json.loads(out)["basis_kind"] == ("finite" if certified
+                                                 else "schauder_prefix")
+        code, out, _ = run_cli(capsys, "reduce", *args)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certified"] is certified
+        assert payload["mode"] == ("gauss_only" if certified else "gauss_jordan")
 
 
 class TestHess:
@@ -982,14 +1005,14 @@ class TestTermListJson:
                                "--horizon", "13", "--terms", "9", *extra)
         assert code == 0
         state = run(build_family({"family": "example3"}), 13)
-        fund = solver.fundamental_set(state, 13, 9)
-        assert len(fund.sequences) > 1
+        sequences = solver.fundamental_set(state, 13, 9)
+        assert len(sequences) > 1 and not state.certified
         first = 0 if first is None else int(first)
         assert out == generic_json({
-            "command": "fundamental", "basis_kind": fund.basis_kind,
+            "command": "fundamental", "basis_kind": "schauder_prefix",
             "first_index": first,
             "sequences": [{"s": s + first, "terms": terms_payload(seq, first)}
-                          for s, seq in fund.sequences.items()]})
+                          for s, seq in sequences.items()]})
 
     def test_fundamental_without_sequences(self, capsys, tmp_path):
         # every column is a pivot length: no inaccessible column
@@ -1000,7 +1023,7 @@ class TestTermListJson:
         assert code == 0
         assert '"sequences": []' in out
         assert out == generic_json({"command": "fundamental",
-                                    "basis_kind": json.loads(out)["basis_kind"],
+                                    "basis_kind": "schauder_prefix",
                                     "first_index": 0, "sequences": []})
 
     @pytest.mark.parametrize("check", [False, True])

@@ -246,7 +246,7 @@ class TestEliminationEquivalence:
                 fs = fundamental_set(st, order, order + horizon)
                 for i in range(order):
                     assert general_prefix(src, None, unit(order, i), horizon) == \
-                        list(fs.sequences[i][order:])
+                        list(fs[i][order:])
 
                 part = general_solution(st, g, {}, order + horizon)
                 assert general_prefix(src, g, (0,) * order, horizon) == part[order:]

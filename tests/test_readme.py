@@ -27,8 +27,9 @@ def test_library_block_runs():
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert said["checks.left_association(state, rows)"] is True
     assert said["[Q[w] for w in state.w_set]"] == [FiniteRow([(0, -2), (1, 1)])]
-    sequences = said["fundamental_set(state, 8, 7).sequences"]
+    sequences = said["fundamental_set(state, 8, 7)"]
     assert list(sequences) == [0, 1, 3] and sequences[1][:5] == (0, 1, 2, 0, -24)
+    assert said["state.certified"] is False
     assert said["general_solution(state, None, {1: 1}, 7)"] == [0, 1, 2, 0, -24, -192, -1344]
     particular = said["general_solution(run(rec, 5), [1]*5, {}, 6)"]
     assert particular == [0, 1, 3, 7, 15, 31]
@@ -42,15 +43,23 @@ def test_command_lines_print_their_results(capsys, tmp_path, monkeypatch):
                                     block, re.M | re.S):
         (tmp_path / name).write_text(content, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    lines = block.splitlines()
-    checked = 0
-    for line, result in zip(lines, lines[1:]):
-        if line.startswith("rowfinite ") and result.startswith("# -> "):
-            assert cli.main(shlex.split(line)[1:]) == 0
-            # "# -> a and b" stands for the output lines a and b
-            assert " and ".join(capsys.readouterr().out.splitlines()) == result[5:]
-            checked += 1
-    assert checked == 2
+    ran = checked = 0
+    for paragraph in block.split("\n\n"):
+        # each command exits with the code its paragraph's "(exit N)" gives, or 0
+        said = re.search(r"\(exit (\d+)\)", paragraph)
+        code = int(said[1]) if said else 0
+        lines = paragraph.splitlines()
+        for line, result in zip(lines, lines[1:] + [""]):
+            if not line.startswith("rowfinite "):
+                continue
+            assert cli.main(shlex.split(line)[1:]) == code, line
+            out = capsys.readouterr().out
+            ran += 1
+            if result.startswith("# -> "):
+                # "# -> a and b" stands for the output lines a and b
+                assert " and ".join(out.splitlines()) == result[5:]
+                checked += 1
+    assert (ran, checked) == (6, 2)
 
 
 def test_file_format_examples_reduce(tmp_path):

@@ -25,6 +25,10 @@ def ex3_state(horizon=12):
     return run(build_family({"family": "example3"}), horizon)
 
 
+def zero_state():
+    return run(build_family({"family": "explicit", "rows": [[], []]}), 2)
+
+
 def transformed_at_pivots(st, g):
     """q_rows[pos] . g at each pivot position pos, in j_set order, as
     general_solution reads it: with no free constants, the term at a pivot
@@ -35,20 +39,19 @@ def transformed_at_pivots(st, g):
 
 class TestInaccessibleLengths:
     def test_three_gaps(self):
-        found = inaccessible_lengths(ex2_state(), 8)
-        assert found.values == (0, 1, 3)
-        assert not found.complete
+        st = ex2_state()
+        assert inaccessible_lengths(st, 8) == (0, 1, 3)
+        assert not st.certified
 
     def test_arithmetic_progression_prefix(self):
-        found = inaccessible_lengths(ex3_state(), 13)
-        assert found.values == (0, 4, 8, 12)
-        assert not found.complete
+        st = ex3_state()
+        assert inaccessible_lengths(st, 13) == (0, 4, 8, 12)
+        assert not st.certified
 
     def test_ascending_initial_segment(self):
-        src = build_family({"family": "ascending", "N": 3, "a": "j + 1"})
-        found = inaccessible_lengths(run(src, 6), 3)
-        assert found.values == (0, 1, 2)
-        assert found.complete
+        st = run(build_family({"family": "ascending", "N": 3, "a": "j + 1"}), 6)
+        assert inaccessible_lengths(st, 3) == (0, 1, 2)
+        assert st.certified
 
     def test_horizon_guard(self):
         st = ex2_state()
@@ -60,43 +63,41 @@ class TestInaccessibleLengths:
         horizon = st.greatest_length + 1
         found = inaccessible_lengths(st, horizon)
         pivots_below = [m for m in st.mu if m < horizon]
-        assert sorted(found.values + tuple(pivots_below)) == list(range(horizon))
+        assert sorted(found + tuple(pivots_below)) == list(range(horizon))
 
 
 class TestDeficiency:
     # the deficiency below a horizon is the number of inaccessible columns
     def test_fixture_counts(self):
-        found = inaccessible_lengths(ex2_state(), 8)
-        assert (len(found.values), found.complete) == (3, False)
-        found = inaccessible_lengths(ex3_state(), 13)
-        assert (len(found.values), found.complete) == (4, False)
+        for st, horizon, count in ((ex2_state(), 8, 3), (ex3_state(), 13, 4)):
+            assert (len(inaccessible_lengths(st, horizon)), st.certified) == (count, False)
 
     def test_regular_order_certified(self):
         for order in (1, 2, 3):
-            src = build_family({"family": "n_order", "N": order, "a": "j - n + 1"})
-            found = inaccessible_lengths(run(src, 8), order)
-            assert (len(found.values), found.complete) == (order, True)
+            st = run(build_family({"family": "n_order", "N": order, "a": "j - n + 1"}), 8)
+            assert (len(inaccessible_lengths(st, order)), st.certified) == (order, True)
 
     def test_accounting_identity(self):
         for st in (ex2_state(), ex3_state()):
             for horizon in range(st.greatest_length + 2):
-                count = len(inaccessible_lengths(st, horizon).values)
+                count = len(inaccessible_lengths(st, horizon))
                 below = sum(1 for m in st.mu if m < horizon)
                 assert count + below == horizon
 
 
 class TestFundamentalSet:
     def test_three_sequences(self):
-        fs = fundamental_set(ex2_state(), 8, 7)
-        assert set(fs.sequences) == {0, 1, 3}
-        assert fs.sequences[0] == (1, 0, 0, 0, 0, 0, 0)
-        assert fs.sequences[1] == (0, 1, 2, 0, -24, -192, -1344)
-        assert fs.sequences[3] == (0, 0, 0, 1, 8, 52, 344)
-        assert fs.basis_kind == "schauder_prefix"
+        st = ex2_state()
+        fs = fundamental_set(st, 8, 7)
+        assert set(fs) == {0, 1, 3}
+        assert fs[0] == (1, 0, 0, 0, 0, 0, 0)
+        assert fs[1] == (0, 1, 2, 0, -24, -192, -1344)
+        assert fs[3] == (0, 0, 0, 1, 8, 52, 344)
+        assert not st.certified   # a Schauder basis prefix
 
     def test_spaced_unit_bumps(self):
         fs = fundamental_set(ex3_state(), 13, 14)
-        for s, seq in fs.sequences.items():
+        for s, seq in fs.items():
             expected = [Fraction(0)] * 14
             expected[s] = Fraction(1)
             if s + 1 < 14:
@@ -106,30 +107,30 @@ class TestFundamentalSet:
             assert list(seq) == expected
 
     def test_second_order_instance(self):
-        src = build_family({"family": "second_order", "a": [1, 3], "b": [2, 4]})
-        fs = fundamental_set(run(src, 2), 2, 4)
-        assert fs.sequences[1] == (0, 1, -2, 5)
-        assert fs.basis_kind == "finite"
+        st = run(build_family({"family": "second_order", "a": [1, 3], "b": [2, 4]}), 2)
+        fs = fundamental_set(st, 2, 4)
+        assert fs[1] == (0, 1, -2, 5)
+        assert st.certified   # a finite basis
 
     def test_unit_pattern_identity(self):
         # restricted to the inaccessible rows, the basis prefix is the identity
         for st, horizon in ((ex2_state(), 8), (ex3_state(), 13)):
             fs = fundamental_set(st, horizon, st.greatest_length + 1)
-            gaps = sorted(fs.sequences)
+            gaps = sorted(fs)
             for s in gaps:
                 for t in gaps:
-                    assert fs.sequences[s][t] == (1 if s == t else 0)
+                    assert fs[s][t] == (1 if s == t else 0)
 
     def test_leading_determinant_is_one(self):
         # columns: fundamental sequence at a gap, unit column elsewhere
         st = ex2_state()
         fs = fundamental_set(st, 8, 8)
-        top = max(fs.sequences)
+        top = max(fs)
         size = top + 1
         cols = []
         for n in range(size):
-            if n in fs.sequences:
-                cols.append([fs.sequences[n][r] for r in range(size)])
+            if n in fs:
+                cols.append([fs[n][r] for r in range(size)])
             else:
                 cols.append([Fraction(1 if r == n else 0) for r in range(size)])
         dense = [[cols[c][r] for c in range(size)] for r in range(size)]
@@ -162,8 +163,8 @@ class TestFundamentalSet:
             horizon = rng.randint(0, top - 1)
             terms = rng.randint(horizon + 1, top)
         fs = fundamental_set(st, horizon, terms)
-        assert list(fs.sequences) == list(inaccessible_lengths(st, horizon).values)
-        for s, seq in fs.sequences.items():
+        assert list(fs) == list(inaccessible_lengths(st, horizon))
+        for s, seq in fs.items():
             assert seq == tuple(general_solution(st, None, {s: 1}, terms))
             assert all(type(v) is Fraction for v in seq)
 
@@ -198,7 +199,7 @@ class TestHomogeneousGeneral:
 
     def test_superposition(self, rng):
         st = ex3_state()
-        gaps = inaccessible_lengths(st, 13).values
+        gaps = inaccessible_lengths(st, 13)
         for _ in range(5):
             f1 = {s: random_scalar(rng) for s in gaps}
             f2 = {s: random_scalar(rng) for s in gaps}
@@ -211,10 +212,10 @@ class TestHomogeneousGeneral:
 
     def test_matches_basis_expansion(self, rng):
         st = ex3_state()
-        gaps = inaccessible_lengths(st, 13).values
+        gaps = inaccessible_lengths(st, 13)
         free = {s: random_scalar(rng) for s in gaps}
         fs = fundamental_set(st, 13, 14)
-        expected = [sum(free[s] * fs.sequences[s][m] for s in gaps)
+        expected = [sum(free[s] * fs[s][m] for s in gaps)
                     for m in range(14)]
         assert general_solution(st, None, free, 14) == expected
 
@@ -355,7 +356,7 @@ class TestGeneralSolution:
             width = st.greatest_length + 1
             probe = [random_scalar(rng) for _ in range(width)]
             g = [src.row_at(n).dot_prefix(probe) for n in range(st.k)]
-            gaps = inaccessible_lengths(st, width).values
+            gaps = inaccessible_lengths(st, width)
             free = {s: random_scalar(rng) for s in gaps}
             sol = general_solution(st, g, free, width)
             for n in range(st.k):
@@ -374,8 +375,14 @@ class TestGeneralSolution:
      "free-constant index must be a nonnegative integer, got True"),
     (lambda st: frechet_distance([1], [1], -1), ValueError,
      "horizon must be nonnegative"),
+    # two zero rows classify no column
+    (lambda st: inaccessible_lengths(zero_state(), 2), ValueError,
+     "horizon 2 exceeds the number of classified columns (0); consume more rows"),
+    (lambda st: general_solution(zero_state(), None, {}, 1), ValueError,
+     "cannot produce 1 terms: the number of classified columns is 0; consume more rows"),
 ], ids=["inaccessible-horizon", "terms", "free-key", "free-key-bool",
-        "frechet-horizon"])
+        "frechet-horizon", "horizon-past-no-classified-column",
+        "terms-past-no-classified-column"])
 def test_argument_checks(call, error, message):
     with pytest.raises(error) as info:
         call(ex2_state())
@@ -391,7 +398,7 @@ class TestRegularOrderTerm:
         fs = fundamental_set(st, 2, 10)
         for i in (0, 1):
             init = {k: Fraction(1 if k == i else 0) for k in range(2)}
-            assert general_solution(st, zeros, init, 10) == list(fs.sequences[i])
+            assert general_solution(st, zeros, init, 10) == list(fs[i])
 
     def test_doubling_plus_one_closed_form(self):
         src = build_family({"family": "first_order", "a": "2"})
@@ -432,14 +439,14 @@ class TestFrechetDistance:
     def test_partial_sum_convergence_bound(self, rng):
         st = run(build_family({"family": "example3"}), 16)
         width = st.greatest_length + 1
-        gaps = inaccessible_lengths(st, width).values
+        gaps = inaccessible_lengths(st, width)
         free = {s: random_scalar(rng) for s in gaps}
         full = general_solution(st, None, free, width)
         fs = fundamental_set(st, width, width)
         for n in range(3):
             partial = [Fraction(0)] * width
             for s in list(gaps)[: n + 1]:
-                partial = [p + free[s] * v for p, v in zip(partial, fs.sequences[s])]
+                partial = [p + free[s] * v for p, v in zip(partial, fs[s])]
             value, _ = frechet_distance(partial, full, width)
             assert value < Fraction(1, 2 ** (4 * n))
 
@@ -459,7 +466,7 @@ class TestRandomExplicitSystems:
                 continue
             probe = [random_scalar(rng) for _ in range(width)]
             g = [r.dot_prefix(probe) for r in rows]
-            gaps = inaccessible_lengths(st, width).values
+            gaps = inaccessible_lengths(st, width)
             free = {s: random_scalar(rng) for s in gaps}
             sol = general_solution(st, g, free, width)
             for r, target in zip(rows, g):
