@@ -92,13 +92,6 @@ def transforms_reproduce(rows: Sequence[FiniteRow], transforms: Iterable[FiniteR
     return _verdicts(rows, transforms, h_rows, False)[0]
 
 
-def left_association(state: elimination.EliminationState,
-                     rows: Sequence[FiniteRow]) -> bool:
-    """True iff Q[n] . A == h_rows[n] exactly for every consumed n, where
-    ``rows`` are the consumed source rows; ``Q`` is replayed, not held."""
-    return transforms_reproduce(rows, state.transform_rows(), state.h_rows)
-
-
 def expected_pair_check(eq: EquationSpec,
                         rows: Sequence[FiniteRow]) -> Optional[bool]:
     """With an 'expect' block, check the supplied transform rows reproduce

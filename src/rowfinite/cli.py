@@ -331,8 +331,8 @@ def cmd_hess(args) -> int:
 
 def cmd_verify(args) -> int:
     eq = _load_source(args)
-    rows = [eq.source.row_at(n) for n in range(args.horizon)]   # fetched once for all
-    eq = replace(eq, source=replace(eq.source, row_fn=rows.__getitem__))
+    # the elimination and every check read rows 0..horizon-1: each is fetched once
+    eq = replace(eq, source=replace(eq.source, row_fn=functools.cache(eq.source.row_fn)))
     results = checks.run_checks(eq, run(eq.source, args.horizon), args.seed)
     print(f"seed {args.seed}")
     for name, passed in results:
@@ -392,7 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "horizon", 1) is None:   # solve, fundamental: from --terms
-        args.horizon = max(args.terms, 1)
+        args.horizon = args.terms
     if getattr(args, "horizon", 1) < 1 or getattr(args, "terms", 1) < 1:
         print("error: --horizon and --terms must be at least 1", file=sys.stderr)
         return EXIT_SPEC

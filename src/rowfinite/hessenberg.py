@@ -50,9 +50,10 @@ def general_prefix(source: RowSource, g: Optional[Sequence[ScalarLike]],
     (y_{-N}..y_{-1}): term k is (-1)^k times the leading principal
     determinant of order k+1 of the normalized rows.
 
-    Rows 0..count-1 are each read once, in order.  Past a short forcing
-    prefix the remaining rows are still read before it is reported, so that
-    errors fire as on the elimination path, which reads every row first."""
+    Rows 0..count-1 are read once each, in order, in one loop.  Past a
+    short forcing prefix it reads and checks rows without computing terms
+    and reports the short forcing after it, so that errors fire as on the
+    elimination path, which reads every row first."""
     order = source.regular_order_index
     if order is None:
         raise SpecError("source is not tagged with a regular order index")
@@ -66,11 +67,11 @@ def general_prefix(source: RowSource, g: Optional[Sequence[ScalarLike]],
             raise SpecError(f"row {k} of a source of regular order {order} "
                             f"must end at column {k + order}, not {row.length}")
         if g is not None and k >= len(g):
-            for later in range(k + 1, count):
-                source.row_at(later)
-            raise short_forcing(len(g), count)
+            continue
         *entries, (_, lead_num, lead_den) = row.int_items()
         tn, td = (0, 1) if g is None else (g[k].numerator, g[k].denominator)
         tn, td = sum_products(((-num, den, ys[col]) for col, num, den in entries), tn, td)
         ys.append(Fraction(tn * lead_den, td * lead_num))
+    if g is not None and len(g) < count:
+        raise short_forcing(len(g), count)
     return ys[order:]

@@ -151,10 +151,8 @@ def general_solution(state: EliminationState, g: Optional[Sequence[ScalarLike]],
         last_zero = state.w_set[-1] if state.w_set else -1
         needed = 1 + max(last_zero,
                          state.stable_since()[state.j_set[rank - 1]] if rank else -1)
-        if last_zero >= len(g):
-            raise short_forcing(len(g), needed)
-        violated = [w for w in state.w_set if forcing[w][0]]
-        if violated:
+        # a zero row past the prefix makes needed > len(g): short, not inconsistent
+        if last_zero < len(g) and (violated := [w for w in state.w_set if forcing[w][0]]):
             raise InconsistentSystemError(violated)
         if needed > len(g):
             raise short_forcing(len(g), needed)

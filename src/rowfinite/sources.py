@@ -26,7 +26,8 @@ families:
     over columns ``0..k+2``; its trailing coefficient vanishes along an
     arithmetic progression, so the solution space is infinite-dimensional.
 ``explicit``
-    a stored finite list of rows.
+    a stored finite list of rows; its row function refuses a row past the
+    end of the list, so the generic :class:`RowSource` carries no row count.
 
 Every family but ``explicit`` is a formula family, and they share one row
 builder, :func:`_formula_source`: row n holds ``a(n, j)`` at columns
@@ -403,15 +404,10 @@ class RowSource:
 
     row_fn: Callable[[int], FiniteRow]
     regular_order_index: Optional[int] = None
-    row_count: Optional[int] = None
 
     def row_at(self, n: int) -> FiniteRow:
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise SpecError(f"row index must be a nonnegative integer, got {n!r}")
-        if self.row_count is not None and n >= self.row_count:
-            raise SpecError(
-                f"explicit source has {self.row_count} rows, row {n} requested"
-            )
         try:
             return self.row_fn(n)
         except EvalError as exc:
@@ -484,7 +480,13 @@ def build_family(spec: Mapping) -> RowSource:
 
     if family == "explicit":
         rows = [_parse_row_entries(r) for r in _array(_require(spec, "rows", family), "'rows'")]
-        return RowSource(rows.__getitem__, row_count=len(rows))
+
+        def explicit_row(n: int) -> FiniteRow:
+            if n >= len(rows):
+                raise SpecError(f"explicit source has {len(rows)} rows, row {n} requested")
+            return rows[n]
+
+        return RowSource(explicit_row)
 
     if family == "first_order":
         a = _coeff(_require(spec, "a", family), "a", per_n=True)

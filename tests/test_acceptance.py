@@ -16,7 +16,7 @@ from rowfinite import (EliminationState, FiniteRow, InconsistentSystemError,
                        build_family, fundamental_set,
                        general_prefix, general_solution, inaccessible_lengths,
                        run)
-from rowfinite.checks import left_association
+from rowfinite.checks import transforms_reproduce
 from conftest import (LowerHessenberg, check_state, dense, frechet_distance,
                       hess_det, naive_det, random_explicit_rows,
                       random_regular_source, random_scalar, source_rows)
@@ -130,7 +130,8 @@ def test_criterion_3_left_association_and_postulates():
             for n in range(horizon):
                 state.push_row(src.row_at(n))
                 check_state(state)
-            assert left_association(state, source_rows(src, horizon))
+            assert transforms_reproduce(source_rows(src, horizon), state.transform_rows(),
+                                        state.h_rows)
 
         rng = random.Random(93)
         for _ in range(50):
@@ -139,7 +140,7 @@ def test_criterion_3_left_association_and_postulates():
             for r in rows:
                 state.push_row(r)
                 check_state(state)
-            assert left_association(state, rows)
+            assert transforms_reproduce(rows, state.transform_rows(), state.h_rows)
 
 
 def test_criterion_4_closed_form_oracle_equivalence():

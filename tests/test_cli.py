@@ -72,6 +72,14 @@ class TestReduce:
         assert payload["rows"] == [[[0, "1"]]]
         assert payload["q_rows"] == [[[0, "1"]]]
 
+    def test_horizon_past_explicit_rows(self, capsys, tmp_path):
+        spec = tmp_path / "three.json"
+        spec.write_text(json.dumps({"rows": [[[0, "1"]], [], [[1, "2"]]]}))
+        code, out, err = run_cli(capsys, "reduce", "--spec", str(spec),
+                                 "--horizon", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: explicit source has 3 rows, row 3 requested\n"
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "--family", "example2",
                                "--horizon", "3", "--format", "csv")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rowfinite import (EliminationState, EngineError, FiniteRow, ZERO_ROW,
                        build_family, check_invariants, run, solver)
 from rowfinite.elimination import PushLog
-from rowfinite.checks import left_association
+from rowfinite.checks import transforms_reproduce
 from conftest import (PositionalReference, check_state, corrupt_transform_row,
                       dense_rank, push_checked, random_explicit_rows, random_regular_source,
                       shuffled_length_rows, source_rows)
@@ -220,7 +220,7 @@ class TestInsertWithPermutation:
         assert st.h_rows == [row(1), ZERO_ROW, row(0, 1), row(0, 0, 1),
                              row(0, 0, 0, 1)]
         assert st.w_set == [1]
-        assert left_association(st, rows)
+        assert transforms_reproduce(rows, st.transform_rows(), st.h_rows)
 
 
 class TestPushRow:
@@ -330,33 +330,36 @@ class TestLeftAssociation:
     def test_cosine_equation(self):
         src = ex3()
         st = run(src, 12)
-        assert left_association(st, source_rows(src, 12))
-        assert not left_association(st, source_rows(src, 11))  # Q reads row 11
+        assert transforms_reproduce(source_rows(src, 12), st.transform_rows(), st.h_rows)
+        # Q reads row 11
+        assert not transforms_reproduce(source_rows(src, 11), st.transform_rows(), st.h_rows)
         # spot check: q_rows[0] combines rows 0,1,2 into the reduced row 0
         acc = src.row_at(0).combine([(1, src.row_at(1)), (-1, src.row_at(2))])
         assert acc == st.h_rows[0] == row(2, 1)
 
     def test_empty_state_vacuously_true(self):
-        assert left_association(EliminationState(), [])
+        st = EliminationState()
+        assert transforms_reproduce([], st.transform_rows(), st.h_rows)
 
     def test_detects_corrupted_reduced_row(self):
         src = ex3()
         st = run(src, 12)
         length = st.mu[3]   # the row at position 3
         st.pivots[length] = st.pivots[length].combine([(1, row(1))])
-        assert not left_association(st, source_rows(src, 12))
+        assert not transforms_reproduce(source_rows(src, 12), st.transform_rows(), st.h_rows)
 
     def test_detects_corrupted_transform_row(self):
         src = ex3()
         st = run(src, 12)
         corrupt_transform_row(st, 5, lambda q: q.combine((), 2))
-        assert not left_association(st, source_rows(src, 12))
+        assert not transforms_reproduce(source_rows(src, 12), st.transform_rows(), st.h_rows)
         # a replay that yields one row too few or one too many fails too
         intact = run(src, 12)
         q_rows = intact.q_rows
         for replay in (q_rows[:-1], q_rows + [q_rows[-1]]):
             intact.transform_rows = lambda: iter(replay)
-            assert not left_association(intact, source_rows(src, 12))
+            assert not transforms_reproduce(source_rows(src, 12), intact.transform_rows(),
+                                            intact.h_rows)
 
 
 class TestRegularOrderTransform:
@@ -426,7 +429,7 @@ class TestHypothesisMatrices:
         for r in rows:
             st.push_row(r)
             check_state(st)
-        assert left_association(st, rows)
+        assert transforms_reproduce(rows, st.transform_rows(), st.h_rows)
         width = max((r.length + 1 for r in rows), default=1)
         assert len(st.j_set) == dense_rank(rows, width)
 

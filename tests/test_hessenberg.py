@@ -348,6 +348,14 @@ class TestRowReading:
         with pytest.raises(EvalError, match="^row 4: division by zero$"):
             run(src, 6)
 
+    def test_order_check_runs_past_short_forcing(self):
+        # rows past the short forcing are checked as the rows before it are
+        src = RowSource(lambda n: FiniteRow([(0, 1)] if n == 4 else [(n, -1), (n + 1, 1)]),
+                        regular_order_index=1)
+        with pytest.raises(SpecError, match="^row 4 of a source of regular order 1 "
+                                            "must end at column 5, not 0$"):
+            general_prefix(src, [1, 1], (0,), 6)
+
 
 class TestBand:
     def test_n_order_reads_only_the_band(self):

@@ -6,7 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
-from rowfinite import FiniteRow, cli, equation_from_obj
+from rowfinite import FiniteRow, cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -25,7 +25,7 @@ def test_library_block_runs():
                 compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
-    assert said["checks.left_association(state, rows)"] is True
+    assert said["checks.transforms_reproduce(rows, state.transform_rows(), state.h_rows)"] is True
     assert said["[Q[w] for w in state.w_set]"] == [FiniteRow([(0, -2), (1, 1)])]
     sequences = said["fundamental_set(state, 8, 7)"]
     assert list(sequences) == [0, 1, 3] and sequences[1][:5] == (0, 1, 2, 0, -24)
@@ -68,6 +68,6 @@ def test_file_format_examples_reduce(tmp_path):
     for i, block in enumerate(blocks):
         spec = tmp_path / f"spec{i}.json"
         spec.write_text(block, encoding="utf-8")
-        rows = equation_from_obj(json.loads(block)).source.row_count
-        horizon = ["--horizon", str(rows)] if rows is not None else []
+        rows = json.loads(block).get("rows")   # an explicit matrix: reduce all its rows
+        horizon = ["--horizon", str(len(rows))] if rows is not None else []
         assert cli.main(["reduce", "--spec", str(spec), *horizon]) == 0

@@ -10,7 +10,7 @@ from rowfinite import (AccessibleIndexError, EliminationState,
                        InconsistentSystemError, ShortColumnError, SpecError,
                        build_family, fundamental_set, general_solution,
                        inaccessible_lengths, run)
-from rowfinite.checks import left_association
+from rowfinite.checks import transforms_reproduce
 from rowfinite.rows import FiniteRow, short_forcing
 from rowfinite.solver import _replayed
 from conftest import (dense, frechet_distance, naive_det, random_explicit_rows,
@@ -557,7 +557,7 @@ class TestTransformReplay:
                 assert len(st.q_rows) == st.k   # built again after later pushes
         q_rows = st.q_rows
         assert q_rows == fresh.q_rows
-        assert left_association(st, rows)
+        assert transforms_reproduce(rows, st.transform_rows(), st.h_rows)
 
         k = st.k
         width = max(r.length for r in rows) + 1

@@ -99,8 +99,7 @@ class TestExplicit:
     def test_pairs_and_bounds(self):
         src = build_family({"family": "explicit", "rows": [[[0, "1"]]]})
         assert src.row_at(0) == row(1)
-        assert src.row_count == 1
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="^explicit source has 1 rows, row 1 requested$"):
             src.row_at(1)
 
     def test_finite_row_passthrough(self):
@@ -136,10 +135,20 @@ class TestDescriptorsAndFiles:
         with pytest.raises(SpecError):
             src.row_at(-1)
 
+    @pytest.mark.parametrize("index", [True, False])
+    @pytest.mark.parametrize("spec", [{"family": "example2"},
+                                      {"family": "explicit", "rows": [[[0, "1"]], [[1, "1"]]]}])
+    def test_bool_row_index(self, spec, index):
+        src = build_family(spec)
+        with pytest.raises(SpecError, match=r"^row index must be a nonnegative integer, "
+                                            rf"got {index}$"):
+            src.row_at(index)
+
     def test_rows_only_object_is_explicit(self):
         eq = equation_from_obj({"rows": [[[0, "2"], [1, "1"]]]})
-        assert eq.source.row_count == 1
         assert eq.source.row_at(0) == FiniteRow([(0, 2), (1, 1)])
+        with pytest.raises(SpecError, match="explicit source has 1 rows"):
+            eq.source.row_at(1)
         assert eq.g is None
 
     def test_library_rows_and_tuples_accepted(self):
