@@ -26,16 +26,25 @@ Each consumed row passes through three steps:
 1. *Gaussian clearing* -- every stored pivot row has its rightmost 1 at
    its own pivot column and a zero at every other pivot column, so
    subtracting one pivot row never changes the coefficient at another
-   pivot column.  One pass over the incoming row's entries in increasing
-   column order therefore clears it: at each pivot column, the pivot row
-   is subtracted times the incoming row's own coefficient there.  The
-   survivor is scaled so its rightmost coefficient is 1; its length
-   differs from every existing pivot length.  When the row's own length is
-   not a pivot length, every pivot row subtracted is shorter than the row,
-   so the survivor ends in the row's own rightmost coefficient: clearing
-   and scaling are then one ``FiniteRow.combine``, which normalizes each
-   entry once.  Otherwise the survivor is shorter, or zero, and is scaled
-   by its own rightmost coefficient after clearing.
+   pivot column, and cancels the one at its own to exactly 0.  One pass
+   over the incoming row's entries in increasing column order therefore
+   clears it, over the surviving columns only: an entry at a column that
+   is not a pivot length seeds the survivor, and at each pivot column p
+   the multiplier ``m = -r_p`` is logged and m times the pivot row's
+   *tail* (its entries left of p) is added; column p is never computed.
+   The sums follow the one accumulation rule of :mod:`rowfinite.rows`,
+   the helper that ``FiniteRow.combine`` calls too, so each surviving
+   entry is normalized once.  The survivor is scaled so its rightmost
+   coefficient is 1; its length differs from every existing pivot length.
+   When the row's own length is not a pivot length, every tail ends left
+   of it, so the survivor ends in the row's own rightmost coefficient and
+   is scaled in the same pass.  Otherwise the survivor is shorter, or
+   zero, and is scaled by its own rightmost coefficient after clearing.
+   Clearing trusts the stored form: it never reads a pivot row at its
+   pivot column and never clears again what a tail adds at another pivot
+   column, so a stored row corrupted there does not stop later pushes;
+   :func:`check_invariants` and the product check of
+   ``checks.transforms_reproduce`` are what catch it.
 2. *Cross clearing* (the Jordan half) -- when the survivor's length falls
    strictly below the greatest existing pivot length, it is used as a pivot
    to zero the matching column of every stored row.  Only the rows that
@@ -64,7 +73,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
-from .rows import ZERO_ROW, FiniteRow
+from .rows import ZERO_ROW, FiniteRow, _accumulate
 from .sources import RowSource
 
 T = TypeVar("T")
@@ -145,7 +154,7 @@ class EliminationState:
         holding the clearing multipliers and the inverse scale so far.
         """
         pivots = self.pivots
-        clear, terms = [], []
+        clear, tails, nums, dens = [], [], {}, {}
         at_pivot = True   # the zero row takes the branch that scales after
         for col, num, den in row.int_items():
             pivot = pivots.get(col)
@@ -153,14 +162,19 @@ class EliminationState:
             if at_pivot:
                 m = -num if den == 1 else Fraction(-num, den)
                 clear.append((col, m))
-                terms.append((m, pivot))
+                # its entries left of col: its 1 at col cancels the row's entry
+                tails.append((m, pivot._entries[:-1]))
+            else:
+                # no tail is added yet, so each seed takes a column of its own
+                nums[col] = num
+                dens[col] = den
         if not at_pivot:
-            # every pivot row used is shorter than the row, so the survivor
-            # ends in the row's own last entry, num/den: clear and scale at once
+            # every tail ends left of the row's last entry, num/den, so the
+            # survivor ends in it: clear and scale at once
             inv = None if num == den else Fraction(den, num)
-            return row.combine(terms, inv), PushLog(clear, inv)
+            return _accumulate(nums, dens, tails, inv), PushLog(clear, inv)
         # the row ends at a pivot column: the survivor is shorter, or zero
-        work = row.combine(terms)
+        work = _accumulate(nums, dens, tails)
         inv = None
         if not work.is_zero:
             lead = work.leading

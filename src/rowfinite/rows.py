@@ -16,8 +16,11 @@ Rows are combined in one way, :meth:`FiniteRow.combine`, which builds
 numerator/denominator pairs per column (denominators grow only to their
 lcm) and reduces each surviving entry once, with one gcd, as in Bareiss's
 integer-preserving elimination (Math. Comp. 22, 1968), instead of
-renormalising the whole row after each pairwise step.  A plain scale and a
-single-term merge follow the same rule on their own traversals.  Results stay
+renormalising the whole row after each pairwise step.  That accumulation
+is one private helper, which the engine's Gaussian clearing calls as well,
+on each pivot row's entries left of its pivot column only, so clearing
+never touches a pivot column.  A plain scale and a single-term merge follow
+the same rule on their own traversals.  Results stay
 canonical (equality and hashing compare the triples) and no ``Fraction``
 is built per entry; ``items``, ``get`` and ``leading`` build one on the way
 out (``get`` of an absent column returns one shared zero), and
@@ -216,7 +219,8 @@ class FiniteRow:
         stored entry is reduced once, with one gcd.  Only the traversal
         depends on the input: a plain scale (no terms) maps the entries, a
         single term with no ``c`` merges the two rows in column order, and
-        anything else accumulates per column in dicts."""
+        anything else accumulates per column in dicts through the helper
+        that Gaussian clearing calls on the pivot rows' tails."""
         if not isinstance(terms, list):
             terms = list(terms)
         if c is not None and not c:
@@ -266,40 +270,9 @@ class FiniteRow:
                 append((col, num, den))
             out.extend(a[i:])
             return FiniteRow._raw(out)
-        nums = {col: num for col, num, _ in self._entries}
-        dens = {col: den for col, _, den in self._entries}
-        for m, row in terms:
-            mn, md = m.numerator, m.denominator
-            if not mn:
-                continue
-            for col, bn, bd in row._entries:
-                pn = mn * bn
-                pd = md * bd
-                ad = dens.get(col)
-                if ad is None:
-                    nums[col] = pn
-                    dens[col] = pd
-                elif ad == pd:
-                    nums[col] += pn
-                else:
-                    g = gcd(ad, pd)
-                    pd //= g
-                    nums[col] = nums[col] * pd + pn * (ad // g)
-                    dens[col] = ad * pd
-        cn, cd = (1, 1) if c is None else (c.numerator, c.denominator)
-        out = []
-        append = out.append
-        for col in sorted(nums):
-            num = nums[col]
-            if num:
-                den = dens[col] * cd
-                num *= cn
-                g = gcd(num, den)
-                if g != 1:
-                    num //= g
-                    den //= g
-                append((col, num, den))
-        return FiniteRow._raw(out)
+        return _accumulate({col: num for col, num, _ in self._entries},
+                           {col: den for col, _, den in self._entries},
+                           [(m, row._entries) for m, row in terms], c)
 
     def dot_prefix(self, column: Sequence[ScalarLike]) -> Fraction:
         """Exact inner product against a column prefix covering the support.
@@ -330,6 +303,46 @@ class FiniteRow:
             return "FiniteRow()"
         pairs = ", ".join(f"({c}, {format_ratio(n, d)!r})" for c, n, d in self._entries)
         return f"FiniteRow([{pairs}])"
+
+
+def _accumulate(nums: dict, dens: dict, terms: Iterable,
+                c: Fraction | int | None = None) -> FiniteRow:
+    """``c * (x + sum(m * entries for m, entries in terms))``, with ``x`` held
+    as unreduced pairs ``nums[col] / dens[col]`` (both dicts are updated),
+    ``entries`` as ``(column, numerator, denominator)`` triples and ``c`` of
+    None for 1: the one accumulation rule of the module docstring."""
+    for m, entries in terms:
+        mn, md = m.numerator, m.denominator
+        if not mn:
+            continue
+        for col, bn, bd in entries:
+            pn = mn * bn
+            pd = md * bd
+            ad = dens.get(col)
+            if ad is None:
+                nums[col] = pn
+                dens[col] = pd
+            elif ad == pd:
+                nums[col] += pn
+            else:
+                g = gcd(ad, pd)
+                pd //= g
+                nums[col] = nums[col] * pd + pn * (ad // g)
+                dens[col] = ad * pd
+    cn, cd = (1, 1) if c is None else (c.numerator, c.denominator)
+    out = []
+    append = out.append
+    for col in sorted(nums):
+        num = nums[col]
+        if num:
+            den = dens[col] * cd
+            num *= cn
+            g = gcd(num, den)
+            if g != 1:
+                num //= g
+                den //= g
+            append((col, num, den))
+    return FiniteRow._raw(out)
 
 
 ZERO_ROW = FiniteRow()

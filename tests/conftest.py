@@ -132,6 +132,25 @@ def shuffled_length_rows(draw):
     return rows
 
 
+@st.composite
+def dense_fraction_rows(draw):
+    """Rows with an entry at every column 0..length, mostly fractional,
+    lengths drawn with repeats, and now and then an earlier row plus a
+    multiple of another: most entries of a row fall at pivot columns, many
+    rows end at one, and some clear to zero."""
+    width = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if len(rows) > 1 and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.permutations(rows))[:2]
+            rows.append(a.combine([(draw(_SMALL), b)]))
+        else:
+            length = draw(st.integers(0, width - 1))
+            values = draw(st.lists(_SMALL, min_size=length, max_size=length))
+            rows.append(FiniteRow(enumerate(values + [draw(_SMALL.filter(bool))])))
+    return rows
+
+
 def random_regular_source(rng, order, horizon, shape):
     """A random regular-order source of the given shape with rational
     coefficients, defined for rows 0..horizon-1."""

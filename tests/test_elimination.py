@@ -12,8 +12,8 @@ from rowfinite import (EliminationState, EngineError, FiniteRow, ZERO_ROW,
 from rowfinite.elimination import PushLog
 from rowfinite.checks import transforms_reproduce
 from conftest import (PositionalReference, check_state, corrupt_transform_row,
-                      dense_rank, push_checked, random_explicit_rows, random_regular_source,
-                      shuffled_length_rows, source_rows)
+                      dense_fraction_rows, dense_rank, push_checked, random_explicit_rows,
+                      random_regular_source, shuffled_length_rows, source_rows)
 
 
 def null_basis(st):
@@ -539,6 +539,32 @@ class TestCheckInvariants:
             check_invariants(st)
 
 
+def example3_pivot_row_is_scaled(st):
+    st.pivots[3] = st.pivots[3].combine((), 2)   # row 2
+
+
+def example3_entry_in_other_pivot_column(st):
+    bump(st, 6, 5)   # row 4; column 5 is the pivot column of row 3
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (example3_pivot_row_is_scaled, "row 2 rightmost coefficient is 2, not 1"),
+    (example3_entry_in_other_pivot_column,
+     "row 4 has a nonzero entry in pivot column 5 of row 3"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_corrupted_pivot_row_is_caught_after_later_pushes(corrupt, message):
+    # clearing trusts the stored form, so pushes go on over a corrupted
+    # pivot row and the checks are what catch it
+    src = ex3()
+    st = run(src, 12)
+    corrupt(st)
+    for n in range(12, 20):
+        st.push_row(src.row_at(n))
+    with pytest.raises(EngineError, match=message):
+        check_invariants(st)
+    assert not transforms_reproduce(source_rows(src, 20), st.transform_rows(), st.h_rows)
+
+
 class ScanAllState(EliminationState):
     """The engine as it was before the rank cut, the reference for it:
     cross clearing probes every nonzero row, and Gaussian clearing reads
@@ -573,6 +599,35 @@ def trace(st):
             st.h_rows, st.stable_since())
 
 
+def against_reference(rows, push=EliminationState.push_row):
+    """Push ``rows`` through the engine and through :class:`ScanAllState`,
+    which clears with whole pivot rows; assert the same log, H, ``Q`` and
+    solutions, and return the engine's state."""
+    fast, ref = EliminationState(), ScanAllState()
+    for r in rows:
+        push(fast, r)
+        ref.push_row(r)
+    assert trace(fast) == trace(ref)
+    assert fast.q_rows == ref.q_rows
+    assert solutions(fast, rows, 5) == solutions(ref, rows, 5)
+    return fast
+
+
+def dense_fraction_cases(test):
+    """Run ``test(self, rows)`` on :func:`dense_fraction_rows` and on three
+    cases of clearing over the surviving columns only."""
+    for rows in (
+            # every entry sits at a pivot column and the tails cancel in
+            # column 0: the row clears to zero
+            [row(Fraction(1, 2), 1), row(Fraction(-1, 2), 0, 1), row(0, 1, 1)],
+            # the row ends at pivot column 2 and its survivor ends in -2/3
+            [row(Fraction(1, 2), 0, 1), row(Fraction(1, 3), 0, 2)],
+            # two tails meet in column 0 over the denominators 2 and 3
+            [row(Fraction(1, 2), 1), row(Fraction(1, 3), 0, 1), row(0, 1, 1, 1)]):
+        test = example(rows)(test)
+    return settings(max_examples=100, deadline=None)(given(dense_fraction_rows())(test))
+
+
 class TestRankCut:
     @settings(max_examples=100, deadline=None)
     @given(shuffled_length_rows())
@@ -592,6 +647,10 @@ class TestRankCut:
             push_checked(fast, r)
             ref.push_row(r)
         assert trace(fast) == trace(ref)
+
+    @dense_fraction_cases
+    def test_dense_rows_clear_as_with_whole_pivot_rows(self, rows):
+        against_reference(rows, push_checked)
 
     def test_shorter_rows_are_not_visited(self, monkeypatch):
         st = EliminationState()
@@ -877,16 +936,10 @@ class TestIntegerMultipliers:
     and the solutions equal those of the all-``Fraction`` reference."""
 
     def check(self, rows):
-        fast, ref = EliminationState(), ScanAllState()
-        for r in rows:
-            fast.push_row(r)
-            ref.push_row(r)
+        fast = against_reference(rows)
         multipliers = [m for log in fast._log for _, m in log.clear]
         for m in multipliers:
             assert type(m) is (int if Fraction(m).denominator == 1 else Fraction)
-        assert trace(fast) == trace(ref)
-        assert fast.q_rows == ref.q_rows
-        assert solutions(fast, rows, 5) == solutions(ref, rows, 5)
         return multipliers
 
     @pytest.mark.parametrize("family, horizon", [("example2", 40), ("example3", 40)])
@@ -903,6 +956,10 @@ class TestIntegerMultipliers:
     @settings(max_examples=50, deadline=None)
     @given(shuffled_length_rows())
     def test_random_rows(self, rows):
+        self.check(rows)
+
+    @dense_fraction_cases
+    def test_dense_fractional_rows(self, rows):
         self.check(rows)
 
 
